@@ -189,6 +189,12 @@ pub const LOCK_SITES: &[LockSite] = &[
     LockSite { file_suffix: "ntb-net/src/node.rs", receiver: "amo_cache", class: "net-dedup" },
     LockSite { file_suffix: "ntb-net/src/node.rs", receiver: "threads", class: "net-admin" },
     LockSite { file_suffix: "ntb-net/src/node.rs", receiver: "errors", class: "net-admin" },
+    LockSite { file_suffix: "ntb-net/src/node.rs", receiver: "sweeper_lock", class: "net-admin" },
+    LockSite {
+        file_suffix: "ntb-net/src/service.rs",
+        receiver: "sweeper_lock",
+        class: "net-admin",
+    },
     LockSite { file_suffix: "ntb-net/src/service.rs", receiver: "seen_puts", class: "net-dedup" },
     LockSite { file_suffix: "ntb-net/src/service.rs", receiver: "amo_cache", class: "net-dedup" },
     LockSite {

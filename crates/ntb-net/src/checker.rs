@@ -23,10 +23,13 @@
 //!    (`DoorbellCoalesce`) covers at least one published transmit-ring
 //!    slot and never more slots than its ring has published so far, and
 //!    every drained slot (`SlotDrain`) matches exactly one publish
-//!    (`SlotPublish`) — drained at most once. Published-but-undrained
-//!    slots are legal (a trailing batch the receiver had not consumed
-//!    when the trace was cut, or a slot consumed as corrupt under fault
-//!    injection).
+//!    (`SlotPublish`) — drained at most once. Drains follow publish
+//!    order: on each ring the drained sequence numbers strictly increase,
+//!    and a sequence number skipped between two drains was either never
+//!    published (no `SlotPublish`) or rejected at the receiver
+//!    (`CrcReject` naming its slot after the publish). Published-but-
+//!    undrained slots are legal past the last drain (a trailing batch the
+//!    receiver had not consumed when the trace was cut).
 //! 7. **Dead-PE discipline** — once a sender *knows* a PE is dead (the
 //!    sender's own `PeDead` emission, not yet followed by its matching
 //!    `PeRejoin`), it transmits no put chunk (`PutChunkTx`) at that PE.
@@ -652,23 +655,32 @@ fn check_down_links(events: &[TraceEvent], report: &mut CheckReport) {
 }
 
 /// Invariant 6: coalesced doorbells and slot drains are consistent with
-/// the publishes that preceded them.
+/// the publishes that preceded them, and drains follow publish order.
 ///
 /// A transmit ring is identified by `(sender pe, link)`: each sender
 /// owns one ring per cabled link, and its slot sequence numbers are
-/// monotonic. `SlotPublish` is emitted by the sender; `SlotDrain` by the
-/// *receiver* with the sender's pe in `payload[0]`, so both sides key to
-/// the same ring.
+/// monotonic in publish order. `SlotPublish` is emitted by the sender
+/// when the slot's header is written; `SlotDrain` by the *receiver* with
+/// the sender's pe in `payload[0]`, so both sides key to the same ring.
+/// A receiver that rejects a slot emits `CrcReject` on the same link with
+/// the sender in `payload[0]` and the slot index in `payload[1]`.
 fn check_slots(events: &[TraceEvent], report: &mut CheckReport) {
     let mut published: HashMap<(u16, u16), u64> = HashMap::new(); // ring -> publish count
     let mut covered: HashMap<(u16, u16), u64> = HashMap::new(); // ring -> coalesced slot count
-    let mut publishes: HashSet<(u16, u16, u64)> = HashSet::new(); // (ring, slot seq)
+                                                                // (ring, slot seq) -> (slot index, trace position of the publish)
+    let mut publishes: HashMap<(u16, u16, u64), (u64, usize)> = HashMap::new();
     let mut drains: HashMap<(u16, u16, u64), u32> = HashMap::new();
-    for ev in events {
+    let mut last_drain: HashMap<(u16, u16), u64> = HashMap::new(); // ring -> last drained seq
+                                                                   // (link, sender, slot index) -> trace position of the latest reject
+    let mut rejects: HashMap<(u16, u64, u64), usize> = HashMap::new();
+    for (pos, ev) in events.iter().enumerate() {
         match ev.kind {
             EventKind::SlotPublish => {
                 *published.entry((ev.pe, ev.link)).or_insert(0) += 1;
-                publishes.insert((ev.pe, ev.link, ev.op_id));
+                publishes.insert((ev.pe, ev.link, ev.op_id), (ev.payload[1], pos));
+            }
+            EventKind::CrcReject => {
+                rejects.insert((ev.link, ev.payload[0], ev.payload[1]), pos);
             }
             EventKind::DoorbellCoalesce => {
                 let n = ev.payload[0];
@@ -705,14 +717,28 @@ fn check_slots(events: &[TraceEvent], report: &mut CheckReport) {
             EventKind::SlotDrain => {
                 // `payload[0]` carries the sending pe (the drain itself is
                 // emitted at the receiver).
-                *drains.entry((ev.payload[0] as u16, ev.link, ev.op_id)).or_insert(0) += 1;
+                let ring = (ev.payload[0] as u16, ev.link);
+                *drains.entry((ring.0, ring.1, ev.op_id)).or_insert(0) += 1;
+                if let Some(message) = drain_order_fault(
+                    ring,
+                    ev.op_id,
+                    last_drain.insert(ring, ev.op_id),
+                    &publishes,
+                    &rejects,
+                ) {
+                    report.violations.push(Violation {
+                        invariant: "slot-coalescing",
+                        message,
+                        window: window(events, |e| e.link == ring.1 && slot_lifecycle(e.kind)),
+                    });
+                }
             }
             _ => {}
         }
     }
     report.slots_checked = publishes.len();
     for (&(pe, link, seq), &count) in &drains {
-        if !publishes.contains(&(pe, link, seq)) {
+        if !publishes.contains_key(&(pe, link, seq)) {
             report.violations.push(Violation {
                 invariant: "slot-coalescing",
                 message: format!(
@@ -735,8 +761,46 @@ fn check_slots(events: &[TraceEvent], report: &mut CheckReport) {
     }
 }
 
+/// Why draining `seq` on `ring` right after `prev` breaks publish order,
+/// if it does: `seq` must be past `prev`, and every sequence number
+/// skipped in between must be unpublished or rejected after its publish.
+fn drain_order_fault(
+    (pe, link): (u16, u16),
+    seq: u64,
+    prev: Option<u64>,
+    publishes: &HashMap<(u16, u16, u64), (u64, usize)>,
+    rejects: &HashMap<(u16, u64, u64), usize>,
+) -> Option<String> {
+    let prev = prev?;
+    if seq == prev {
+        return None; // a double drain, reported as such
+    }
+    if seq < prev {
+        return Some(format!(
+            "pe {pe}'s ring on link {link}: slot seq {seq} was drained after seq {prev}, out of \
+             publish order"
+        ));
+    }
+    (prev + 1..seq).find_map(|skipped| {
+        let &(idx, at) = publishes.get(&(pe, link, skipped))?;
+        let rejected = rejects.get(&(link, u64::from(pe), idx)).is_some_and(|&r| r > at);
+        (!rejected).then(|| {
+            format!(
+                "pe {pe}'s ring on link {link}: slot seq {seq} was drained while the published \
+                 seq {skipped} (slot {idx}) was neither drained nor rejected"
+            )
+        })
+    })
+}
+
 fn slot_lifecycle(kind: EventKind) -> bool {
-    matches!(kind, EventKind::SlotPublish | EventKind::SlotDrain | EventKind::DoorbellCoalesce)
+    matches!(
+        kind,
+        EventKind::SlotPublish
+            | EventKind::SlotDrain
+            | EventKind::DoorbellCoalesce
+            | EventKind::CrcReject
+    )
 }
 
 /// Invariant 7: a sender that has declared a PE dead (and not yet seen
@@ -1284,6 +1348,55 @@ mod tests {
         let r = check(&t, 2);
         assert_eq!(r.violations.len(), 1);
         assert!(r.violations[0].message.contains("drained 2 times"));
+    }
+
+    #[test]
+    fn out_of_order_drain_is_flagged() {
+        // Seqs 3 and 4 sit in slots 3 and 0 of a 4-slot ring; draining
+        // slot 0 first (slot-index order) overtakes seq 3.
+        let t = vec![
+            ev(0, 0, 0, EventKind::SlotPublish, 3, [64, 3]),
+            ev(1, 0, 0, EventKind::SlotPublish, 4, [64, 0]),
+            ev(2, 0, 0, EventKind::DoorbellCoalesce, 3, [2, 0]),
+            ev(3, 1, 0, EventKind::SlotDrain, 4, [0, 0]),
+            ev(4, 1, 0, EventKind::SlotDrain, 3, [0, 3]),
+        ];
+        let r = check(&t, 2);
+        assert_eq!(r.violations.len(), 1, "{}", r.render_violations());
+        assert!(r.violations[0].message.contains("out of publish order"));
+    }
+
+    #[test]
+    fn skipped_drain_needs_a_rejection_or_no_publish() {
+        let base = vec![
+            ev(0, 0, 0, EventKind::SlotPublish, 0, [64, 0]),
+            ev(1, 0, 0, EventKind::SlotPublish, 1, [64, 1]),
+            ev(2, 0, 0, EventKind::SlotPublish, 2, [64, 2]),
+            ev(3, 0, 0, EventKind::DoorbellCoalesce, 0, [3, 0]),
+            ev(4, 1, 0, EventKind::SlotDrain, 0, [0, 0]),
+        ];
+        // Seq 1 published, then silently passed over: flagged.
+        let mut lost = base.clone();
+        lost.push(ev(5, 1, 0, EventKind::SlotDrain, 2, [0, 2]));
+        let r = check(&lost, 2);
+        assert_eq!(r.violations.len(), 1, "{}", r.render_violations());
+        assert!(r.violations[0].message.contains("neither drained nor rejected"));
+        // Seq 1 rejected as corrupt at its slot: a legal gap.
+        let mut rejected = base.clone();
+        rejected.push(ev(5, 1, 0, EventKind::CrcReject, 0, [0, 1]));
+        rejected.push(ev(6, 1, 0, EventKind::SlotDrain, 2, [0, 2]));
+        let r = check(&rejected, 2);
+        assert!(r.is_clean(), "{}", r.render_violations());
+        // A gap over a sequence number that was never published is legal.
+        let unpublished = vec![
+            ev(0, 0, 0, EventKind::SlotPublish, 0, [64, 0]),
+            ev(1, 0, 0, EventKind::SlotPublish, 2, [64, 2]),
+            ev(2, 0, 0, EventKind::DoorbellCoalesce, 0, [2, 0]),
+            ev(3, 1, 0, EventKind::SlotDrain, 0, [0, 0]),
+            ev(4, 1, 0, EventKind::SlotDrain, 2, [0, 2]),
+        ];
+        let r = check(&unpublished, 2);
+        assert!(r.is_clean(), "{}", r.render_violations());
     }
 
     #[test]

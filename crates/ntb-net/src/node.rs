@@ -19,7 +19,7 @@ use ntb_sim::{
     DmaRequest, EventKind, EventLog, HostMemory, LinkHealth, LinkHealthTracker, MetricsRegistry,
     NtbError, NtbPort, Obs, PortStatsSnapshot, Region, Result, TimeModel, TransferMode,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::config::NetConfig;
 use crate::crc::crc32;
@@ -177,6 +177,10 @@ pub struct LinkEndpoint {
     /// Next expected inbound frame sequence number (service thread only;
     /// detects protocol bugs that would lose or duplicate frames).
     pub(crate) rx_seq: std::sync::atomic::AtomicU32,
+    /// Slot sequence number the receive side of this link's transmit
+    /// ring hands on next (service thread only; keeps ring delivery in
+    /// publish order).
+    pub(crate) rx_slot_next: std::sync::atomic::AtomicU32,
     /// The NTB port.
     pub(crate) port: Arc<NtbPort>,
     /// Transmit mailbox (PE thread and forwarder contend through its
@@ -256,6 +260,11 @@ pub struct NtbNode {
     pub(crate) rejoining: AtomicBool,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Guards the retry sweeper's tick wait on `sweeper_wake`, which
+    /// [`Self::stop`] notifies so teardown never waits out a tick.
+    pub(crate) sweeper_lock: Mutex<()>,
+    /// Signalled by [`Self::stop`] to end the sweeper's tick early.
+    pub(crate) sweeper_wake: Condvar,
     pub(crate) stats: NodeStats,
     pub(crate) errors: Mutex<Vec<NtbError>>,
     pub(crate) mem: Arc<HostMemory>,
@@ -349,6 +358,7 @@ impl NtbNode {
                     link_idx,
                     obs: Obs::new(Arc::clone(&event_log), me, link_idx),
                     rx_seq: std::sync::atomic::AtomicU32::new(0),
+                    rx_slot_next: std::sync::atomic::AtomicU32::new(0),
                     rx: RxMailbox::new(Arc::clone(&port)),
                     tx,
                     port,
@@ -385,6 +395,8 @@ impl NtbNode {
             rejoining: AtomicBool::new(false),
             shutdown,
             threads: Mutex::new(Vec::new()),
+            sweeper_lock: Mutex::new(()),
+            sweeper_wake: Condvar::new(),
             stats: NodeStats::default(),
             errors: Mutex::new(Vec::new()),
             mem,
@@ -1013,9 +1025,11 @@ impl NtbNode {
                 // make the next quiet() re-report it. If the sweeper (or a
                 // racing ack) already retired the id, that path owns the
                 // put's one resolution event — don't emit a second.
-                if self.unacked.ack(put_id) {
-                    self.obs.emit(EventKind::PutAbandon, u64::from(put_id), [1, dest as u64]);
-                }
+                self.unacked.ack_with(put_id, |known| {
+                    if known {
+                        self.obs.emit(EventKind::PutAbandon, u64::from(put_id), [1, dest as u64]);
+                    }
+                });
                 Err(e)
             }
         }
@@ -1644,6 +1658,13 @@ impl NtbNode {
     /// (no in-flight application traffic).
     pub(crate) fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Under the sweeper's lock: it checks the flag under the same
+            // lock before each tick wait, so this wakeup cannot be lost.
+            crate::lockdep_track!(&crate::lockdep::NET_ADMIN);
+            let _guard = self.sweeper_lock.lock();
+            self.sweeper_wake.notify_all();
+        }
         for ep in &self.endpoints {
             ep.fwd.shutdown();
             // Wake the service thread blocked on its doorbell.
@@ -1765,9 +1786,9 @@ impl NtbNode {
 
     /// Abandon unacked puts and fail pending gets/AMOs targeting `pe`.
     fn fail_ops_to(&self, pe: usize, epoch: u64) {
-        for id in self.unacked.fail_dest(pe, epoch) {
+        self.unacked.fail_dest(pe, epoch, |id| {
             self.obs.emit(EventKind::PutAbandon, u64::from(id), [0, pe as u64]);
-        }
+        });
         self.pending.fail_dest(pe, NtbError::PeFailed { pe, epoch });
     }
 

@@ -492,10 +492,21 @@ impl UnackedPuts {
     /// Retire a chunk on acknowledgement; `false` if the id was unknown
     /// (a duplicated ack from a retransmission — harmless).
     pub fn ack(&self, id: u32) -> bool {
+        self.ack_with(id, |_| {})
+    }
+
+    /// [`Self::ack`] with an observer invoked with the outcome *before*
+    /// the retirement becomes visible to a waiting `quiet` (the shard
+    /// lock is still held), like [`PendingOps::fill_with`]. Trace
+    /// emission must go through this hook: emitting after `ack` returns
+    /// races the woken `quiet`, whose caller can snapshot the trace
+    /// before the resolution that released it is logged.
+    pub fn ack_with(&self, id: u32, observe: impl FnOnce(bool)) -> bool {
         let shard = self.shard(id);
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
         let known = st.map.remove(&id).is_some();
+        observe(known);
         if st.map.is_empty() {
             shard.cond.notify_all();
         }
@@ -533,18 +544,21 @@ impl UnackedPuts {
     }
 
     /// Abandon a chunk whose retry budget is spent. The failure is
-    /// remembered and reported by the next [`Self::quiet`]. Returns
-    /// `false` — recording nothing — when the chunk is no longer in the
-    /// table: an ack can race the sweeper between its overdue snapshot
-    /// and this call, and an acked put must not be reported as failed
-    /// (nor abandoned twice in the trace).
-    pub fn fail(&self, id: u32) -> bool {
+    /// remembered and reported by the next [`Self::quiet`]; `observe`
+    /// runs under the shard lock, before a waiting `quiet` can see the
+    /// retirement (see [`Self::ack_with`]). Returns `false` — recording
+    /// nothing — when the chunk is no longer in the table: an ack can race
+    /// the sweeper between its overdue snapshot and this call, and an
+    /// acked put must not be reported as failed (nor abandoned twice in
+    /// the trace).
+    pub fn fail(&self, id: u32, observe: impl FnOnce()) -> bool {
         let shard = self.shard(id);
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
         let known = match st.map.remove(&id) {
             Some(put) => {
                 st.failed.push(put.attempts);
+                observe();
                 true
             }
             None => false,
@@ -560,13 +574,14 @@ impl UnackedPuts {
     /// [`Self::quiet`] reports [`NtbError::DeadlineExceeded`] instead of
     /// `LinkFailed`. Returns `false` when the put was already retired
     /// (an ack raced the sweeper).
-    pub fn fail_expired(&self, id: u32) -> bool {
+    pub fn fail_expired(&self, id: u32, observe: impl FnOnce()) -> bool {
         let shard = self.shard(id);
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
         let known = st.map.remove(&id).is_some();
         if known {
             st.expired = true;
+            observe();
         }
         if st.map.is_empty() {
             shard.cond.notify_all();
@@ -623,10 +638,11 @@ impl UnackedPuts {
     }
 
     /// Abandon every unacked put destined for `pe` — the failure detector
-    /// confirmed it dead at `epoch`, so no ack will ever come. Returns the
-    /// abandoned put ids (for `PutAbandon` trace emission). The next
+    /// confirmed it dead at `epoch`, so no ack will ever come. `observe`
+    /// runs per abandoned put id under its shard lock (see
+    /// [`Self::ack_with`]). Returns the abandoned ids. The next
     /// [`Self::quiet`] reports [`NtbError::PeFailed`].
-    pub fn fail_dest(&self, pe: usize, epoch: u64) -> Vec<u32> {
+    pub fn fail_dest(&self, pe: usize, epoch: u64, mut observe: impl FnMut(u32)) -> Vec<u32> {
         let mut ids = Vec::new();
         for shard in &self.shards {
             crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
@@ -638,6 +654,7 @@ impl UnackedPuts {
             }
             for id in &doomed {
                 st.map.remove(id);
+                observe(*id);
             }
             st.dead = Some((pe, epoch));
             if st.map.is_empty() {
@@ -940,7 +957,7 @@ mod tests {
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
         u.note_attempt(id, Instant::now());
-        assert!(u.fail(id));
+        assert!(u.fail(id, || {}));
         assert!(u.has_failures());
         assert_eq!(u.quiet().unwrap_err(), NtbError::LinkFailed { attempts: 2 });
         u.quiet().expect("failure record cleared by the reporting quiet");
@@ -950,8 +967,8 @@ mod tests {
     fn expired_put_reported_by_quiet_then_cleared() {
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
-        assert!(u.fail_expired(id));
-        assert!(!u.fail_expired(id), "already retired");
+        assert!(u.fail_expired(id, || {}));
+        assert!(!u.fail_expired(id, || {}), "already retired");
         assert!(u.has_failures());
         assert_eq!(u.quiet().unwrap_err(), NtbError::DeadlineExceeded);
         u.quiet().expect("expiry record cleared by the reporting quiet");
@@ -962,8 +979,8 @@ mod tests {
         let u = UnackedPuts::new();
         let linky = put_entry(&u, Instant::now());
         let late = put_entry(&u, Instant::now());
-        assert!(u.fail(linky));
-        assert!(u.fail_expired(late));
+        assert!(u.fail(linky, || {}));
+        assert!(u.fail_expired(late, || {}));
         assert_eq!(u.quiet().unwrap_err(), NtbError::DeadlineExceeded);
         // Failure record is consumed; the next quiet is clean.
         u.quiet().unwrap();
@@ -995,8 +1012,8 @@ mod tests {
         let now = Instant::now();
         let doomed = u.register(2, 0, vec![9], TransferMode::Dma, now, 0);
         let other = put_entry(&u, now); // dest 1
-        assert!(u.fail(other), "plain link-budget abandonment");
-        assert_eq!(u.fail_dest(2, 5), vec![doomed]);
+        assert!(u.fail(other, || {}), "plain link-budget abandonment");
+        assert_eq!(u.fail_dest(2, 5, |_| {}), vec![doomed]);
         assert_eq!(u.current(), 0);
         // Node death outranks the link failure in the combined report.
         assert_eq!(u.quiet().unwrap_err(), NtbError::PeFailed { pe: 2, epoch: 5 });
@@ -1011,8 +1028,8 @@ mod tests {
         assert_eq!(p.in_flight(), 0);
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
-        assert!(u.fail(id));
-        u.fail_dest(1, 1);
+        assert!(u.fail(id, || {}));
+        u.fail_dest(1, 1, |_| {});
         u.reset();
         assert_eq!(u.current(), 0);
         assert!(!u.has_failures());
@@ -1027,7 +1044,7 @@ mod tests {
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
         assert!(u.ack(id));
-        assert!(!u.fail(id), "acked put must not be failable");
+        assert!(!u.fail(id, || {}), "acked put must not be failable");
         assert!(!u.has_failures());
         u.quiet().expect("all puts acked; no stale failure record");
     }

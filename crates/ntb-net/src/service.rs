@@ -26,6 +26,7 @@
 //! (a corrupted payload is dropped and recovered by retransmission), and
 //! deliveries are deduplicated so retransmissions stay idempotent.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,7 +39,7 @@ use crate::frame::{Frame, FrameKind};
 use crate::membership::{rejoin_signature, BeatMonitor, BeatVerdict, REJOIN_FLAG};
 use crate::node::NtbNode;
 use crate::pending::FillOutcome;
-use crate::slots::{self, SlotRead};
+use crate::slots::{self, Drained, DrainedSlot};
 use crate::trace::TraceKind;
 
 /// How long the service loop sleeps between shutdown-flag checks when the
@@ -246,7 +247,6 @@ fn handle_frame(node: &Arc<NtbNode>, idx: usize, frame: Frame) -> Result<()> {
     // numbers are assigned per transmission, so retransmitted frames do
     // not create gaps.)
     {
-        use std::sync::atomic::Ordering;
         // lint: relaxed-ok(rx_seq is single-owner: only this endpoint's service thread loads
         // and stores it; the doorbell/ScratchPad handshake orders the frame itself)
         let expected = node.endpoints[idx].rx_seq.load(Ordering::Relaxed) as u16;
@@ -376,119 +376,95 @@ fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option
 }
 
 /// Consume every published slot of endpoint `idx`'s receive-side transmit
-/// ring. One coalesced doorbell (or one idle tick) drains the whole
-/// batch.
-///
-/// Every pass scans *all* slots rather than walking a cursor: a
-/// corrupted record is consumed without dispatch, and a cursor would
-/// wedge on the hole it leaves while later slots hold live frames.
+/// ring, in publish order (see [`slots::drain_in_order`]). One coalesced
+/// doorbell (or one idle tick) drains the whole batch.
 fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
     if !node.layout.has_ring() {
         return;
     }
     let ep = &node.endpoints[idx];
-    let region = ep.port().incoming().region();
-    // The fault plan is per-link and symmetric: the peer arms its CRC
-    // exactly when our outgoing half reports an active plan.
-    let check_crc = ep.port().outgoing().faults().is_active();
-    loop {
-        let mut progressed = false;
-        for slot in 0..node.layout.ring_slots {
-            match slots::read_slot(region, &node.layout, slot, check_crc) {
-                Ok(SlotRead::Empty) => {}
-                Ok(SlotRead::Corrupt) => {
-                    // Consume without dispatch (and without a SlotDrain
-                    // event — a corrupted record's sequence number cannot
-                    // be trusted to pair with any publish); the sender's
-                    // end-to-end retransmission recovers the frame.
-                    if let Err(e) = slots::consume_slot(region, &node.layout, slot) {
-                        node.record_error(e);
-                        return;
-                    }
-                    progressed = true;
-                    node.count_checksum_reject();
-                    node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
-                    ep.obs.emit(EventKind::CrcReject, 0, [ep.neighbor() as u64, u64::from(slot)]);
-                }
-                Ok(SlotRead::Frame(drained)) => {
-                    // The record and payload are already copied out;
-                    // zeroing the header frees the slot for the sender's
-                    // next wraparound before dispatch work begins.
-                    if let Err(e) = slots::consume_slot(region, &node.layout, slot) {
-                        node.record_error(e);
-                        return;
-                    }
-                    progressed = true;
-                    let frame = drained.frame;
-                    if frame.dest >= node.num_hosts() || frame.src >= node.num_hosts() {
-                        // Out-of-world routing fields (possible on an
-                        // unchecked link, where no CRC arms): drop instead
-                        // of panicking the router — but *visibly*, as a
-                        // counted router drop, not a silent discard.
-                        node.count_router_drop(ep, u64::from(frame.aux), frame.dest as u64, 1);
-                        continue;
-                    }
-                    ep.obs.emit(
-                        EventKind::SlotDrain,
-                        u64::from(drained.slot_seq),
-                        [ep.neighbor() as u64, u64::from(drained.slot_idx)],
-                    );
-                    node.count_frame();
-                    node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
-                    ep.obs.emit(
-                        EventKind::FrameRx,
-                        u64::from(frame.aux),
-                        [frame.kind as u64, frame.src as u64],
-                    );
-                    node.metrics.bump_link(ep.link_idx(), |l| &l.frames_rx);
-                    // Same first-hop credit and deadline plumbing as the
-                    // scratchpad path (the ring is just a batched lane
-                    // over the same cable).
-                    if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
-                        node.grant_credits(ep, 1);
-                    }
-                    if frame.kind == FrameKind::PutAck
-                        && frame.src == ep.neighbor()
-                        && frame.offset != 0
-                    {
-                        ep.credit.advertise(u64::from(frame.offset));
-                    }
-                    let now = node.now_us();
-                    if frame.deadline_expired(now) {
-                        node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
-                        ep.obs.emit(
-                            EventKind::DeadlineShed,
-                            u64::from(frame.aux),
-                            [u64::from(frame.deadline_us), u64::from(now)],
-                        );
-                        continue;
-                    }
-                    if let Some(data) = &drained.payload {
-                        node.model().delay(node.model().window_copy_time(data.len() as u64));
-                    }
-                    let result = if frame.dest == node.host_id() {
-                        dispatch_frame(node, frame, drained.payload)
-                    } else {
-                        // Routed slot frames are the normal case on
-                        // multi-hop shapes: small chunks ride the ring on
-                        // every hop, and intermediate hosts route them
-                        // onward exactly like mailbox frames.
-                        forward_onward(node, idx, frame, drained.payload);
-                        Ok(())
-                    };
-                    if let Err(e) = result {
-                        node.record_error(e);
-                    }
-                }
-                Err(e) => {
-                    node.record_error(e);
-                    return;
-                }
-            }
+    let src = slots::RegionSlots {
+        region: ep.port().incoming().region(),
+        layout: &node.layout,
+        // The fault plan is per-link and symmetric: the peer arms its CRC
+        // exactly when our outgoing half reports an active plan.
+        check_crc: ep.port().outgoing().faults().is_active(),
+    };
+    // lint: relaxed-ok(rx_slot_next is single-owner: only this endpoint's service thread
+    // drains its ring)
+    let mut next = ep.rx_slot_next.load(Ordering::Relaxed);
+    let result = slots::drain_in_order(&src, &mut next, |drained| match drained {
+        Drained::Rejected(slot) => {
+            // Consumed without dispatch (and without a SlotDrain event —
+            // a corrupted record's sequence number cannot be trusted to
+            // pair with any publish); the sender's end-to-end
+            // retransmission recovers the frame.
+            node.count_checksum_reject();
+            node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
+            ep.obs.emit(EventKind::CrcReject, 0, [ep.neighbor() as u64, u64::from(slot)]);
         }
-        if !progressed {
-            break;
-        }
+        Drained::Frame(drained) => dispatch_slot(node, idx, drained),
+    });
+    // lint: relaxed-ok(single-owner, see the load above)
+    ep.rx_slot_next.store(next, Ordering::Relaxed);
+    if let Err(e) = result {
+        node.record_error(e);
+    }
+}
+
+/// Dispatch one frame drained from endpoint `idx`'s ring (its slot is
+/// already consumed, freeing it for the sender's next wraparound).
+fn dispatch_slot(node: &Arc<NtbNode>, idx: usize, drained: DrainedSlot) {
+    let ep = &node.endpoints[idx];
+    let frame = drained.frame;
+    ep.obs.emit(
+        EventKind::SlotDrain,
+        u64::from(drained.slot_seq),
+        [ep.neighbor() as u64, u64::from(drained.slot_idx)],
+    );
+    if frame.dest >= node.num_hosts() || frame.src >= node.num_hosts() {
+        // Out-of-world routing fields (possible on an unchecked link,
+        // where no CRC arms): drop instead of panicking the router — but
+        // *visibly*, as a counted router drop, not a silent discard.
+        node.count_router_drop(ep, u64::from(frame.aux), frame.dest as u64, 1);
+        return;
+    }
+    node.count_frame();
+    node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
+    ep.obs.emit(EventKind::FrameRx, u64::from(frame.aux), [frame.kind as u64, frame.src as u64]);
+    node.metrics.bump_link(ep.link_idx(), |l| &l.frames_rx);
+    // Same first-hop credit and deadline plumbing as the scratchpad path
+    // (the ring is just a batched lane over the same cable).
+    if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
+        node.grant_credits(ep, 1);
+    }
+    if frame.kind == FrameKind::PutAck && frame.src == ep.neighbor() && frame.offset != 0 {
+        ep.credit.advertise(u64::from(frame.offset));
+    }
+    let now = node.now_us();
+    if frame.deadline_expired(now) {
+        node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
+        ep.obs.emit(
+            EventKind::DeadlineShed,
+            u64::from(frame.aux),
+            [u64::from(frame.deadline_us), u64::from(now)],
+        );
+        return;
+    }
+    if let Some(data) = &drained.payload {
+        node.model().delay(node.model().window_copy_time(data.len() as u64));
+    }
+    let result = if frame.dest == node.host_id() {
+        dispatch_frame(node, frame, drained.payload)
+    } else {
+        // Routed slot frames are the normal case on multi-hop shapes:
+        // small chunks ride the ring on every hop, and intermediate hosts
+        // route them onward exactly like mailbox frames.
+        forward_onward(node, idx, frame, drained.payload);
+        Ok(())
+    };
+    if let Err(e) = result {
+        node.record_error(e);
     }
 }
 
@@ -550,9 +526,15 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
         }
         FrameKind::PutAck => {
             node.obs.emit(EventKind::AckRx, u64::from(frame.aux), [frame.src as u64, 0]);
-            if node.unacked.ack(frame.aux) {
+            // The resolution is logged under the table lock, before the
+            // woken `quiet` can return (or its caller take the trace).
+            let known = node.unacked.ack_with(frame.aux, |known| {
+                if known {
+                    node.obs.emit(EventKind::PutAcked, u64::from(frame.aux), [frame.src as u64, 0]);
+                }
+            });
+            if known {
                 node.count_ack();
-                node.obs.emit(EventKind::PutAcked, u64::from(frame.aux), [frame.src as u64, 0]);
                 node.trace(TraceKind::AckReceived, frame.src, frame.dest, 0);
             } else {
                 // The put was already retired by an earlier copy of this
@@ -855,9 +837,16 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
     let tick = (policy.ack_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
     let mut last_probe = Instant::now();
     loop {
-        // DEADLINE-CLIPPED: sweeper cadence (ack_timeout / 4); shutdown is
-        // checked right after every tick.
-        std::thread::sleep(tick);
+        {
+            crate::lockdep_track!(&crate::lockdep::NET_ADMIN);
+            let mut guard = node.sweeper_lock.lock();
+            if !node.is_shutdown() {
+                // DEADLINE-CLIPPED: sweeper cadence (ack_timeout / 4);
+                // `NtbNode::stop` notifies the condvar, so teardown ends
+                // the wait at once instead of after the tick.
+                node.sweeper_wake.wait_for(&mut guard, tick);
+            }
+        }
         if node.is_shutdown() {
             return;
         }
@@ -873,8 +862,8 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             // caller set a time budget and it was missed.
             let now_us = node.now_us();
             if put.deadline_us != 0 && now_us > put.deadline_us {
-                if node.unacked.fail_expired(id) {
-                    let ep = node.endpoint_for(put.dest);
+                let ep = node.endpoint_for(put.dest);
+                node.unacked.fail_expired(id, || {
                     node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
                     node.obs.emit(
                         EventKind::DeadlineShed,
@@ -889,7 +878,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                         u64::from(id),
                         [u64::from(put.attempts), put.dest as u64],
                     );
-                }
+                });
                 continue;
             }
             if put.attempts > policy.max_retries {
@@ -898,13 +887,13 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                 // landed since the overdue snapshot — then fail() is a
                 // no-op and the put already resolved as acked, so no
                 // abandon is recorded or emitted.
-                if node.unacked.fail(id) {
+                node.unacked.fail(id, || {
                     node.obs.emit(
                         EventKind::PutAbandon,
                         u64::from(id),
                         [u64::from(put.attempts), put.dest as u64],
                     );
-                }
+                });
                 continue;
             }
             let next = Instant::now() + policy.ack_timeout + policy.backoff(put.attempts - 1);

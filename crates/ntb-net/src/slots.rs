@@ -23,14 +23,29 @@
 //!   sender polls a slot's header back to zero (a non-posted read)
 //!   before reusing it, so flow control needs no reverse channel.
 //!
+//! **Delivery order.** Every slot record carries a monotonic slot
+//! sequence number, and headers are written in sequence order (one flush
+//! at a time, under the ring lock). The receiver ([`drain_in_order`])
+//! hands frames on in that order, not in slot-index order: a batch that
+//! wraps past the ring's last slot, or a header that lands while the
+//! receiver is mid-scan, must not let a later frame overtake an earlier
+//! one — `put_with_signal` relies on a signal never landing before its
+//! data. The sender keeps the sequence dense: a slot's sequence number
+//! is committed only once its record is written, and a flush that fails
+//! part-way rolls the unwritten tail back so the next publish reuses it.
+//! The receiver clears a header only if it still holds the value it read
+//! ([`release_slot`], a compare-and-swap), so it can never clear a
+//! header it has not seen.
+//!
 //! Loss tolerance mirrors the scratchpad path: a swallowed doorbell is
 //! recovered by the sender's bounded re-ring and the receiver's idle
 //! poll; a corrupted record or payload fails the per-slot CRC (armed only
 //! when the link has an active fault plan) and is consumed without
-//! dispatch, leaving recovery to end-to-end retransmission. The ring
-//! deliberately enforces no sequence-gap invariant — slots can be
-//! legitimately lost under fault injection, and the unacked-put ledger
-//! already provides exactly-once delivery.
+//! dispatch, leaving recovery to end-to-end retransmission. A gap in the
+//! sequence — a corrupted record, or a header that a fault zeroed — is
+//! skipped once a later header proves the missing one will never land,
+//! so the ring never stalls behind it; the unacked-put ledger provides
+//! exactly-once delivery across such losses.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -59,14 +74,15 @@ struct StagedSlot {
     idx: u32,
     header: u32,
     seq: u32,
+    len: u32,
 }
 
 #[derive(Debug, Default)]
 struct TxState {
-    /// Round-robin slot cursor (monotonic; slot = cursor % ring_slots).
-    cursor: u32,
-    /// Monotonic slot sequence; rides the record so publish and drain
-    /// events pair up in the trace.
+    /// Monotonic slot sequence of the next publish; its slot is
+    /// `slot_seq % ring_slots`. Rides the record, so the receiver drains
+    /// in publish order and publish and drain events pair up in the
+    /// trace.
     slot_seq: u32,
     /// Frames staged since the last flush, in publish order.
     staged: Vec<StagedSlot>,
@@ -198,7 +214,9 @@ impl TxSlotRing {
     /// Stage `frame` (+ payload) into the next free ring slot without
     /// ringing a doorbell. The payload and record body are written now;
     /// the header word is withheld until [`flush`](Self::flush) publishes
-    /// the batch. Auto-flushes first when the batch cap is reached.
+    /// the batch. Auto-flushes first when the batch cap is reached. The
+    /// slot's sequence number is committed only once every write
+    /// succeeded, so a failed publish leaves no gap in the sequence.
     pub fn publish(&self, mut frame: Frame, payload: Option<&[u8]>) -> Result<()> {
         let data = payload.unwrap_or(&[]);
         debug_assert!(self.fits(data.len()), "payload exceeds the slot lane");
@@ -207,13 +225,12 @@ impl TxSlotRing {
         if st.staged.len() as u32 >= self.batch_cap {
             self.flush_locked(&mut st)?;
         }
-        let idx = st.cursor % self.layout.ring_slots;
-        self.wait_slot_free(idx)?;
-        st.cursor = st.cursor.wrapping_add(1);
         let seq = st.slot_seq;
-        st.slot_seq = st.slot_seq.wrapping_add(1);
+        let idx = seq % self.layout.ring_slots;
+        self.wait_slot_free(idx)?;
         frame.seq = seq as u16;
         let words = frame.encode();
+        let mut dma = None;
         if !data.is_empty() {
             let lane = self.layout.ring_lane_off(idx);
             if frame.mode == TransferMode::Memcpy || data.len() as u64 <= self.pio_crossover {
@@ -224,7 +241,7 @@ impl TxSlotRing {
                 let staging = Region::anonymous(data.len() as u64);
                 staging.write(0, data)?;
                 self.model.delay(self.model.local_copy_time(data.len() as u64));
-                st.dma_reqs.push(DmaRequest {
+                dma = Some(DmaRequest {
                     src: staging,
                     src_offset: 0,
                     dst_offset: lane,
@@ -255,15 +272,20 @@ impl TxSlotRing {
             &body,
             TransferMode::Memcpy,
         )?;
-        st.staged.push(StagedSlot { idx, header: words[0], seq });
-        self.obs.emit(EventKind::SlotPublish, u64::from(seq), [data.len() as u64, u64::from(idx)]);
+        // Commit: from here on the slot belongs to the batch.
+        st.dma_reqs.extend(dma);
+        st.slot_seq = seq.wrapping_add(1);
+        st.staged.push(StagedSlot { idx, header: words[0], seq, len: data.len() as u32 });
         Ok(())
     }
 
     /// Publish the staged batch: submit the accumulated DMA chain (one
-    /// completion for every large payload), then write every header word,
-    /// then ring ONE doorbell. On a chain error no header is written —
-    /// the slots stay free and end-to-end retransmission recovers.
+    /// completion for every large payload), then write every header word
+    /// in sequence order, then ring ONE doorbell. A header that could not
+    /// be written stays zero, and it and every later staged slot are
+    /// rolled back: their frames are dropped (end-to-end retransmission
+    /// recovers them) and the next publish reuses their sequence numbers,
+    /// so the receiver never waits on a slot that will not be published.
     pub fn flush(&self) -> Result<()> {
         crate::lockdep_track!(&crate::lockdep::NET_TXRING);
         let mut st = self.state.lock();
@@ -275,16 +297,16 @@ impl TxSlotRing {
             st.dma_reqs.clear();
             return Ok(());
         }
+        let staged = std::mem::take(&mut st.staged);
         let reqs = std::mem::take(&mut st.dma_reqs);
         if !reqs.is_empty() {
             if let Err(e) = self.port.dma_transfer_chain(reqs) {
                 // No header was written: every staged slot still reads
-                // zero at the receiver and stays reusable.
-                st.staged.clear();
+                // zero at the receiver and is reused by the next publish.
+                st.slot_seq = st.slot_seq.wrapping_sub(staged.len() as u32);
                 return Err(e);
             }
         }
-        let staged = std::mem::take(&mut st.staged);
         let first = staged[0].seq;
         let mut written: u32 = 0;
         let mut err: Option<NtbError> = None;
@@ -294,11 +316,18 @@ impl TxSlotRing {
                 &s.header.to_le_bytes(),
                 TransferMode::Memcpy,
             ) {
-                Ok(()) => written += 1,
+                Ok(()) => {
+                    written += 1;
+                    self.obs.emit(
+                        EventKind::SlotPublish,
+                        u64::from(s.seq),
+                        [u64::from(s.len), u64::from(s.idx)],
+                    );
+                }
                 Err(e) => {
-                    // Later headers are withheld (their slots stay free);
-                    // the already-published prefix still needs its
-                    // doorbell below.
+                    // Roll the unwritten tail back; the already-published
+                    // prefix still needs its doorbell below.
+                    st.slot_seq = st.slot_seq.wrapping_sub(staged.len() as u32 - written);
                     err = Some(e);
                     break;
                 }
@@ -347,6 +376,8 @@ pub struct DrainedSlot {
     /// The sender's slot sequence number (pairs publish with drain in
     /// the trace).
     pub slot_seq: u32,
+    /// The header word as read (see [`release_slot`]).
+    pub header: u32,
 }
 
 /// What the receiver found in one ring slot.
@@ -408,7 +439,7 @@ pub fn read_slot(
             return Ok(SlotRead::Corrupt);
         }
     }
-    Ok(SlotRead::Frame(DrainedSlot { frame, payload, slot_idx: idx, slot_seq }))
+    Ok(SlotRead::Frame(DrainedSlot { frame, payload, slot_idx: idx, slot_seq, header }))
 }
 
 /// CRC over a slot record: the header word plus the first 20 body bytes
@@ -425,6 +456,166 @@ fn slot_crc(header: u32, body: &[u8]) -> u32 {
 /// incoming region, freeing it for the sender's next wraparound.
 pub fn consume_slot(region: &Region, layout: &WindowLayout, idx: u32) -> Result<()> {
     region.write(layout.ring_slot_off(idx), &0u32.to_le_bytes())
+}
+
+/// Consume the frame `slot` was read from: clear its header only if it
+/// still holds the header that was read, so the receiver can never clear
+/// a header it has not seen. `Ok(false)` when the header changed (the
+/// slot is left for the next read).
+pub fn release_slot(region: &Region, layout: &WindowLayout, slot: &DrainedSlot) -> Result<bool> {
+    region.compare_exchange_u32(layout.ring_slot_off(slot.slot_idx), slot.header, 0)
+}
+
+/// The receive side of one ring, as [`drain_in_order`] sees it: read a
+/// slot, consume a slot. [`RegionSlots`] is the real one; tests wrap it
+/// to interleave sender activity with the receiver's scan.
+pub trait SlotSource {
+    /// Slots in the ring.
+    fn ring_slots(&self) -> u32;
+    /// Read slot `idx` without consuming it (see [`read_slot`]).
+    fn read(&self, idx: u32) -> Result<SlotRead>;
+    /// Consume slot `idx` (see [`consume_slot`]).
+    fn consume(&self, idx: u32) -> Result<()>;
+    /// Consume the frame `slot` was read from (see [`release_slot`]).
+    fn release(&self, slot: &DrainedSlot) -> Result<bool>;
+}
+
+/// A ring in the receiver's own incoming window region.
+#[derive(Debug, Clone, Copy)]
+pub struct RegionSlots<'a> {
+    /// The incoming window region holding the ring.
+    pub region: &'a Region,
+    /// Where the ring sits in the window.
+    pub layout: &'a WindowLayout,
+    /// Verify the per-slot CRC (links with an active fault plan).
+    pub check_crc: bool,
+}
+
+impl SlotSource for RegionSlots<'_> {
+    fn ring_slots(&self) -> u32 {
+        self.layout.ring_slots
+    }
+
+    fn read(&self, idx: u32) -> Result<SlotRead> {
+        read_slot(self.region, self.layout, idx, self.check_crc)
+    }
+
+    fn consume(&self, idx: u32) -> Result<()> {
+        consume_slot(self.region, self.layout, idx)
+    }
+
+    fn release(&self, slot: &DrainedSlot) -> Result<bool> {
+        release_slot(self.region, self.layout, slot)
+    }
+}
+
+/// What [`drain_in_order`] hands on, in delivery order.
+#[derive(Debug)]
+pub enum Drained {
+    /// The next frame in publish order; its slot is already consumed.
+    Frame(DrainedSlot),
+    /// Slot `idx` was consumed without dispatch: its record failed to
+    /// decode or its CRC, or its header never landed although a later
+    /// one did (a fault zeroed it). Recovery is end to end.
+    Rejected(u32),
+}
+
+/// Consume every published slot of one ring and hand the frames to
+/// `deliver` in **publish order**, `next` being the sequence number the
+/// receiver expects next (advanced as frames are handed on).
+///
+/// Each pass consumes every published slot as it reads it (freeing it
+/// for the sender at once) and holds the frames; held frames are handed
+/// on in sequence order, each only once every earlier sequence number is
+/// accounted for. When the lowest held frame is ahead of `next`, the
+/// missing slot is read again: headers are written in sequence order, so
+/// if the missing frame was published at all it is visible now (it
+/// landed while the pass was scanning). If it is still missing it never
+/// will land, and it is skipped as [`Drained::Rejected`], so the ring
+/// stays live. A frame behind `next` cannot be handed on in order and is
+/// rejected too (it cannot happen on a consistent ring).
+pub fn drain_in_order<S: SlotSource>(
+    src: &S,
+    next: &mut u32,
+    mut deliver: impl FnMut(Drained),
+) -> Result<()> {
+    let n = src.ring_slots();
+    let mut held: Vec<DrainedSlot> = Vec::new();
+    // Slots consumed as corrupt in this call: a corrupt record's own
+    // sequence word cannot be trusted, so its slot stands in for it.
+    let mut corrupt: Vec<u32> = Vec::new();
+    loop {
+        let mut progressed = false;
+        for idx in 0..n {
+            match take_slot(src, idx)? {
+                Some(Ok(f)) => held.push(f),
+                Some(Err(idx)) => {
+                    corrupt.push(idx);
+                    deliver(Drained::Rejected(idx));
+                }
+                None => continue,
+            }
+            progressed = true;
+        }
+        while !held.is_empty() {
+            if let Some(pos) = held.iter().position(|f| f.slot_seq == *next) {
+                *next = next.wrapping_add(1);
+                deliver(Drained::Frame(held.swap_remove(pos)));
+                continue;
+            }
+            if let Some(pos) = held.iter().position(|f| f.slot_seq.wrapping_sub(*next) >= 1 << 31) {
+                deliver(Drained::Rejected(held.swap_remove(pos).slot_idx));
+                continue;
+            }
+            // Every held frame is ahead of `next`: the missing frame was
+            // rejected as corrupt, or its slot must be read again.
+            let missing = *next % n;
+            if let Some(pos) = corrupt.iter().position(|&idx| idx == missing) {
+                corrupt.swap_remove(pos);
+                *next = next.wrapping_add(1);
+                continue;
+            }
+            match src.read(missing)? {
+                SlotRead::Frame(f) if f.slot_seq == *next => {
+                    if src.release(&f)? {
+                        held.push(f);
+                    }
+                }
+                SlotRead::Corrupt => {
+                    src.consume(missing)?;
+                    *next = next.wrapping_add(1);
+                    deliver(Drained::Rejected(missing));
+                }
+                // Still missing (or already reused by a later lap): the
+                // frame will never land.
+                SlotRead::Empty | SlotRead::Frame(_) => {
+                    *next = next.wrapping_add(1);
+                    deliver(Drained::Rejected(missing));
+                }
+            }
+        }
+        if !progressed {
+            return Ok(());
+        }
+    }
+}
+
+/// Read slot `idx` and consume it if anything was published there:
+/// `Some(Ok(frame))`, `Some(Err(idx))` for a corrupt record, `None` when
+/// empty (or when the header changed between the read and the release;
+/// the next read takes it).
+fn take_slot<S: SlotSource>(
+    src: &S,
+    idx: u32,
+) -> Result<Option<std::result::Result<DrainedSlot, u32>>> {
+    match src.read(idx)? {
+        SlotRead::Empty => Ok(None),
+        SlotRead::Corrupt => {
+            src.consume(idx)?;
+            Ok(Some(Err(idx)))
+        }
+        SlotRead::Frame(f) => Ok(src.release(&f)?.then_some(Ok(f))),
+    }
 }
 
 #[cfg(test)]
@@ -595,6 +786,164 @@ mod tests {
         };
         assert_eq!(slot.frame.deadline_us, 987_654);
         assert_eq!(slot.frame.aux, 7);
+    }
+
+    /// Drain `src` once: `Ok(aux)` per delivered frame, `Err(slot)` per
+    /// rejected slot, in delivery order.
+    fn drain(src: &impl SlotSource, next: &mut u32) -> Vec<std::result::Result<u32, u32>> {
+        let mut out = vec![];
+        drain_in_order(src, next, |d| match d {
+            Drained::Frame(s) => out.push(Ok(s.frame.aux)),
+            Drained::Rejected(idx) => out.push(Err(idx)),
+        })
+        .unwrap();
+        out
+    }
+
+    fn put(aux: u32) -> Frame {
+        Frame::put(0, 1, 4, 0, aux, TransferMode::Memcpy)
+    }
+
+    #[test]
+    fn wrapping_batch_drains_in_publish_order() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let src = RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
+        let mut next = 0;
+        for aux in 1..=3 {
+            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Ok(1), Ok(2), Ok(3)]);
+        // The next batch occupies slots 3, 0, 1, 2: it wraps past the
+        // ring's last slot, and slot order is no longer publish order.
+        for aux in 4..=7 {
+            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Ok(4), Ok(5), Ok(6), Ok(7)]);
+        assert_eq!(next, 7);
+    }
+
+    /// Reads through to the real ring, but flushes the sender's staged
+    /// batch right after the receiver's first read of slot `trigger` —
+    /// headers landing while the receiver is mid-scan.
+    struct FlushOnRead<'a> {
+        inner: RegionSlots<'a>,
+        tx: &'a TxSlotRing,
+        trigger: u32,
+        fired: std::cell::Cell<bool>,
+    }
+
+    impl SlotSource for FlushOnRead<'_> {
+        fn ring_slots(&self) -> u32 {
+            self.inner.ring_slots()
+        }
+
+        fn read(&self, idx: u32) -> Result<SlotRead> {
+            let read = self.inner.read(idx);
+            if idx == self.trigger && !self.fired.replace(true) {
+                self.tx.flush().unwrap();
+            }
+            read
+        }
+
+        fn consume(&self, idx: u32) -> Result<()> {
+            self.inner.consume(idx)
+        }
+
+        fn release(&self, slot: &DrainedSlot) -> Result<bool> {
+            self.inner.release(slot)
+        }
+    }
+
+    #[test]
+    fn header_published_mid_scan_is_not_overtaken() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let inner =
+            RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
+        let mut next = 0;
+        // Move the ring off slot 0 so the batch below also wraps.
+        for aux in 1..=2 {
+            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain(&inner, &mut next), vec![Ok(1), Ok(2)]);
+        // Stage seqs 2..=4 (slots 2, 3, 0); the receiver reads slot 2
+        // empty, then all three headers land before it reaches slot 3.
+        for aux in 3..=5 {
+            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+        }
+        let src = FlushOnRead { inner, tx: &tx, trigger: 2, fired: Default::default() };
+        assert_eq!(drain(&src, &mut next), vec![Ok(3), Ok(4), Ok(5)]);
+    }
+
+    #[test]
+    fn header_that_never_lands_does_not_stall_the_ring() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let region = b.incoming().region();
+        let src = RegionSlots { region, layout: &layout, check_crc: false };
+        let mut next = 0;
+        for aux in 1..=2 {
+            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+        }
+        tx.flush().unwrap();
+        // A fault zeroes slot 0's header: seq 0 will never be seen, and
+        // seq 1 proves it.
+        consume_slot(region, &layout, 0).unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Err(0), Ok(2)]);
+        for aux in 3..=6 {
+            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Ok(3), Ok(4), Ok(5), Ok(6)]);
+    }
+
+    #[test]
+    fn failed_flush_is_rolled_back_and_reused() {
+        let mut cfg = small_cfg();
+        cfg.pio_crossover = 16; // 64-byte payloads ride the DMA chain
+        let ma = HostMemory::new(0, 64 << 20);
+        let mb = HostMemory::new(1, 64 << 20);
+        let faults = ntb_sim::FaultInjector::new(
+            ntb_sim::FaultPlan::none().with_scripted(0, ntb_sim::FaultAction::FailDma, 1),
+            0,
+        );
+        let (a, b) = ntb_sim::connect_ports_with_faults(
+            PortConfig::new(0, 1),
+            PortConfig::new(1, 0),
+            &ma,
+            &mb,
+            Arc::new(TimeModel::zero()),
+            faults,
+        )
+        .unwrap();
+        let layout = WindowLayout::with_ring(
+            cfg.direct_buf,
+            cfg.bypass_buf,
+            cfg.tx_slots,
+            cfg.coalesce_payload_max,
+        );
+        let tx = tx_ring(&a, layout, &cfg);
+        let check_crc = a.outgoing().faults().is_active();
+        let src = RegionSlots { region: b.incoming().region(), layout: &layout, check_crc };
+        let mut next = 0;
+        for aux in 1..=2 {
+            tx.publish(Frame::put(0, 1, 64, 0, aux, TransferMode::Dma), Some(&[7; 64])).unwrap();
+        }
+        assert!(tx.flush().is_err(), "the scripted DMA failure fails the flush");
+        assert!(drain(&src, &mut next).is_empty(), "no header of the failed batch landed");
+        // The next publish reuses seq 0, so the receiver never waits on
+        // a sequence number that will not be published.
+        tx.publish(Frame::put(0, 1, 64, 0, 3, TransferMode::Dma), Some(&[7; 64])).unwrap();
+        tx.flush().unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Ok(3)]);
+        assert_eq!(next, 1);
     }
 
     #[test]

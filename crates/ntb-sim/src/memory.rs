@@ -155,6 +155,29 @@ impl Region {
         Ok(())
     }
 
+    /// Atomically replace the little-endian `u32` at `offset` with `new`
+    /// if it still holds `current`; `Ok(false)` when it did not. For
+    /// control words two hosts hand back and forth (a ring slot header
+    /// the receiver clears only if it is still the one it read). `offset`
+    /// must be 4-byte aligned in the backing memory.
+    pub fn compare_exchange_u32(&self, offset: u64, current: u32, new: u32) -> Result<bool> {
+        self.check(offset, 4)?;
+        let ptr = self.ptr(offset);
+        if !(ptr as usize).is_multiple_of(4) {
+            return Err(NtbError::RegionOutOfBounds { offset, len: 4, region_size: self.len });
+        }
+        fence(Ordering::Release);
+        // SAFETY: bounds checked and 4-byte aligned above; the backing
+        // allocation outlives `self`. Concurrent plain writes to these
+        // bytes follow the module's SHMEM-style contract.
+        let word = unsafe { std::sync::atomic::AtomicU32::from_ptr(ptr.cast::<u32>()) };
+        let swapped = word
+            .compare_exchange(current.to_le(), new.to_le(), Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        fence(Ordering::Acquire);
+        Ok(swapped)
+    }
+
     /// Write a little-endian `u64` at `offset` (control words in window
     /// headers).
     pub fn write_u64(&self, offset: u64, value: u64) -> Result<()> {
@@ -286,6 +309,17 @@ mod tests {
         assert_eq!(r.read_vec(10, 4).unwrap(), vec![1, 2, 3, 4]);
         // Untouched bytes stay zero.
         assert_eq!(r.read_vec(0, 10).unwrap(), vec![0; 10]);
+    }
+
+    #[test]
+    fn compare_exchange_u32_swaps_only_the_expected_value() {
+        let r = Region::anonymous(64);
+        r.write(8, &7u32.to_le_bytes()).unwrap();
+        assert!(!r.compare_exchange_u32(8, 9, 0).unwrap(), "a different value stays");
+        assert_eq!(r.read_vec(8, 4).unwrap(), 7u32.to_le_bytes());
+        assert!(r.compare_exchange_u32(8, 7, 0).unwrap());
+        assert_eq!(r.read_vec(8, 4).unwrap(), [0; 4]);
+        assert!(r.compare_exchange_u32(62, 0, 1).is_err(), "out of bounds");
     }
 
     #[test]

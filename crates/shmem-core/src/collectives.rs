@@ -2,10 +2,18 @@
 //!
 //! §II-B lists broadcasts and reductions among the essential SHMEM
 //! features. On the switchless ring they are built from the primitives
-//! the paper implements — put, get and the ring barrier — in the
-//! simplest correct shape: data moves with puts, and the barrier provides
-//! the entry/exit synchronization the OpenSHMEM collectives specify over
-//! their active set (here always the full world, as in the paper).
+//! the paper implements — put, get and the barrier.
+//!
+//! [`allreduce`](ShmemCtx::allreduce) (and
+//! [`team_allreduce`](ShmemCtx::team_allreduce)) runs without any barrier
+//! or allocation: each PE `put_with_signal`s its block into collective
+//! scratch reserved before user code runs (or at team creation) and waits
+//! on monotone epoch signals — the reserved work arrays and flag signals
+//! of the OpenSHMEM `pSync`/`pWrk` model. The other collectives still
+//! take the simplest correct shape: data moves with puts, and entry/exit
+//! barriers (or the barriers of their scratch allocation) provide the
+//! synchronization the OpenSHMEM collectives specify over their active
+//! set (here always the full world, as in the paper).
 //!
 //! Under a degraded membership (a PE confirmed dead by the heartbeat
 //! detector) the data-movement loops address the **live** PEs only, or
@@ -14,11 +22,88 @@
 //! gathered results keep whatever the local copy last held (zero for
 //! `calloc`-ed scratch), and reductions combine live contributions only.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
 use crate::config::DegradedPolicy;
 use crate::ctx::ShmemCtx;
 use crate::error::{Result, ShmemError};
-use crate::symmetric::TypedSym;
+use crate::heap::SymmetricHeap;
+use crate::signal::SignalOp;
+use crate::symmetric::{SymAddr, TypedSym};
 use crate::types::ShmemScalar;
+
+/// Bytes of one contribution slot of the collective scratch: the block
+/// one allreduce round moves per PE. It fits the transmit ring's payload
+/// lane, so a block and its signal travel as one doorbell batch. Larger
+/// inputs loop through the same slots, one round per slot-full.
+pub(crate) const SLOT_BYTES: usize = 1024;
+
+/// How often an allreduce blocked on a contribution re-polls the
+/// failure detector (as the barriers do), so a member dying mid-call
+/// surfaces as [`ShmemError::PeFailed`] well before the timeout.
+const MEMBERSHIP_POLL: Duration = Duration::from_millis(20);
+
+/// Collective scratch of the epoch-signalled allreduce: two banks of one
+/// [`SLOT_BYTES`] slot per participant, plus one `u64` signal word per
+/// (bank, participant). Round `e` uses bank `e % 2`, and participant `r`
+/// writes only slot `r` of a bank, so no two writers share a slot.
+///
+/// The world's scratch is reserved in `ShmemCtx::new`, before any PE runs
+/// user code (like the barrier flags), and a team's in
+/// [`team_split`](ShmemCtx::team_split): an allreduce call allocates
+/// nothing and so needs no allocation barrier.
+#[derive(Debug)]
+pub(crate) struct CollScratch {
+    /// `2 * slots` contribution slots; bank `b`'s slot `r` starts at byte
+    /// `(b * slots + r) * SLOT_BYTES`.
+    data: SymAddr,
+    /// `2 * slots` signal words, indexed like the slots.
+    sig: TypedSym<u64>,
+    /// Participants (slots per bank).
+    slots: usize,
+    /// Rounds started so far; round `e` signals with the value `e`.
+    epoch: AtomicU64,
+}
+
+impl CollScratch {
+    /// Reserve zeroed scratch for `slots` participants straight from
+    /// `heap`. Only valid before user code runs: every PE must make the
+    /// same reservations in the same order, so offsets match without
+    /// communication.
+    pub(crate) fn reserve(heap: &SymmetricHeap, slots: usize) -> Result<CollScratch> {
+        let data = heap.malloc((2 * slots * SLOT_BYTES) as u64)?;
+        heap.fill_flat(data.offset(), data.len(), 0)?;
+        let sig_addr = heap.malloc((2 * slots * <u64 as ShmemScalar>::WIDTH) as u64)?;
+        heap.fill_flat(sig_addr.offset(), sig_addr.len(), 0)?;
+        let sig = TypedSym::new(sig_addr, 2 * slots)?;
+        Ok(CollScratch { data, sig, slots, epoch: AtomicU64::new(0) })
+    }
+
+    /// Allocate zeroed scratch for `slots` participants with the
+    /// collective `calloc` (team creation, collective over the world).
+    pub(crate) fn alloc(ctx: &ShmemCtx, slots: usize) -> Result<CollScratch> {
+        let data = ctx.calloc((2 * slots * SLOT_BYTES) as u64)?;
+        let sig = ctx.calloc_array::<u64>(2 * slots)?;
+        Ok(CollScratch { data, sig, slots, epoch: AtomicU64::new(0) })
+    }
+
+    /// Release scratch from [`Self::alloc`]. Collective over the world.
+    pub(crate) fn free(self, ctx: &ShmemCtx) -> Result<()> {
+        ctx.free_array(self.sig)?;
+        ctx.free(self.data)
+    }
+
+    /// Slot `slot` of `bank`, typed as `count` elements of `T`.
+    fn block<T: ShmemScalar>(&self, bank: usize, slot: usize, count: usize) -> Result<TypedSym<T>> {
+        let start = ((bank * self.slots + slot) * SLOT_BYTES) as u64;
+        let addr = SymAddr {
+            offset: self.data.byte_offset(start, SLOT_BYTES as u64)?,
+            len: SLOT_BYTES as u64,
+        };
+        TypedSym::new(addr, count)
+    }
+}
 
 /// Reduction operators (`shmem_TYPE_{sum,prod,min,max}_reduce`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,30 +285,146 @@ impl ShmemCtx {
     /// assert!(sums.iter().all(|v| v == &[6, 4]));
     /// ```
     ///
-    /// Implemented as an fcollect into internal symmetric scratch
-    /// followed by a local combine (the gather-then-reduce shape the
-    /// paper's primitives support directly). Collective.
+    /// Every live PE contributes; the result folds the contributions in
+    /// ascending PE order starting from `op`'s identity, so every PE gets
+    /// the same value bit for bit (floating-point sums included).
+    /// Collective, but it allocates nothing and makes no barrier: it runs
+    /// on the world's collective scratch, reserved before user code ran.
+    /// Each round moves up to one 1 KiB slot of `src` (larger inputs loop
+    /// through the same slots):
+    ///
+    /// 1. take the next epoch `e` (a call reserves the epochs of all its
+    ///    rounds up front, so PEs stay in step when a call fails
+    ///    part-way);
+    /// 2. `put_with_signal` this PE's block into bank `e % 2` of every
+    ///    other live PE, with `Set(e)` on this PE's signal word there;
+    /// 3. wait until every other contributor's signal word reads `≥ e`
+    ///    (a signal follows its block on one ordered route, so the block
+    ///    is complete once the signal is seen);
+    /// 4. `quiet`;
+    /// 5. fold the blocks in ascending PE order from the identity.
+    ///
+    /// **Two banks suffice.** PE A writes round `e + 2`'s block into B's
+    /// bank `e % 2` only after finishing round `e + 1`, which needs B's
+    /// `e + 1` signal; B sends that signal only in round `e + 1`, after it
+    /// finished round `e` — reading every block of bank `e % 2` included.
+    /// So a block is never overwritten while it can still be read, and a
+    /// signal word only moves up (`e`, then `e + 2`), so the `≥ e` test
+    /// never takes a stale round for the current one.
+    ///
+    /// **The closing `quiet` keeps teardown clean.** Seeing the others'
+    /// signals proves their blocks reached this PE, not that this PE's
+    /// blocks did. Waiting until every own put is acknowledged means no
+    /// call returns with puts in flight: a PE whose last call is an
+    /// allreduce leaves nothing for the retry sweeper to retransmit while
+    /// the world tears down.
+    ///
+    /// A contributor that dies mid-call fails the wait with
+    /// [`ShmemError::PeFailed`] (the wait polls the membership view, as
+    /// the barriers do); after a failure the survivors take the failure
+    /// report with [`quiet`](Self::quiet) and retry over the live set.
     pub fn allreduce<T: ShmemReduce>(&self, op: ReduceOp, src: &[T]) -> Result<Vec<T>> {
-        let n = self.num_pes();
-        // Only live PEs contribute; a dead PE's scratch slot would hold
-        // stale bytes, so it must not be folded into the result.
-        let contributors = self.collective_peers()?;
-        // Collective allocation is safe: all (live) PEs execute the same
-        // call.
-        let scratch: TypedSym<T> = self.malloc_array(n * src.len())?;
-        let result = (|| {
-            self.fcollect(&scratch, src)?;
-            let all = self.read_local_slice(&scratch, 0, n * src.len())?;
-            let mut out = vec![T::identity(op); src.len()];
-            for pe in contributors {
-                for (i, item) in out.iter_mut().enumerate() {
-                    *item = T::combine(op, *item, all[pe * src.len() + i]);
+        // Only live PEs contribute; a dead PE's slot would hold stale
+        // bytes, so it must not be folded into the result.
+        let members: Vec<(usize, usize)> =
+            self.collective_peers()?.into_iter().map(|pe| (pe, pe)).collect();
+        self.allreduce_rounds(&self.coll, &members, op, src)
+    }
+
+    /// The schedule of [`Self::allreduce`] over `members`, `(slot, pe)`
+    /// pairs in fold order, on `scratch` (shared with the team
+    /// allreduce, whose slots are team ranks).
+    pub(crate) fn allreduce_rounds<T: ShmemReduce>(
+        &self,
+        scratch: &CollScratch,
+        members: &[(usize, usize)],
+        op: ReduceOp,
+        src: &[T],
+    ) -> Result<Vec<T>> {
+        let me = self.my_pe();
+        let mine = members
+            .iter()
+            .find(|&&(_, pe)| pe == me)
+            .map(|&(slot, _)| slot)
+            .ok_or(ShmemError::Runtime("allreduce on a PE outside its member set"))?;
+        let per_round = (SLOT_BYTES / T::WIDTH).max(1);
+        let rounds = src.len().div_ceil(per_round) as u64;
+        let first = scratch.epoch.fetch_add(rounds, Ordering::SeqCst) + 1;
+        let mut out = Vec::with_capacity(src.len());
+        for (epoch, block) in (first..).zip(src.chunks(per_round)) {
+            let bank = (epoch % 2) as usize;
+            let own = scratch.block::<T>(bank, mine, block.len())?;
+            for &(_, pe) in members.iter().filter(|&&(_, pe)| pe != me) {
+                self.put_with_signal(
+                    &own,
+                    0,
+                    block,
+                    &scratch.sig,
+                    bank * scratch.slots + mine,
+                    epoch,
+                    SignalOp::Set,
+                    pe,
+                )?;
+            }
+            self.await_round(scratch, members, bank, epoch)?;
+            self.quiet()?;
+            let mut acc = vec![T::identity(op); block.len()];
+            for &(slot, pe) in members {
+                let part = if pe == me {
+                    block.to_vec()
+                } else {
+                    self.read_local_slice(
+                        &scratch.block::<T>(bank, slot, block.len())?,
+                        0,
+                        block.len(),
+                    )?
+                };
+                for (a, b) in acc.iter_mut().zip(part) {
+                    *a = T::combine(op, *a, b);
                 }
             }
-            Ok(out)
-        })();
-        self.free_array(scratch)?;
-        result
+            out.extend(acc);
+        }
+        Ok(out)
+    }
+
+    /// Block until every member but this PE has signalled `epoch` in
+    /// `bank`. Polls the failure detector like the barriers do: a member
+    /// that is no longer live fails the wait with `PeFailed`.
+    fn await_round(
+        &self,
+        scratch: &CollScratch,
+        members: &[(usize, usize)],
+        bank: usize,
+        epoch: u64,
+    ) -> Result<()> {
+        let me = self.my_pe();
+        let deadline = Instant::now() + self.cfg.barrier_timeout;
+        loop {
+            let seen = self.heap.version();
+            let mut complete = true;
+            for &(slot, _) in members.iter().filter(|&&(_, pe)| pe != me) {
+                complete &= self.read_local(&scratch.sig, bank * scratch.slots + slot)? >= epoch;
+            }
+            if complete {
+                return Ok(());
+            }
+            let view = self.node.membership().view();
+            if let Some(&(_, pe)) = members.iter().find(|&&(_, pe)| !view.is_live(pe)) {
+                // RESOLVES(none): every put of this round is tracked by the
+                // net layer, whose fail_dest swept the dead member's.
+                return Err(ShmemError::PeFailed { pe, epoch: view.epoch });
+            }
+            if Instant::now() >= deadline {
+                // RESOLVES(none): a wait on local signal words; nothing of
+                // this round is registered above the net layer.
+                return Err(ShmemError::WaitTimeout);
+            }
+            self.heap.wait_change(
+                seen,
+                MEMBERSHIP_POLL.min(deadline.saturating_duration_since(Instant::now())),
+            );
+        }
     }
 
     /// Ring-pipelined broadcast: the natural broadcast for the switchless

@@ -23,6 +23,7 @@ use std::time::Instant;
 use ntb_net::NtbNode;
 use ntb_sim::{EventKind, OpClass, TransferMode};
 
+use crate::collectives::CollScratch;
 use crate::config::ShmemConfig;
 use crate::error::{Result, ShmemError};
 use crate::heap::SymmetricHeap;
@@ -206,6 +207,8 @@ pub struct ShmemCtx {
     /// and every PE calls them in the same order, so the count names the
     /// same barrier on every PE.
     pub(crate) barrier_trace_epoch: AtomicU64,
+    /// The world allreduce's collective scratch, one slot per PE.
+    pub(crate) coll: CollScratch,
 }
 
 /// Rounds reserved for the dissemination barrier (supports up to 2^64
@@ -229,6 +232,7 @@ impl ShmemCtx {
         let degraded_addr = heap.malloc((BARRIER_ROUNDS * <u64 as ShmemScalar>::WIDTH) as u64)?;
         heap.fill_flat(degraded_addr.offset(), degraded_addr.len(), 0)?;
         let degraded_flags = TypedSym::new(degraded_addr, BARRIER_ROUNDS)?;
+        let coll = CollScratch::reserve(&heap, node.num_hosts())?;
         Ok(ShmemCtx {
             node,
             heap,
@@ -239,6 +243,7 @@ impl ShmemCtx {
             degraded_epoch: AtomicU64::new(0),
             api_op: AtomicU64::new(0),
             barrier_trace_epoch: AtomicU64::new(0),
+            coll,
         })
     }
 

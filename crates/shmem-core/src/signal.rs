@@ -4,13 +4,21 @@
 //! with the guarantee that *when the signal is visible, the data is too* —
 //! without the origin paying a full `quiet` round trip between them.
 //!
-//! On this transport the guarantee comes from FIFO delivery along a fixed
-//! route: the data chunks and the trailing signal put travel the same
-//! sequence of link mailboxes (the route to a given destination is
-//! deterministic — shortest ring direction, or the dedicated mesh link),
-//! each link preserves order, and the destination's service thread
-//! delivers frames of one inbound link in order. The signal frame is
-//! enqueued after the last data chunk, so it lands last.
+//! On this transport the guarantee comes from in-order delivery along a
+//! fixed route: the data chunks and the trailing signal put travel the
+//! same sequence of links (the route to a given destination is
+//! deterministic), the forwarders keep a FIFO per link, and every link's
+//! transmit ring hands frames on in the order they were published — also
+//! when a batch wraps past the ring's last slot or a header lands while
+//! the receiver is mid-scan (see `ntb_net::slots::drain_in_order`). The
+//! signal is published after the last data chunk, so it lands last. The
+//! guarantee needs both frames on one carrier: data too large for a ring
+//! slot travels by the scratchpad mailbox (and an additive signal is a
+//! mailbox AMO), which the ring does not order against, so then the data
+//! is completed with a `quiet` before the signal leaves. The test
+//! `signal_never_overtakes_its_data_on_two_hop_torus_routes`
+//! (`crates/shmem-core/tests/collectives.rs`) checks the guarantee on the
+//! forwarded routes of a 2x2 torus at paper timing.
 
 use crate::ctx::{OpOptions, ShmemCtx};
 use crate::error::Result;
@@ -76,19 +84,28 @@ impl ShmemCtx {
     ) -> Result<()> {
         self.check_pe(pe)?;
         let opts = OpOptions::new().mode(mode);
-        self.put_slice_opts(sym, index, data, pe, opts)?;
+        let net = self.node.config();
+        let on_ring = |bytes: usize| net.coalesce && bytes as u64 <= net.coalesce_payload_max;
+        let data_on_ring = on_ring(data.len() * T::WIDTH);
+        let sig_on_ring = op == SignalOp::Set && on_ring(S::WIDTH);
+        if data_on_ring && sig_on_ring {
+            // Both frames ride the transmit ring: stage the data without
+            // its doorbell, and the signal's flush publishes the two as
+            // one batch, in order.
+            self.put_slice_opts(sym, index, data, pe, opts.coalesce(true))?;
+        } else {
+            self.put_slice_opts(sym, index, data, pe, opts)?;
+            if data_on_ring != sig_on_ring {
+                // Different carriers are not ordered against each other.
+                self.quiet()?;
+            }
+        }
         match op {
-            SignalOp::Set => {
-                // An ordinary put of the signal word: same route as the
-                // data, FIFO behind it.
-                self.put_slice_opts(sig, sig_index, &[sig_value], pe, opts)
-            }
-            SignalOp::Add => {
-                // Additive signals must be atomic across producers. The
-                // AMO request frame follows the same route, so ordering
-                // behind the data still holds.
-                self.atomic_add(sig, sig_index, sig_value, pe)
-            }
+            // An ordinary put of the signal word: same route as the data,
+            // in order behind it.
+            SignalOp::Set => self.put_slice_opts(sig, sig_index, &[sig_value], pe, opts),
+            // Additive signals must be atomic across producers.
+            SignalOp::Add => self.atomic_add(sig, sig_index, sig_value, pe),
         }
     }
 

@@ -7,6 +7,9 @@
 //! created collectively over the **whole world** — exactly like classic
 //! SHMEM requires `pSync` to be symmetric even on PEs outside the set.
 //!
+//! [`team_allreduce`](ShmemCtx::team_allreduce) runs on collective
+//! scratch reserved at team creation, so it needs no barrier at all.
+//!
 //! Subset barriers cannot ride the physical barrier doorbells (those
 //! implement the paper's whole-world ring sweep), so team barriers use the
 //! dissemination algorithm over put-flags, which works for any member
@@ -16,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::barrier::BarrierPhase;
-use crate::collectives::{ReduceOp, ShmemReduce};
+use crate::collectives::{CollScratch, ReduceOp, ShmemReduce};
 use crate::ctx::ShmemCtx;
 use crate::error::{Result, ShmemError};
 use crate::symmetric::TypedSym;
@@ -83,6 +86,9 @@ pub struct Team {
     flags: TypedSym<u64>,
     /// Monotonic barrier epoch, local.
     epoch: AtomicU64,
+    /// Collective scratch of [`ShmemCtx::team_allreduce`], one slot per
+    /// member (symmetric on every world PE).
+    coll: CollScratch,
 }
 
 /// Rounds reserved per team barrier (supports up to 2^8 members; the
@@ -126,7 +132,8 @@ impl ShmemCtx {
             return Err(ShmemError::Runtime("active set exceeds the world"));
         }
         let flags = self.calloc_array::<u64>(TEAM_ROUNDS)?; // collective (barriers)
-        Ok(Team { set, my_rank: set.rank_of(self.my_pe()), flags, epoch: AtomicU64::new(0) })
+        let coll = CollScratch::alloc(self, set.size)?;
+        Ok(Team { set, my_rank: set.rank_of(self.my_pe()), flags, epoch: AtomicU64::new(0), coll })
     }
 
     /// A team over the whole world.
@@ -136,6 +143,7 @@ impl ShmemCtx {
 
     /// Release a team's symmetric state. Collective over the world.
     pub fn team_destroy(&self, team: Team) -> Result<()> {
+        team.coll.free(self)?;
         self.free_array(team.flags)
     }
 
@@ -346,41 +354,23 @@ impl ShmemCtx {
     }
 
     /// All-reduce `src` element-wise over the team; every member gets the
-    /// result, non-members get `None`. Collective over the **world** (it
-    /// allocates symmetric scratch).
+    /// result (folded in rank order from the identity), non-members get
+    /// `None` at once. Collective over the team: it runs the world
+    /// allreduce's barrier-free schedule (see
+    /// [`allreduce`](ShmemCtx::allreduce)) on the scratch reserved by
+    /// [`team_split`](Self::team_split).
     pub fn team_allreduce<T: ShmemReduce>(
         &self,
         team: &Team,
         op: ReduceOp,
         src: &[T],
     ) -> Result<Option<Vec<T>>> {
-        let scratch: TypedSym<T> = self.calloc_array(team.size() * src.len())?;
-        let result = (|| {
-            let Some(rank) = team.my_rank else {
-                return Ok(None);
-            };
-            // Gather every member's contribution into every member's
-            // scratch, then combine locally.
-            self.team_barrier(team)?;
-            let slot = rank * src.len();
-            self.write_local_slice(&scratch, slot, src)?;
-            for i in 0..team.size() {
-                if i != rank {
-                    self.put_slice(&scratch, slot, src, team.set.member(i))?;
-                }
-            }
-            self.team_barrier(team)?;
-            let all = self.read_local_slice(&scratch, 0, team.size() * src.len())?;
-            let mut out = vec![T::identity(op); src.len()];
-            for member in 0..team.size() {
-                for (i, item) in out.iter_mut().enumerate() {
-                    *item = T::combine(op, *item, all[member * src.len() + i]);
-                }
-            }
-            Ok(Some(out))
-        })();
-        self.free_array(scratch)?;
-        result
+        if team.my_rank.is_none() {
+            return Ok(None);
+        }
+        let members: Vec<(usize, usize)> =
+            (0..team.size()).map(|rank| (rank, team.set.member(rank))).collect();
+        self.allreduce_rounds(&team.coll, &members, op, src).map(Some)
     }
 }
 

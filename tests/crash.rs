@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use shmem_ntb::net::{check, HeartbeatConfig, RetryPolicy, Topology};
 use shmem_ntb::shmem::{
-    BarrierAlgorithm, CmpOp, DegradedPolicy, ShmemConfig, ShmemError, ShmemWorld,
+    BarrierAlgorithm, CmpOp, DegradedPolicy, ReduceOp, ShmemConfig, ShmemError, ShmemWorld,
 };
 use shmem_ntb::sim::{render_events, EventLog, FaultPlan};
 
@@ -428,6 +428,49 @@ fn run_rejoin_after_crash(seed: u64) {
     certify(&format!("rejoin-after-crash-{seed}"), &results[0]);
 }
 
+/// Cell: the victim dies while the survivors wait in an allreduce it
+/// never joins. The allreduce allocates nothing and makes no barrier, so
+/// only its membership-polled wait can notice: it must fail promptly with
+/// `PeFailed` naming the victim, as a stalled barrier does. Once the
+/// failure report of the round's puts to the victim is drained, the
+/// retry runs over the live set and folds the survivors only.
+fn run_crash_during_allreduce(seed: u64) {
+    let cfg = crash_cfg(seed, DegradedPolicy::Degrade);
+    let results = ShmemWorld::run(cfg, |ctx| {
+        let log = ctx.node().obs().log().expect("observed world");
+        log.enable();
+        let me = ctx.my_pe();
+        ctx.barrier_all().expect("healthy barrier");
+        if me == VICTIM {
+            ctx.quiet().expect("pre-crash quiet");
+            std::thread::sleep(BEAT_WARMUP);
+            ctx.node().crash();
+            return Arc::clone(log);
+        }
+        let t0 = Instant::now();
+        match ctx.allreduce(ReduceOp::Sum, &[me as u64 + 1]) {
+            Err(ShmemError::PeFailed { pe, .. }) => assert_eq!(pe, VICTIM, "pe {me}"),
+            other => panic!("pe {me}: expected PeFailed, got {other:?}"),
+        }
+        assert!(t0.elapsed() < PROMPT, "pe {me}: stalled allreduce took {:?}", t0.elapsed());
+        // The failed round's puts to the victim were abandoned when its
+        // death was confirmed; take that report before retrying.
+        match ctx.quiet() {
+            Ok(()) => {}
+            Err(ShmemError::PeFailed { pe, .. }) => assert_eq!(pe, VICTIM, "pe {me}"),
+            Err(e) => panic!("pe {me}: unexpected quiet error {e}"),
+        }
+        let want: u64 = (0..HOSTS).filter(|&p| p != VICTIM).map(|p| p as u64 + 1).sum();
+        let got = ctx.allreduce(ReduceOp::Sum, &[me as u64 + 1]).expect("degraded allreduce");
+        assert_eq!(got, vec![want], "pe {me}: the retry folds the live PEs only");
+        ctx.barrier_all().expect("closing degraded barrier");
+        ctx.quiet().expect("final quiet");
+        Arc::clone(log)
+    })
+    .expect("world");
+    certify(&format!("crash-during-allreduce-{seed}"), &results[0]);
+}
+
 // ---------------------------------------------------------------------------
 // Torus crash: the victim dies inside a 16-PE dissemination barrier on a
 // 4x4 torus. Unlike the ring cells above, barrier flags here are *routed*
@@ -581,6 +624,8 @@ crash_matrix! {
     freeze_then_thaw_seed23 => run_freeze_then_thaw(23);
     rejoin_after_crash_seed7 => run_rejoin_after_crash(7);
     rejoin_after_crash_seed23 => run_rejoin_after_crash(23);
+    crash_during_allreduce_seed7 => run_crash_during_allreduce(7);
+    crash_during_allreduce_seed23 => run_crash_during_allreduce(23);
     crash_during_dissemination_barrier_seed7 => run_crash_during_dissemination_barrier(7);
     crash_during_dissemination_barrier_seed23 => run_crash_during_dissemination_barrier(23);
 }

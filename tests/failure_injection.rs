@@ -13,8 +13,8 @@ use shmem_ntb::net::{
 };
 use shmem_ntb::shmem::{OpOptions, ShmemConfig, ShmemError, ShmemWorld};
 use shmem_ntb::sim::{
-    connect_ports, DoorbellWaiter, FaultAction, FaultPlan, HostMemory, LinkHealth, NtbError,
-    PortConfig, Region, TimeModel, TransferMode,
+    connect_ports, DoorbellWaiter, EventKind, FaultAction, FaultPlan, HostMemory, LinkHealth,
+    NtbError, PortConfig, Region, TimeModel, TransferMode,
 };
 
 #[test]
@@ -529,5 +529,30 @@ fn quiet_after_abandonment_is_clean_for_puts_on_the_restored_link() {
     );
     for node in net.nodes() {
         assert!(node.take_errors().is_empty(), "host {} saw errors", node.host_id());
+    }
+}
+
+#[test]
+fn every_put_resolution_is_logged_before_quiet_returns() {
+    // Regression: the ack path used to retire a put from the unacked
+    // table before logging its `PutAcked`, so `quiet()` could return —
+    // and a trace snapshot miss the resolution — in the gap between the
+    // two. Each round's snapshot, taken right after its quiet, must hold
+    // the resolution of every put issued in it.
+    let (net, _heaps) = build_lossy(2, FaultPlan::none());
+    net.obs_enable();
+    for round in 0..300u64 {
+        net.node(0).put_bytes(1, (round % 16) * 64, &[round as u8; 64], TransferMode::Dma).unwrap();
+        net.node(0).quiet().expect("clean-link quiet");
+        let events = net.take_events();
+        let issued: Vec<u64> =
+            events.iter().filter(|e| e.kind == EventKind::PutIssue).map(|e| e.op_id).collect();
+        assert!(!issued.is_empty(), "round {round}: the put left no PutIssue");
+        for id in issued {
+            assert!(
+                events.iter().any(|e| e.kind == EventKind::PutAcked && e.op_id == id),
+                "round {round}: quiet returned before put {id}'s PutAcked was logged"
+            );
+        }
     }
 }

@@ -267,6 +267,45 @@ fn tampered_trace_fails_amo_invariant() {
     );
 }
 
+/// Ordering control: a clean trace of routed small puts certifies, and
+/// swapping two drains of the same transmit ring — the receiver handing
+/// on a later slot before an earlier one — is caught by invariant 6.
+#[test]
+fn tampered_trace_with_swapped_slot_drains_fails_slot_order() {
+    const HOSTS: usize = 3;
+    let cfg = NetConfig::fast(HOSTS).with_retry(lossy_retry());
+    let net = RingNetwork::build(cfg).unwrap();
+    net.obs_enable();
+    let _heaps = attach_heaps(&net, HOSTS);
+    for i in 0..24u64 {
+        net.node(0)
+            .put_bytes(1 + (i as usize % 2), i * 64, &[i as u8; 64], TransferMode::Dma)
+            .unwrap();
+    }
+    net.node(0).quiet().unwrap();
+    let events = net.take_events();
+    let report = check(&events, HOSTS);
+    assert!(report.is_clean(), "baseline trace must certify:\n{}", report.render_violations());
+    let drains: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i].kind == EventKind::SlotDrain && events[i].pe == 1)
+        .filter(|&i| events[i].payload[0] == 0)
+        .collect();
+    assert!(drains.len() >= 2, "the puts must drain through PE 0's ring to PE 1");
+    let (a, b) = (drains[0], drains[1]);
+    let mut tampered = events.clone();
+    tampered[a] = TraceEvent { seq: events[a].seq, t_us: events[a].t_us, ..events[b] };
+    tampered[b] = TraceEvent { seq: events[b].seq, t_us: events[b].t_us, ..events[a] };
+    let report = check(&tampered, HOSTS);
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.invariant == "slot-coalescing" && v.message.contains("out of publish order")),
+        "swapped drains must be flagged, got: {}",
+        report.render_violations()
+    );
+}
+
 /// Get-pipeline tampering controls: a windowed multi-sub-request get
 /// certifies clean; duplicating one received fill (a double-filled
 /// chunk) or erasing one (a dropped fill on a completed sub-request)
