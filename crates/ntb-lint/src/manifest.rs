@@ -307,7 +307,7 @@ pub const EVENT_PAIRS: &[EventPair] = &[
     EventPair {
         acquire_event: "PutIssue",
         resolve_events: &["PutAcked", "PutAbandon"],
-        resolve_calls: &["ack", "fail", "fail_expired", "fail_dest", "fail_ops_to"],
+        resolve_calls: &["ack_with", "fail", "fail_expired", "fail_dest", "fail_ops_to"],
     },
     EventPair {
         acquire_event: "GetReqTx",
@@ -362,7 +362,15 @@ pub const CALL_PAIRS: &[CallPair] = &[
         receiver: "unacked",
         method: "register",
         event: "unacked.register",
-        resolutions: &["ack", "fail", "fail_expired", "fail_dest", "fail_ops_to", "quiet", "reset"],
+        resolutions: &[
+            "ack_with",
+            "fail",
+            "fail_expired",
+            "fail_dest",
+            "fail_ops_to",
+            "quiet",
+            "reset",
+        ],
     },
 ];
 
@@ -451,7 +459,7 @@ pub const RESOLVER_CALLS: &[&str] = &[
     "fail_expired",
     "fail_dest",
     "fail_ops_to",
-    "ack",
+    "ack_with",
     "quiet",
     "wait_with_retry_until",
     "wait_with_retry",

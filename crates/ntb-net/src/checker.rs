@@ -27,7 +27,9 @@
 //!    order: on each ring the drained sequence numbers strictly increase,
 //!    and a sequence number skipped between two drains was either never
 //!    published (no `SlotPublish`) or rejected at the receiver
-//!    (`CrcReject` naming its slot after the publish). Published-but-
+//!    (`CrcReject` naming its slot after the publish) — a `SlotSkip`
+//!    excuses nothing, a published header the receiver skipped is a lost
+//!    frame. Published-but-
 //!    undrained slots are legal past the last drain (a trailing batch the
 //!    receiver had not consumed when the trace was cut).
 //! 7. **Dead-PE discipline** — once a sender *knows* a PE is dead (the
@@ -798,6 +800,8 @@ fn slot_lifecycle(kind: EventKind) -> bool {
         kind,
         EventKind::SlotPublish
             | EventKind::SlotDrain
+            | EventKind::SlotSkip
+            | EventKind::SlotReleaseMiss
             | EventKind::DoorbellCoalesce
             | EventKind::CrcReject
     )
@@ -1381,6 +1385,12 @@ mod tests {
         let r = check(&lost, 2);
         assert_eq!(r.violations.len(), 1, "{}", r.render_violations());
         assert!(r.violations[0].message.contains("neither drained nor rejected"));
+        // Passed over with a SlotSkip: still a lost frame, still flagged.
+        let mut skipped = base.clone();
+        skipped.push(ev(5, 1, 0, EventKind::SlotSkip, 1, [0, 1]));
+        skipped.push(ev(6, 1, 0, EventKind::SlotDrain, 2, [0, 2]));
+        let r = check(&skipped, 2);
+        assert_eq!(r.violations.len(), 1, "{}", r.render_violations());
         // Seq 1 rejected as corrupt at its slot: a legal gap.
         let mut rejected = base.clone();
         rejected.push(ev(5, 1, 0, EventKind::CrcReject, 0, [0, 1]));

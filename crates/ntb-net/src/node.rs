@@ -68,6 +68,16 @@ pub struct NodeStats {
     pub probes_sent: AtomicU64,
     /// Endpoint transitions into the `Down` state.
     pub link_down_events: AtomicU64,
+    /// Transmit-ring sequence numbers skipped by the in-order drain: a
+    /// header that never landed although a later one did, or a frame
+    /// that landed after its number was skipped (and is dropped). Zero on
+    /// a fault-free link.
+    pub slot_skips: AtomicU64,
+    /// Transmit-ring headers that changed between the receiver's read
+    /// and its compare-and-swap clear (the slot is left for the next
+    /// read). Zero on a fault-free link: only the sender writes a header,
+    /// and only into a slot the receiver has cleared.
+    pub slot_release_misses: AtomicU64,
 }
 
 impl NodeStats {
@@ -86,6 +96,8 @@ impl NodeStats {
             + ld(&self.duplicates_suppressed)
             + ld(&self.probes_sent)
             + ld(&self.link_down_events)
+            + ld(&self.slot_skips)
+            + ld(&self.slot_release_misses)
     }
 }
 
@@ -177,10 +189,6 @@ pub struct LinkEndpoint {
     /// Next expected inbound frame sequence number (service thread only;
     /// detects protocol bugs that would lose or duplicate frames).
     pub(crate) rx_seq: std::sync::atomic::AtomicU32,
-    /// Slot sequence number the receive side of this link's transmit
-    /// ring hands on next (service thread only; keeps ring delivery in
-    /// publish order).
-    pub(crate) rx_slot_next: std::sync::atomic::AtomicU32,
     /// The NTB port.
     pub(crate) port: Arc<NtbPort>,
     /// Transmit mailbox (PE thread and forwarder contend through its
@@ -358,7 +366,6 @@ impl NtbNode {
                     link_idx,
                     obs: Obs::new(Arc::clone(&event_log), me, link_idx),
                     rx_seq: std::sync::atomic::AtomicU32::new(0),
-                    rx_slot_next: std::sync::atomic::AtomicU32::new(0),
                     rx: RxMailbox::new(Arc::clone(&port)),
                     tx,
                     port,
@@ -1718,6 +1725,16 @@ impl NtbNode {
     /// Record a checksum-rejected inbound frame.
     pub(crate) fn count_checksum_reject(&self) {
         NodeStats::bump(&self.stats.checksum_rejects);
+    }
+
+    /// Record a transmit-ring sequence number skipped by the drain.
+    pub(crate) fn count_slot_skip(&self) {
+        NodeStats::bump(&self.stats.slot_skips);
+    }
+
+    /// Record a transmit-ring header that changed before it was cleared.
+    pub(crate) fn count_slot_release_miss(&self) {
+        NodeStats::bump(&self.stats.slot_release_misses);
     }
 
     /// Record a suppressed duplicate delivery.

@@ -490,14 +490,10 @@ impl UnackedPuts {
     }
 
     /// Retire a chunk on acknowledgement; `false` if the id was unknown
-    /// (a duplicated ack from a retransmission — harmless).
-    pub fn ack(&self, id: u32) -> bool {
-        self.ack_with(id, |_| {})
-    }
-
-    /// [`Self::ack`] with an observer invoked with the outcome *before*
-    /// the retirement becomes visible to a waiting `quiet` (the shard
-    /// lock is still held), like [`PendingOps::fill_with`]. Trace
+    /// (a duplicated ack from a retransmission — harmless). `observe` is
+    /// invoked with the outcome *before* the retirement becomes visible
+    /// to a waiting `quiet` (the shard lock is still held), like
+    /// [`PendingOps::fill_with`]. Trace
     /// emission must go through this hook: emitting after `ack` returns
     /// races the woken `quiet`, whose caller can snapshot the trace
     /// before the resolution that released it is logged.
@@ -640,10 +636,9 @@ impl UnackedPuts {
     /// Abandon every unacked put destined for `pe` — the failure detector
     /// confirmed it dead at `epoch`, so no ack will ever come. `observe`
     /// runs per abandoned put id under its shard lock (see
-    /// [`Self::ack_with`]). Returns the abandoned ids. The next
-    /// [`Self::quiet`] reports [`NtbError::PeFailed`].
-    pub fn fail_dest(&self, pe: usize, epoch: u64, mut observe: impl FnMut(u32)) -> Vec<u32> {
-        let mut ids = Vec::new();
+    /// [`Self::ack_with`]). The next [`Self::quiet`] reports
+    /// [`NtbError::PeFailed`].
+    pub fn fail_dest(&self, pe: usize, epoch: u64, mut observe: impl FnMut(u32)) {
         for shard in &self.shards {
             crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
             let mut st = shard.state.lock();
@@ -652,17 +647,15 @@ impl UnackedPuts {
             if doomed.is_empty() {
                 continue;
             }
-            for id in &doomed {
-                st.map.remove(id);
-                observe(*id);
+            for id in doomed {
+                st.map.remove(&id);
+                observe(id);
             }
             st.dead = Some((pe, epoch));
             if st.map.is_empty() {
                 shard.cond.notify_all();
             }
-            ids.extend(doomed);
         }
-        ids
     }
 
     /// Drop every entry and failure record (a restarting node starts with
@@ -916,9 +909,9 @@ mod tests {
         let b = put_entry(&u, far);
         assert_ne!(a, b);
         assert_eq!(u.current(), 2);
-        assert!(u.ack(a));
-        assert!(!u.ack(a), "duplicate ack is harmless");
-        assert!(u.ack(b));
+        assert!(u.ack_with(a, |_| {}));
+        assert!(!u.ack_with(a, |_| {}), "duplicate ack is harmless");
+        assert!(u.ack_with(b, |_| {}));
         assert_eq!(u.current(), 0);
         u.quiet().unwrap();
     }
@@ -930,7 +923,7 @@ mod tests {
         let u2 = Arc::clone(&u);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            u2.ack(id);
+            u2.ack_with(id, |_| {});
         });
         u.quiet().unwrap();
         assert_eq!(u.current(), 0);
@@ -1013,7 +1006,9 @@ mod tests {
         let doomed = u.register(2, 0, vec![9], TransferMode::Dma, now, 0);
         let other = put_entry(&u, now); // dest 1
         assert!(u.fail(other, || {}), "plain link-budget abandonment");
-        assert_eq!(u.fail_dest(2, 5, |_| {}), vec![doomed]);
+        let mut abandoned = Vec::new();
+        u.fail_dest(2, 5, |id| abandoned.push(id));
+        assert_eq!(abandoned, vec![doomed]);
         assert_eq!(u.current(), 0);
         // Node death outranks the link failure in the combined report.
         assert_eq!(u.quiet().unwrap_err(), NtbError::PeFailed { pe: 2, epoch: 5 });
@@ -1043,7 +1038,7 @@ mod tests {
         // record, no LinkFailed from a quiet of puts that all completed.
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
-        assert!(u.ack(id));
+        assert!(u.ack_with(id, |_| {}));
         assert!(!u.fail(id, || {}), "acked put must not be failable");
         assert!(!u.has_failures());
         u.quiet().expect("all puts acked; no stale failure record");

@@ -78,6 +78,8 @@ pub(crate) fn service_loop(node: &Arc<NtbNode>, idx: usize) {
     // scratchpad calls, which is exactly what a hung host looks like.
     let tick = if hb.enabled { IDLE_TICK.min(hb.period) } else { IDLE_TICK };
     let mut beat = HeartbeatState::default();
+    // This thread is the only one draining this endpoint's ring.
+    let mut cursor = slots::RxCursor::default();
     loop {
         if node.is_shutdown() {
             return;
@@ -101,7 +103,7 @@ pub(crate) fn service_loop(node: &Arc<NtbNode>, idx: usize) {
                 // ring) with no ring to announce it; the idle poll picks
                 // it up within one tick.
                 drain_mailbox(node, idx);
-                drain_ring(node, idx);
+                drain_ring(node, idx, &mut cursor);
             }
             DoorbellWaiter::Fired(bits) => {
                 if bits & (1 << DB_SHUTDOWN) != 0 {
@@ -117,7 +119,7 @@ pub(crate) fn service_loop(node: &Arc<NtbNode>, idx: usize) {
                 // ISR + wakeup + the prototype's sleep-and-wait loop.
                 node.model().delay(node.model().interrupt_service_delay);
                 drain_mailbox(node, idx);
-                drain_ring(node, idx);
+                drain_ring(node, idx, &mut cursor);
             }
         }
         if hb.enabled {
@@ -378,7 +380,7 @@ fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option
 /// Consume every published slot of endpoint `idx`'s receive-side transmit
 /// ring, in publish order (see [`slots::drain_in_order`]). One coalesced
 /// doorbell (or one idle tick) drains the whole batch.
-fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
+fn drain_ring(node: &Arc<NtbNode>, idx: usize, cursor: &mut slots::RxCursor) {
     if !node.layout.has_ring() {
         return;
     }
@@ -390,10 +392,8 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
         // exactly when our outgoing half reports an active plan.
         check_crc: ep.port().outgoing().faults().is_active(),
     };
-    // lint: relaxed-ok(rx_slot_next is single-owner: only this endpoint's service thread
-    // drains its ring)
-    let mut next = ep.rx_slot_next.load(Ordering::Relaxed);
-    let result = slots::drain_in_order(&src, &mut next, |drained| match drained {
+    let sender = ep.neighbor() as u64;
+    let result = slots::drain_in_order(&src, cursor, |drained| match drained {
         Drained::Rejected(slot) => {
             // Consumed without dispatch (and without a SlotDrain event —
             // a corrupted record's sequence number cannot be trusted to
@@ -401,12 +401,20 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize) {
             // retransmission recovers the frame.
             node.count_checksum_reject();
             node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
-            ep.obs.emit(EventKind::CrcReject, 0, [ep.neighbor() as u64, u64::from(slot)]);
+            ep.obs.emit(EventKind::CrcReject, 0, [sender, u64::from(slot)]);
+        }
+        Drained::Skipped { seq, idx: slot } => {
+            // A lost header, not a checksum failure: counted apart so a
+            // fault-free link shows it. Recovery is end to end.
+            node.count_slot_skip();
+            ep.obs.emit(EventKind::SlotSkip, u64::from(seq), [sender, u64::from(slot)]);
+        }
+        Drained::ReleaseMiss { idx: slot, header } => {
+            node.count_slot_release_miss();
+            ep.obs.emit(EventKind::SlotReleaseMiss, u64::from(header), [sender, u64::from(slot)]);
         }
         Drained::Frame(drained) => dispatch_slot(node, idx, drained),
     });
-    // lint: relaxed-ok(single-owner, see the load above)
-    ep.rx_slot_next.store(next, Ordering::Relaxed);
     if let Err(e) = result {
         node.record_error(e);
     }

@@ -35,7 +35,12 @@
 //! part-way rolls the unwritten tail back so the next publish reuses it.
 //! The receiver clears a header only if it still holds the value it read
 //! ([`release_slot`], a compare-and-swap), so it can never clear a
-//! header it has not seen.
+//! header it has not seen. Both sides touch a header only with single
+//! atomic word operations: a four-byte `memcpy` lands as two stores, and
+//! a thread preempted between them either clears a header the sender
+//! wrote in the meantime (a plain-store clear: the frame is lost) or
+//! rewrites a header the receiver already consumed (a plain-store
+//! publish: the frame is read twice).
 //!
 //! Loss tolerance mirrors the scratchpad path: a swallowed doorbell is
 //! recovered by the sender's bounded re-ring and the receiver's idle
@@ -43,9 +48,18 @@
 //! when the link has an active fault plan) and is consumed without
 //! dispatch, leaving recovery to end-to-end retransmission. A gap in the
 //! sequence — a corrupted record, or a header that a fault zeroed — is
-//! skipped once a later header proves the missing one will never land,
-//! so the ring never stalls behind it; the unacked-put ledger provides
-//! exactly-once delivery across such losses.
+//! passed over once a later header proves the missing one will never
+//! land, so the ring never stalls behind it; the unacked-put ledger
+//! provides exactly-once delivery across such losses. Publish order
+//! therefore holds for the frames that arrive: a rejected frame comes
+//! back by retransmission *behind* frames published after it.
+//!
+//! Each outcome is reported as itself: a CRC or decode failure as
+//! `CrcReject`, a passed-over header that never landed (or a frame that
+//! landed after its number was passed over) as `SlotSkip`, a header that
+//! changed between the read and the clear as `SlotReleaseMiss`, each
+//! with its own `NodeStats` counter. On a fault-free link the last two
+//! stay at zero.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -311,9 +325,11 @@ impl TxSlotRing {
         let mut written: u32 = 0;
         let mut err: Option<NtbError> = None;
         for s in &staged {
-            match self.port.outgoing().write_bytes(
+            // One atomic store: a header landing as two stores could be
+            // rewritten after the receiver consumed and cleared it.
+            match self.port.outgoing().write_u32(
                 self.layout.ring_slot_off(s.idx),
-                &s.header.to_le_bytes(),
+                s.header,
                 TransferMode::Memcpy,
             ) {
                 Ok(()) => {
@@ -385,16 +401,16 @@ pub struct DrainedSlot {
 pub enum SlotRead {
     /// Header is zero: nothing published (or already consumed).
     Empty,
-    /// Header non-zero but the record failed to decode or its CRC did
-    /// not match; the slot must be consumed without dispatch.
-    Corrupt,
+    /// Header (the word read) non-zero but the record failed to decode or
+    /// its CRC did not match; the slot must be consumed without dispatch.
+    Corrupt(u32),
     /// A complete frame.
     Frame(DrainedSlot),
 }
 
 /// Read ring slot `idx` from the receiver's own incoming `region`.
-/// Does not consume the slot — the caller zeroes the header (see
-/// [`consume_slot`]) after copying what it needs.
+/// Does not consume the slot — the caller clears the header (see
+/// [`release_slot`]) after copying what it needs.
 pub fn read_slot(
     region: &Region,
     layout: &WindowLayout,
@@ -402,8 +418,7 @@ pub fn read_slot(
     check_crc: bool,
 ) -> Result<SlotRead> {
     let off = layout.ring_slot_off(idx);
-    let header_bytes = region.read_vec(off, 4)?;
-    let header = u32::from_le_bytes(header_bytes.try_into().unwrap_or([0; 4]));
+    let header = region.load_u32(off)?;
     if header == 0 {
         return Ok(SlotRead::Empty);
     }
@@ -415,14 +430,14 @@ pub fn read_slot(
     let (len_w, offset_w, aux_w, slot_seq, deadline_us, stored_crc) =
         (word(0), word(1), word(2), word(3), word(4), word(5));
     let Some(frame) = Frame::decode([header, len_w, offset_w, aux_w]) else {
-        return Ok(SlotRead::Corrupt);
+        return Ok(SlotRead::Corrupt(header));
     };
     let frame = frame.with_deadline_us(deadline_us);
     let payload = if frame.kind.has_payload() && frame.len > 0 {
         if u64::from(frame.len) > layout.ring_lane {
             // A corrupted length must not trigger an out-of-bounds lane
             // read; treat it like any other integrity failure.
-            return Ok(SlotRead::Corrupt);
+            return Ok(SlotRead::Corrupt(header));
         }
         Some(region.read_vec(layout.ring_lane_off(idx), u64::from(frame.len))?)
     } else {
@@ -436,7 +451,7 @@ pub fn read_slot(
             }
         }
         if crc != stored_crc {
-            return Ok(SlotRead::Corrupt);
+            return Ok(SlotRead::Corrupt(header));
         }
     }
     Ok(SlotRead::Frame(DrainedSlot { frame, payload, slot_idx: idx, slot_seq, header }))
@@ -452,32 +467,26 @@ fn slot_crc(header: u32, body: &[u8]) -> u32 {
     crc32(&record)
 }
 
-/// Consume ring slot `idx`: zero its header in the receiver's own
-/// incoming region, freeing it for the sender's next wraparound.
-pub fn consume_slot(region: &Region, layout: &WindowLayout, idx: u32) -> Result<()> {
-    region.write(layout.ring_slot_off(idx), &0u32.to_le_bytes())
-}
-
-/// Consume the frame `slot` was read from: clear its header only if it
-/// still holds the header that was read, so the receiver can never clear
-/// a header it has not seen. `Ok(false)` when the header changed (the
-/// slot is left for the next read).
-pub fn release_slot(region: &Region, layout: &WindowLayout, slot: &DrainedSlot) -> Result<bool> {
-    region.compare_exchange_u32(layout.ring_slot_off(slot.slot_idx), slot.header, 0)
+/// Consume ring slot `idx`, freeing it for the sender's next wraparound:
+/// clear its header only if it still holds `header`, the word that was
+/// read, so the receiver can never clear a header it has not seen.
+/// `Ok(false)` when the header changed (the slot is left for the next
+/// read).
+pub fn release_slot(region: &Region, layout: &WindowLayout, idx: u32, header: u32) -> Result<bool> {
+    region.compare_exchange_u32(layout.ring_slot_off(idx), header, 0)
 }
 
 /// The receive side of one ring, as [`drain_in_order`] sees it: read a
-/// slot, consume a slot. [`RegionSlots`] is the real one; tests wrap it
+/// slot, release a slot. [`RegionSlots`] is the real one; tests wrap it
 /// to interleave sender activity with the receiver's scan.
 pub trait SlotSource {
     /// Slots in the ring.
     fn ring_slots(&self) -> u32;
     /// Read slot `idx` without consuming it (see [`read_slot`]).
     fn read(&self, idx: u32) -> Result<SlotRead>;
-    /// Consume slot `idx` (see [`consume_slot`]).
-    fn consume(&self, idx: u32) -> Result<()>;
-    /// Consume the frame `slot` was read from (see [`release_slot`]).
-    fn release(&self, slot: &DrainedSlot) -> Result<bool>;
+    /// Consume slot `idx` if it still holds `header` (see
+    /// [`release_slot`]).
+    fn release(&self, idx: u32, header: u32) -> Result<bool>;
 }
 
 /// A ring in the receiver's own incoming window region.
@@ -500,12 +509,8 @@ impl SlotSource for RegionSlots<'_> {
         read_slot(self.region, self.layout, idx, self.check_crc)
     }
 
-    fn consume(&self, idx: u32) -> Result<()> {
-        consume_slot(self.region, self.layout, idx)
-    }
-
-    fn release(&self, slot: &DrainedSlot) -> Result<bool> {
-        release_slot(self.region, self.layout, slot)
+    fn release(&self, idx: u32, header: u32) -> Result<bool> {
+        release_slot(self.region, self.layout, idx, header)
     }
 }
 
@@ -515,84 +520,121 @@ pub enum Drained {
     /// The next frame in publish order; its slot is already consumed.
     Frame(DrainedSlot),
     /// Slot `idx` was consumed without dispatch: its record failed to
-    /// decode or its CRC, or its header never landed although a later
-    /// one did (a fault zeroed it). Recovery is end to end.
+    /// decode or its CRC. Recovery is end to end.
     Rejected(u32),
+    /// Sequence number `seq` (slot `idx`) was skipped: its header never
+    /// landed although a later one did, or its frame landed only after
+    /// the number was skipped and was dropped. Recovery is end to end; on
+    /// a fault-free link this never happens.
+    Skipped {
+        /// The skipped slot sequence number.
+        seq: u32,
+        /// The slot it maps to.
+        idx: u32,
+    },
+    /// Slot `idx`'s header changed between the read and the clear, so it
+    /// was left for the next read. On a fault-free link this never
+    /// happens.
+    ReleaseMiss {
+        /// The slot.
+        idx: u32,
+        /// The header word that was read.
+        header: u32,
+    },
+}
+
+/// The receiver's position in one ring, kept across drains by the one
+/// thread that drains it.
+#[derive(Debug, Default)]
+pub struct RxCursor {
+    /// The sequence number the receiver expects next.
+    pub next: u32,
+    /// Slots consumed as corrupt that `next` has not reached yet. A
+    /// corrupt record's own sequence word cannot be trusted, so its slot
+    /// stands in for it: when `next` maps to such a slot and nothing was
+    /// published there, the number is passed over as already rejected.
+    corrupt: Vec<u32>,
 }
 
 /// Consume every published slot of one ring and hand the frames to
-/// `deliver` in **publish order**, `next` being the sequence number the
-/// receiver expects next (advanced as frames are handed on).
+/// `deliver` in **publish order**, advancing `cursor` past each one.
 ///
 /// Each pass consumes every published slot as it reads it (freeing it
 /// for the sender at once) and holds the frames; held frames are handed
 /// on in sequence order, each only once every earlier sequence number is
-/// accounted for. When the lowest held frame is ahead of `next`, the
-/// missing slot is read again: headers are written in sequence order, so
-/// if the missing frame was published at all it is visible now (it
-/// landed while the pass was scanning). If it is still missing it never
-/// will land, and it is skipped as [`Drained::Rejected`], so the ring
-/// stays live. A frame behind `next` cannot be handed on in order and is
-/// rejected too (it cannot happen on a consistent ring).
+/// accounted for. When the lowest held frame is ahead of `cursor.next`,
+/// the missing slot is read again: headers are written in sequence
+/// order, so if the missing frame was published at all it is visible now
+/// (it landed while the pass was scanning). If it is still missing it
+/// was rejected as corrupt (then it was reported already), or it never
+/// will land and it is [`Drained::Skipped`], so the ring stays live. A
+/// frame behind `cursor.next` cannot be handed on in order and is
+/// skipped too. Neither skip can happen on a fault-free link.
 pub fn drain_in_order<S: SlotSource>(
     src: &S,
-    next: &mut u32,
+    cursor: &mut RxCursor,
     mut deliver: impl FnMut(Drained),
 ) -> Result<()> {
     let n = src.ring_slots();
     let mut held: Vec<DrainedSlot> = Vec::new();
-    // Slots consumed as corrupt in this call: a corrupt record's own
-    // sequence word cannot be trusted, so its slot stands in for it.
-    let mut corrupt: Vec<u32> = Vec::new();
     loop {
         let mut progressed = false;
         for idx in 0..n {
-            match take_slot(src, idx)? {
+            match take_slot(src, idx, &mut deliver)? {
                 Some(Ok(f)) => held.push(f),
                 Some(Err(idx)) => {
-                    corrupt.push(idx);
-                    deliver(Drained::Rejected(idx));
+                    if !cursor.corrupt.contains(&idx) {
+                        cursor.corrupt.push(idx);
+                    }
                 }
                 None => continue,
             }
             progressed = true;
         }
         while !held.is_empty() {
-            if let Some(pos) = held.iter().position(|f| f.slot_seq == *next) {
-                *next = next.wrapping_add(1);
+            let next = cursor.next;
+            if let Some(pos) = held.iter().position(|f| f.slot_seq == next) {
+                cursor.next = next.wrapping_add(1);
                 deliver(Drained::Frame(held.swap_remove(pos)));
                 continue;
             }
-            if let Some(pos) = held.iter().position(|f| f.slot_seq.wrapping_sub(*next) >= 1 << 31) {
-                deliver(Drained::Rejected(held.swap_remove(pos).slot_idx));
+            if let Some(pos) = held.iter().position(|f| f.slot_seq.wrapping_sub(next) >= 1 << 31) {
+                let late = held.swap_remove(pos);
+                deliver(Drained::Skipped { seq: late.slot_seq, idx: late.slot_idx });
                 continue;
             }
-            // Every held frame is ahead of `next`: the missing frame was
-            // rejected as corrupt, or its slot must be read again.
-            let missing = *next % n;
-            if let Some(pos) = corrupt.iter().position(|&idx| idx == missing) {
-                corrupt.swap_remove(pos);
-                *next = next.wrapping_add(1);
-                continue;
-            }
+            // Every held frame is ahead of `next`: read its slot again.
+            let missing = next % n;
+            let was_corrupt = cursor.corrupt.iter().position(|&idx| idx == missing);
             match src.read(missing)? {
-                SlotRead::Frame(f) if f.slot_seq == *next => {
-                    if src.release(&f)? {
+                SlotRead::Frame(f) if f.slot_seq == next => {
+                    if src.release(missing, f.header)? {
                         held.push(f);
+                    } else {
+                        deliver(Drained::ReleaseMiss { idx: missing, header: f.header });
+                    }
+                    continue;
+                }
+                SlotRead::Corrupt(header) => {
+                    if src.release(missing, header)? {
+                        deliver(Drained::Rejected(missing));
+                    } else {
+                        deliver(Drained::ReleaseMiss { idx: missing, header });
                     }
                 }
-                SlotRead::Corrupt => {
-                    src.consume(missing)?;
-                    *next = next.wrapping_add(1);
-                    deliver(Drained::Rejected(missing));
-                }
-                // Still missing (or already reused by a later lap): the
-                // frame will never land.
+                // Nothing there (or already reused by a later lap): a
+                // number rejected as corrupt earlier, or a header that
+                // will never land.
                 SlotRead::Empty | SlotRead::Frame(_) => {
-                    *next = next.wrapping_add(1);
-                    deliver(Drained::Rejected(missing));
+                    if was_corrupt.is_none() {
+                        deliver(Drained::Skipped { seq: next, idx: missing });
+                    }
                 }
             }
+            if let Some(pos) = was_corrupt {
+                cursor.corrupt.swap_remove(pos);
+            }
+            cursor.next = next.wrapping_add(1);
         }
         if !progressed {
             return Ok(());
@@ -601,21 +643,28 @@ pub fn drain_in_order<S: SlotSource>(
 }
 
 /// Read slot `idx` and consume it if anything was published there:
-/// `Some(Ok(frame))`, `Some(Err(idx))` for a corrupt record, `None` when
-/// empty (or when the header changed between the read and the release;
-/// the next read takes it).
+/// `Some(Ok(frame))`, `Some(Err(idx))` for a corrupt record (handed on as
+/// [`Drained::Rejected`]), `None` when empty or when the header changed
+/// between the read and the release ([`Drained::ReleaseMiss`]; the next
+/// read takes it).
 fn take_slot<S: SlotSource>(
     src: &S,
     idx: u32,
+    deliver: &mut impl FnMut(Drained),
 ) -> Result<Option<std::result::Result<DrainedSlot, u32>>> {
-    match src.read(idx)? {
-        SlotRead::Empty => Ok(None),
-        SlotRead::Corrupt => {
-            src.consume(idx)?;
-            Ok(Some(Err(idx)))
-        }
-        SlotRead::Frame(f) => Ok(src.release(&f)?.then_some(Ok(f))),
+    let (header, taken) = match src.read(idx)? {
+        SlotRead::Empty => return Ok(None),
+        SlotRead::Corrupt(header) => (header, Err(idx)),
+        SlotRead::Frame(f) => (f.header, Ok(f)),
+    };
+    if !src.release(idx, header)? {
+        deliver(Drained::ReleaseMiss { idx, header });
+        return Ok(None);
     }
+    if taken.is_err() {
+        deliver(Drained::Rejected(idx));
+    }
+    Ok(Some(taken))
 }
 
 #[cfg(test)]
@@ -693,7 +742,7 @@ mod tests {
         for idx in 0..layout.ring_slots {
             if let SlotRead::Frame(s) = read_slot(region, &layout, idx, false).unwrap() {
                 auxes.push(s.frame.aux);
-                consume_slot(region, &layout, idx).unwrap();
+                assert!(release_slot(region, &layout, idx, s.header).unwrap());
             }
         }
         assert_eq!(auxes, vec![100, 101, 102]);
@@ -720,7 +769,7 @@ mod tests {
             };
             assert_eq!(s.frame.aux, round + 1);
             assert_eq!(s.slot_seq, round);
-            consume_slot(region, &layout, idx).unwrap();
+            assert!(release_slot(region, &layout, idx, s.header).unwrap());
         }
     }
 
@@ -741,7 +790,10 @@ mod tests {
         let err = tx.publish(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None).unwrap_err();
         assert_eq!(err, NtbError::LinkFailed { attempts: 3 });
         // Consume one slot; the publish now succeeds into it.
-        consume_slot(region, &layout, 0).unwrap();
+        let SlotRead::Frame(s) = read_slot(region, &layout, 0, false).unwrap() else {
+            panic!("expected slot 0 occupied");
+        };
+        assert!(release_slot(region, &layout, 0, s.header).unwrap());
         tx.publish(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None).unwrap();
         tx.flush().unwrap();
         let SlotRead::Frame(s) = read_slot(region, &layout, 0, false).unwrap() else {
@@ -788,13 +840,26 @@ mod tests {
         assert_eq!(slot.frame.aux, 7);
     }
 
-    /// Drain `src` once: `Ok(aux)` per delivered frame, `Err(slot)` per
-    /// rejected slot, in delivery order.
-    fn drain(src: &impl SlotSource, next: &mut u32) -> Vec<std::result::Result<u32, u32>> {
+    /// What one drain handed on, with frames reduced to their aux word.
+    #[derive(Debug, PartialEq)]
+    enum Out {
+        Aux(u32),
+        Reject(u32),
+        Skip { seq: u32, idx: u32 },
+        Miss(u32),
+    }
+    use Out::{Aux, Miss, Reject, Skip};
+
+    /// Drain `src` once, in delivery order.
+    fn drain(src: &impl SlotSource, cursor: &mut RxCursor) -> Vec<Out> {
         let mut out = vec![];
-        drain_in_order(src, next, |d| match d {
-            Drained::Frame(s) => out.push(Ok(s.frame.aux)),
-            Drained::Rejected(idx) => out.push(Err(idx)),
+        drain_in_order(src, cursor, |d| {
+            out.push(match d {
+                Drained::Frame(s) => Aux(s.frame.aux),
+                Drained::Rejected(idx) => Reject(idx),
+                Drained::Skipped { seq, idx } => Skip { seq, idx },
+                Drained::ReleaseMiss { idx, .. } => Miss(idx),
+            })
         })
         .unwrap();
         out
@@ -810,20 +875,20 @@ mod tests {
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
         let src = RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
-        let mut next = 0;
+        let mut next = RxCursor::default();
         for aux in 1..=3 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
         }
         tx.flush().unwrap();
-        assert_eq!(drain(&src, &mut next), vec![Ok(1), Ok(2), Ok(3)]);
+        assert_eq!(drain(&src, &mut next), vec![Aux(1), Aux(2), Aux(3)]);
         // The next batch occupies slots 3, 0, 1, 2: it wraps past the
         // ring's last slot, and slot order is no longer publish order.
         for aux in 4..=7 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
         }
         tx.flush().unwrap();
-        assert_eq!(drain(&src, &mut next), vec![Ok(4), Ok(5), Ok(6), Ok(7)]);
-        assert_eq!(next, 7);
+        assert_eq!(drain(&src, &mut next), vec![Aux(4), Aux(5), Aux(6), Aux(7)]);
+        assert_eq!(next.next, 7);
     }
 
     /// Reads through to the real ring, but flushes the sender's staged
@@ -849,12 +914,8 @@ mod tests {
             read
         }
 
-        fn consume(&self, idx: u32) -> Result<()> {
-            self.inner.consume(idx)
-        }
-
-        fn release(&self, slot: &DrainedSlot) -> Result<bool> {
-            self.inner.release(slot)
+        fn release(&self, idx: u32, header: u32) -> Result<bool> {
+            self.inner.release(idx, header)
         }
     }
 
@@ -865,20 +926,20 @@ mod tests {
         let tx = tx_ring(&a, layout, &cfg);
         let inner =
             RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
-        let mut next = 0;
+        let mut next = RxCursor::default();
         // Move the ring off slot 0 so the batch below also wraps.
         for aux in 1..=2 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
         }
         tx.flush().unwrap();
-        assert_eq!(drain(&inner, &mut next), vec![Ok(1), Ok(2)]);
+        assert_eq!(drain(&inner, &mut next), vec![Aux(1), Aux(2)]);
         // Stage seqs 2..=4 (slots 2, 3, 0); the receiver reads slot 2
         // empty, then all three headers land before it reaches slot 3.
         for aux in 3..=5 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
         }
         let src = FlushOnRead { inner, tx: &tx, trigger: 2, fired: Default::default() };
-        assert_eq!(drain(&src, &mut next), vec![Ok(3), Ok(4), Ok(5)]);
+        assert_eq!(drain(&src, &mut next), vec![Aux(3), Aux(4), Aux(5)]);
     }
 
     #[test]
@@ -888,20 +949,93 @@ mod tests {
         let tx = tx_ring(&a, layout, &cfg);
         let region = b.incoming().region();
         let src = RegionSlots { region, layout: &layout, check_crc: false };
-        let mut next = 0;
+        let mut next = RxCursor::default();
         for aux in 1..=2 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
         }
         tx.flush().unwrap();
         // A fault zeroes slot 0's header: seq 0 will never be seen, and
-        // seq 1 proves it.
-        consume_slot(region, &layout, 0).unwrap();
-        assert_eq!(drain(&src, &mut next), vec![Err(0), Ok(2)]);
+        // seq 1 proves it. The skip is reported as such, not as a CRC
+        // rejection.
+        region.write(layout.ring_slot_off(0), &0u32.to_le_bytes()).unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Skip { seq: 0, idx: 0 }, Aux(2)]);
         for aux in 3..=6 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
         }
         tx.flush().unwrap();
-        assert_eq!(drain(&src, &mut next), vec![Ok(3), Ok(4), Ok(5), Ok(6)]);
+        assert_eq!(drain(&src, &mut next), vec![Aux(3), Aux(4), Aux(5), Aux(6)]);
+    }
+
+    #[test]
+    fn corrupt_slot_is_reported_once_across_drains() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let region = b.incoming().region();
+        let src = RegionSlots { region, layout: &layout, check_crc: false };
+        let mut next = RxCursor::default();
+        tx.publish(put(1), Some(&[1; 4])).unwrap();
+        tx.flush().unwrap();
+        // Seq 0's record is corrupt; nothing after it has landed yet.
+        let huge = (layout.ring_lane as u32 + 64).to_le_bytes();
+        region.write(layout.ring_slot_off(0) + BODY_OFF, &huge).unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Reject(0)]);
+        // The next drain passes seq 0 over as rejected, not as a skip.
+        for aux in 2..=3 {
+            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+        }
+        tx.flush().unwrap();
+        assert_eq!(drain(&src, &mut next), vec![Aux(2), Aux(3)]);
+        assert_eq!(next.next, 3);
+    }
+
+    /// Reads through to the real ring, but rewrites slot `idx`'s header
+    /// right after the receiver reads it once — a second writer the
+    /// compare-and-swap clear must not paper over.
+    struct RewriteOnRead<'a> {
+        inner: RegionSlots<'a>,
+        idx: u32,
+        fired: std::cell::Cell<bool>,
+    }
+
+    impl SlotSource for RewriteOnRead<'_> {
+        fn ring_slots(&self) -> u32 {
+            self.inner.ring_slots()
+        }
+
+        fn read(&self, idx: u32) -> Result<SlotRead> {
+            let read = self.inner.read(idx)?;
+            if let SlotRead::Frame(f) = &read {
+                if idx == self.idx && !self.fired.replace(true) {
+                    let off = self.inner.layout.ring_slot_off(idx);
+                    self.inner.region.write(off, &(f.header ^ (1 << 31)).to_le_bytes())?;
+                }
+            }
+            Ok(read)
+        }
+
+        fn release(&self, idx: u32, header: u32) -> Result<bool> {
+            self.inner.release(idx, header)
+        }
+    }
+
+    #[test]
+    fn header_changed_before_its_clear_is_reported_and_kept() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let tx = tx_ring(&a, layout, &cfg);
+        let inner =
+            RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
+        let mut next = RxCursor::default();
+        tx.publish(put(1), Some(&[1; 4])).unwrap();
+        tx.flush().unwrap();
+        let src = RewriteOnRead { inner, idx: 0, fired: Default::default() };
+        // The clear misses: reported, nothing delivered, nothing skipped.
+        assert_eq!(drain(&src, &mut next), vec![Miss(0)]);
+        assert_eq!(next.next, 0);
+        // The slot was left in place, so the next drain takes it.
+        assert_eq!(drain(&src, &mut next), vec![Aux(1)]);
+        assert_eq!(next.next, 1);
     }
 
     #[test]
@@ -932,7 +1066,7 @@ mod tests {
         let tx = tx_ring(&a, layout, &cfg);
         let check_crc = a.outgoing().faults().is_active();
         let src = RegionSlots { region: b.incoming().region(), layout: &layout, check_crc };
-        let mut next = 0;
+        let mut next = RxCursor::default();
         for aux in 1..=2 {
             tx.publish(Frame::put(0, 1, 64, 0, aux, TransferMode::Dma), Some(&[7; 64])).unwrap();
         }
@@ -942,8 +1076,8 @@ mod tests {
         // a sequence number that will not be published.
         tx.publish(Frame::put(0, 1, 64, 0, 3, TransferMode::Dma), Some(&[7; 64])).unwrap();
         tx.flush().unwrap();
-        assert_eq!(drain(&src, &mut next), vec![Ok(3)]);
-        assert_eq!(next, 1);
+        assert_eq!(drain(&src, &mut next), vec![Aux(3)]);
+        assert_eq!(next.next, 1);
     }
 
     #[test]
@@ -958,7 +1092,7 @@ mod tests {
         // corruption that still decodes).
         let huge = (layout.ring_lane as u32 + 64).to_le_bytes();
         region.write(layout.ring_slot_off(0) + BODY_OFF, &huge).unwrap();
-        assert!(matches!(read_slot(region, &layout, 0, false).unwrap(), SlotRead::Corrupt));
+        assert!(matches!(read_slot(region, &layout, 0, false).unwrap(), SlotRead::Corrupt(_)));
     }
 
     #[test]
@@ -972,6 +1106,6 @@ mod tests {
         // The clean-link sender left the CRC word zero, so a checked read
         // against real contents fails — stand-in for a flipped payload
         // byte on a faulty link.
-        assert!(matches!(read_slot(region, &layout, 0, true).unwrap(), SlotRead::Corrupt));
+        assert!(matches!(read_slot(region, &layout, 0, true).unwrap(), SlotRead::Corrupt(_)));
     }
 }

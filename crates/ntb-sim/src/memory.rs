@@ -155,22 +155,46 @@ impl Region {
         Ok(())
     }
 
-    /// Atomically replace the little-endian `u32` at `offset` with `new`
-    /// if it still holds `current`; `Ok(false)` when it did not. For
-    /// control words two hosts hand back and forth (a ring slot header
-    /// the receiver clears only if it is still the one it read). `offset`
-    /// must be 4-byte aligned in the backing memory.
-    pub fn compare_exchange_u32(&self, offset: u64, current: u32, new: u32) -> Result<bool> {
+    /// The `u32` at `offset` as an atomic word, for control words two
+    /// hosts hand back and forth (a ring slot header). `offset` must be
+    /// 4-byte aligned in the backing memory.
+    fn word_u32(&self, offset: u64) -> Result<&std::sync::atomic::AtomicU32> {
         self.check(offset, 4)?;
         let ptr = self.ptr(offset);
         if !(ptr as usize).is_multiple_of(4) {
             return Err(NtbError::RegionOutOfBounds { offset, len: 4, region_size: self.len });
         }
-        fence(Ordering::Release);
         // SAFETY: bounds checked and 4-byte aligned above; the backing
         // allocation outlives `self`. Concurrent plain writes to these
         // bytes follow the module's SHMEM-style contract.
-        let word = unsafe { std::sync::atomic::AtomicU32::from_ptr(ptr.cast::<u32>()) };
+        Ok(unsafe { std::sync::atomic::AtomicU32::from_ptr(ptr.cast::<u32>()) })
+    }
+
+    /// Store the little-endian `u32` at `offset` with ONE atomic store.
+    /// A plain [`write`](Self::write) of four bytes may land as several
+    /// stores (a `memcpy` writes short lengths twice, overlapping), and a
+    /// peer that clears the word between them sees it come back.
+    pub fn store_u32(&self, offset: u64, value: u32) -> Result<()> {
+        let word = self.word_u32(offset)?;
+        fence(Ordering::Release);
+        word.store(value.to_le(), Ordering::SeqCst);
+        Ok(())
+    }
+
+    /// Load the little-endian `u32` at `offset` with one atomic load.
+    pub fn load_u32(&self, offset: u64) -> Result<u32> {
+        let value = u32::from_le(self.word_u32(offset)?.load(Ordering::SeqCst));
+        fence(Ordering::Acquire);
+        Ok(value)
+    }
+
+    /// Atomically replace the little-endian `u32` at `offset` with `new`
+    /// if it still holds `current`; `Ok(false)` when it did not (a ring
+    /// slot header the receiver clears only if it is still the one it
+    /// read).
+    pub fn compare_exchange_u32(&self, offset: u64, current: u32, new: u32) -> Result<bool> {
+        let word = self.word_u32(offset)?;
+        fence(Ordering::Release);
         let swapped = word
             .compare_exchange(current.to_le(), new.to_le(), Ordering::SeqCst, Ordering::SeqCst)
             .is_ok();
@@ -320,6 +344,15 @@ mod tests {
         assert!(r.compare_exchange_u32(8, 7, 0).unwrap());
         assert_eq!(r.read_vec(8, 4).unwrap(), [0; 4]);
         assert!(r.compare_exchange_u32(62, 0, 1).is_err(), "out of bounds");
+    }
+
+    #[test]
+    fn u32_store_and_load_roundtrip_little_endian() {
+        let r = Region::anonymous(64);
+        r.store_u32(12, 0x0102_0304).unwrap();
+        assert_eq!(r.read_vec(12, 4).unwrap(), [4, 3, 2, 1]);
+        assert_eq!(r.load_u32(12).unwrap(), 0x0102_0304);
+        assert!(r.store_u32(62, 1).is_err(), "out of bounds");
     }
 
     #[test]

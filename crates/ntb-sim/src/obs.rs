@@ -119,13 +119,22 @@ pub enum EventKind {
     Reroute,
     /// A duplicate delivery/ack was suppressed (`op_id` = id).
     DupSuppressed,
-    /// A frame was staged into a transmit-ring slot without ringing the
-    /// doorbell yet (`op_id` = slot sequence number, `payload` =
+    /// A transmit-ring slot's header was written, publishing its frame
+    /// to the receiver (`op_id` = slot sequence number, `payload` =
     /// [payload len, slot index]).
     SlotPublish,
     /// The service loop consumed one transmit-ring slot (`op_id` = slot
     /// sequence number, `payload` = [sender pe, slot index]).
     SlotDrain,
+    /// The in-order ring drain skipped a slot sequence number: its header
+    /// never landed although a later one did, or its frame landed after
+    /// the number was skipped and was dropped (`op_id` = slot sequence
+    /// number, `payload` = [sender pe, slot index]).
+    SlotSkip,
+    /// A transmit-ring header changed between the receiver's read and its
+    /// compare-and-swap clear; the slot is left for the next read
+    /// (`op_id` = header word read, `payload` = [sender pe, slot index]).
+    SlotReleaseMiss,
     /// One coalesced doorbell covering a whole published batch (`op_id`
     /// = first slot sequence in the batch, `payload[0]` = slot count).
     DoorbellCoalesce,
@@ -264,6 +273,8 @@ impl EventKind {
             EventKind::DupSuppressed => "dup_suppressed",
             EventKind::SlotPublish => "slot_publish",
             EventKind::SlotDrain => "slot_drain",
+            EventKind::SlotSkip => "slot_skip",
+            EventKind::SlotReleaseMiss => "slot_release_miss",
             EventKind::DoorbellCoalesce => "doorbell_coalesce",
             EventKind::GetReqTx => "get_req_tx",
             EventKind::GetChunkRx => "get_chunk_rx",

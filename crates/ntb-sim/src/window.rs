@@ -224,6 +224,28 @@ impl OutgoingWindow {
         Ok(())
     }
 
+    /// Push one little-endian `u32` through the window at `offset` as a
+    /// single atomic store (see [`Region::store_u32`]): a control word the
+    /// peer clears, such as a ring slot header, must land whole and once.
+    /// Otherwise like [`write_bytes`](Self::write_bytes), fault model
+    /// included (a corrupted word lands with its byte already flipped).
+    pub fn write_u32(&self, offset: u64, value: u32, mode: TransferMode) -> Result<()> {
+        self.admit(offset, 4)?;
+        let deadline = self.reserve(4, mode);
+        let mut bytes = value.to_le_bytes();
+        if let Some((delta, mask)) = self.faults.corrupt_payload(self.dir, 4) {
+            bytes[delta as usize] ^= mask;
+        }
+        self.remote.store_u32(offset, u32::from_le_bytes(bytes))?;
+        self.account(4, mode);
+        if self.model.enabled() {
+            // DEADLINE-CLIPPED: waits exactly to the reserved wire-time
+            // deadline computed above.
+            self.model.wait_until(deadline);
+        }
+        Ok(())
+    }
+
     /// Synchronously push `len` bytes from `src` region (at `src_offset`)
     /// through the window at `dst_offset`. This is the zero-staging path
     /// the DMA engine uses.

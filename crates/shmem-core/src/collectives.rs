@@ -33,11 +33,19 @@ use crate::signal::SignalOp;
 use crate::symmetric::{SymAddr, TypedSym};
 use crate::types::ShmemScalar;
 
-/// Bytes of one contribution slot of the collective scratch: the block
-/// one allreduce round moves per PE. It fits the transmit ring's payload
-/// lane, so a block and its signal travel as one doorbell batch. Larger
-/// inputs loop through the same slots, one round per slot-full.
-pub(crate) const SLOT_BYTES: usize = 1024;
+/// Bytes of one contribution block: the part of the input one allreduce
+/// round moves per PE. Larger inputs loop through the same slots, one
+/// round per block.
+const BLOCK_BYTES: usize = 1024;
+
+/// Bytes of the proof trailing a block in its slot: the round's epoch and
+/// a checksum over epoch and block (see [`block_proof`]).
+const PROOF_BYTES: usize = 16;
+
+/// Bytes of one contribution slot of the collective scratch: a block and
+/// its proof. It fits the transmit ring's payload lane, so a block and
+/// its signal travel as one doorbell batch.
+const SLOT_BYTES: usize = BLOCK_BYTES + PROOF_BYTES;
 
 /// How often an allreduce blocked on a contribution re-polls the
 /// failure detector (as the barriers do), so a member dying mid-call
@@ -94,15 +102,31 @@ impl CollScratch {
         ctx.free(self.data)
     }
 
-    /// Slot `slot` of `bank`, typed as `count` elements of `T`.
-    fn block<T: ShmemScalar>(&self, bank: usize, slot: usize, count: usize) -> Result<TypedSym<T>> {
+    /// Slot `slot` of `bank`, as bytes.
+    fn slot(&self, bank: usize, slot: usize) -> Result<TypedSym<u8>> {
         let start = ((bank * self.slots + slot) * SLOT_BYTES) as u64;
         let addr = SymAddr {
             offset: self.data.byte_offset(start, SLOT_BYTES as u64)?,
             len: SLOT_BYTES as u64,
         };
-        TypedSym::new(addr, count)
+        TypedSym::new(addr, SLOT_BYTES)
     }
+}
+
+/// The proof a slot carries after its block's bytes: `epoch`, then an
+/// FNV-1a checksum over `epoch` and `block`. A slot proves round `epoch`
+/// only when both words match what its block bytes give, so neither a
+/// block left over from an earlier round nor one read while a put was
+/// still landing in it passes.
+fn block_proof(epoch: u64, block: &[u8]) -> [u8; PROOF_BYTES] {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in epoch.to_le_bytes().iter().chain(block) {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut proof = [0u8; PROOF_BYTES];
+    proof[..8].copy_from_slice(&epoch.to_le_bytes());
+    proof[8..].copy_from_slice(&hash.to_le_bytes());
+    proof
 }
 
 /// Reduction operators (`shmem_TYPE_{sum,prod,min,max}_reduce`).
@@ -290,34 +314,44 @@ impl ShmemCtx {
     /// the same value bit for bit (floating-point sums included).
     /// Collective, but it allocates nothing and makes no barrier: it runs
     /// on the world's collective scratch, reserved before user code ran.
-    /// Each round moves up to one 1 KiB slot of `src` (larger inputs loop
+    /// Each round moves up to one 1 KiB block of `src` (larger inputs loop
     /// through the same slots):
     ///
     /// 1. take the next epoch `e` (a call reserves the epochs of all its
     ///    rounds up front, so PEs stay in step when a call fails
     ///    part-way);
-    /// 2. `put_with_signal` this PE's block into bank `e % 2` of every
-    ///    other live PE, with `Set(e)` on this PE's signal word there;
+    /// 2. `put_with_signal` this PE's block, followed in the same put by
+    ///    its proof (`e` and a checksum), into bank `e % 2` of every other
+    ///    live PE, with `Set(e)` on this PE's signal word there;
     /// 3. wait until every other contributor's signal word reads `≥ e`
-    ///    (a signal follows its block on one ordered route, so the block
-    ///    is complete once the signal is seen);
+    ///    and its slot proves round `e`;
     /// 4. `quiet`;
     /// 5. fold the blocks in ascending PE order from the identity.
     ///
+    /// **Why the proof.** On a clean link a signal follows its block on
+    /// one ordered route, so the block is complete once the signal is
+    /// seen. On a lossy link it is not: a block whose frame was rejected
+    /// is retransmitted end to end, and the ring does not hold back the
+    /// signal frame behind it. The slot then still holds the block of
+    /// round `e - 2`. The proof turns that case into a longer wait, never
+    /// a stale fold: a slot is taken only once its trailing epoch reads
+    /// `e` and its checksum matches the bytes read.
+    ///
     /// **Two banks suffice.** PE A writes round `e + 2`'s block into B's
     /// bank `e % 2` only after finishing round `e + 1`, which needs B's
-    /// `e + 1` signal; B sends that signal only in round `e + 1`, after it
-    /// finished round `e` — reading every block of bank `e % 2` included.
-    /// So a block is never overwritten while it can still be read, and a
-    /// signal word only moves up (`e`, then `e + 2`), so the `≥ e` test
-    /// never takes a stale round for the current one.
+    /// proven `e + 1` block; B sends that block only in round `e + 1`,
+    /// after it finished round `e` — reading every block of bank `e % 2`
+    /// included. So a block is never overwritten while it can still be
+    /// read, and a signal word only moves up (`e`, then `e + 2`: A's
+    /// closing `quiet` of round `e` saw its `Set(e)` acknowledged before
+    /// A sends `Set(e + 2)`).
     ///
     /// **The closing `quiet` keeps teardown clean.** Seeing the others'
-    /// signals proves their blocks reached this PE, not that this PE's
-    /// blocks did. Waiting until every own put is acknowledged means no
-    /// call returns with puts in flight: a PE whose last call is an
-    /// allreduce leaves nothing for the retry sweeper to retransmit while
-    /// the world tears down.
+    /// blocks proves they reached this PE, not that this PE's blocks did.
+    /// Waiting until every own put is acknowledged means no call returns
+    /// with puts in flight: a PE whose last call is an allreduce leaves
+    /// nothing for the retry sweeper to retransmit while the world tears
+    /// down.
     ///
     /// A contributor that dies mid-call fails the wait with
     /// [`ShmemError::PeFailed`] (the wait polls the membership view, as
@@ -347,18 +381,21 @@ impl ShmemCtx {
             .find(|&&(_, pe)| pe == me)
             .map(|&(slot, _)| slot)
             .ok_or(ShmemError::Runtime("allreduce on a PE outside its member set"))?;
-        let per_round = (SLOT_BYTES / T::WIDTH).max(1);
+        let per_round = (BLOCK_BYTES / T::WIDTH).max(1);
         let rounds = src.len().div_ceil(per_round) as u64;
         let first = scratch.epoch.fetch_add(rounds, Ordering::SeqCst) + 1;
         let mut out = Vec::with_capacity(src.len());
         for (epoch, block) in (first..).zip(src.chunks(per_round)) {
             let bank = (epoch % 2) as usize;
-            let own = scratch.block::<T>(bank, mine, block.len())?;
+            let mut bytes = T::slice_to_bytes(block);
+            let proof = block_proof(epoch, &bytes);
+            bytes.extend_from_slice(&proof);
+            let own = scratch.slot(bank, mine)?;
             for &(_, pe) in members.iter().filter(|&&(_, pe)| pe != me) {
                 self.put_with_signal(
                     &own,
                     0,
-                    block,
+                    &bytes,
                     &scratch.sig,
                     bank * scratch.slots + mine,
                     epoch,
@@ -366,19 +403,12 @@ impl ShmemCtx {
                     pe,
                 )?;
             }
-            self.await_round(scratch, members, bank, epoch)?;
+            let mut parts = self.collect_round(scratch, members, bank, epoch, bytes.len())?;
             self.quiet()?;
             let mut acc = vec![T::identity(op); block.len()];
-            for &(slot, pe) in members {
-                let part = if pe == me {
-                    block.to_vec()
-                } else {
-                    self.read_local_slice(
-                        &scratch.block::<T>(bank, slot, block.len())?,
-                        0,
-                        block.len(),
-                    )?
-                };
+            for &(_, pe) in members {
+                let part =
+                    if pe == me { block.to_vec() } else { T::bytes_to_vec(&parts.remove(0)) };
                 for (a, b) in acc.iter_mut().zip(part) {
                     *a = T::combine(op, *a, b);
                 }
@@ -389,25 +419,37 @@ impl ShmemCtx {
     }
 
     /// Block until every member but this PE has signalled `epoch` in
-    /// `bank`. Polls the failure detector like the barriers do: a member
-    /// that is no longer live fails the wait with `PeFailed`.
-    fn await_round(
+    /// `bank` and its slot there proves `epoch`, and return their blocks
+    /// (`len` slot bytes, proof stripped) in member order. Polls the
+    /// failure detector like the barriers do: a member that is no longer
+    /// live fails the wait with `PeFailed`.
+    fn collect_round(
         &self,
         scratch: &CollScratch,
         members: &[(usize, usize)],
         bank: usize,
         epoch: u64,
-    ) -> Result<()> {
+        len: usize,
+    ) -> Result<Vec<Vec<u8>>> {
         let me = self.my_pe();
+        let others: Vec<usize> =
+            members.iter().filter(|&&(_, pe)| pe != me).map(|&(slot, _)| slot).collect();
+        let mut parts: Vec<Option<Vec<u8>>> = vec![None; others.len()];
         let deadline = Instant::now() + self.cfg.barrier_timeout;
         loop {
             let seen = self.heap.version();
-            let mut complete = true;
-            for &(slot, _) in members.iter().filter(|&&(_, pe)| pe != me) {
-                complete &= self.read_local(&scratch.sig, bank * scratch.slots + slot)? >= epoch;
+            for (part, &slot) in parts.iter_mut().zip(&others).filter(|(p, _)| p.is_none()) {
+                if self.read_local(&scratch.sig, bank * scratch.slots + slot)? < epoch {
+                    continue;
+                }
+                let mut bytes = self.read_local_slice(&scratch.slot(bank, slot)?, 0, len)?;
+                let proof = bytes.split_off(len - PROOF_BYTES);
+                if proof == block_proof(epoch, &bytes) {
+                    *part = Some(bytes);
+                }
             }
-            if complete {
-                return Ok(());
+            if parts.iter().all(Option::is_some) {
+                return Ok(parts.into_iter().flatten().collect());
             }
             let view = self.node.membership().view();
             if let Some(&(_, pe)) = members.iter().find(|&&(_, pe)| !view.is_live(pe)) {

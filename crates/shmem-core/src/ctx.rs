@@ -755,6 +755,8 @@ impl ShmemCtx {
             duplicates_suppressed: ld(&s.duplicates_suppressed),
             probes_sent: ld(&s.probes_sent),
             link_down_events: ld(&s.link_down_events),
+            slot_skips: ld(&s.slot_skips),
+            slot_release_misses: ld(&s.slot_release_misses),
             router_drops,
             deadline_sheds,
             overload_sheds,
@@ -794,6 +796,13 @@ pub struct PeStats {
     pub probes_sent: u64,
     /// Link-endpoint transitions into the `Down` state.
     pub link_down_events: u64,
+    /// Transmit-ring sequence numbers the receiver skipped (a header
+    /// that never landed, or a frame that landed after its number was
+    /// skipped). Zero on a fault-free link.
+    pub slot_skips: u64,
+    /// Transmit-ring headers that changed between the receiver's read
+    /// and its clear. Zero on a fault-free link.
+    pub slot_release_misses: u64,
     /// Frames the router discarded instead of forwarding (out-of-range
     /// header fields, or a destination PE known dead) — previously silent
     /// drops, now counted.
@@ -823,7 +832,8 @@ impl PeStats {
             "{{\"frames_rx\":{},\"forwards\":{},\"puts_delivered\":{},\"gets_served\":{},\
              \"acks_received\":{},\"amos_served\":{},\"retransmits\":{},\
              \"checksum_rejects\":{},\"reroutes\":{},\"duplicates_suppressed\":{},\
-             \"probes_sent\":{},\"link_down_events\":{},\"router_drops\":{},\
+             \"probes_sent\":{},\"link_down_events\":{},\"slot_skips\":{},\
+             \"slot_release_misses\":{},\"router_drops\":{},\
              \"deadline_sheds\":{},\"overload_sheds\":{},\"retry_sheds\":{},\
              \"bytes_tx\":{},\"bytes_rx\":{},\
              \"heap_capacity\":{},\"heap_live_bytes\":{}}}",
@@ -839,6 +849,8 @@ impl PeStats {
             self.duplicates_suppressed,
             self.probes_sent,
             self.link_down_events,
+            self.slot_skips,
+            self.slot_release_misses,
             self.router_drops,
             self.deadline_sheds,
             self.overload_sheds,
@@ -859,6 +871,8 @@ impl PeStats {
             + self.duplicates_suppressed
             + self.probes_sent
             + self.link_down_events
+            + self.slot_skips
+            + self.slot_release_misses
             + self.router_drops
     }
 }

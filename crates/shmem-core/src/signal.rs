@@ -19,6 +19,13 @@
 //! `signal_never_overtakes_its_data_on_two_hop_torus_routes`
 //! (`crates/shmem-core/tests/collectives.rs`) checks the guarantee on the
 //! forwarded routes of a 2x2 torus at paper timing.
+//!
+//! The guarantee covers frames that arrive. On a lossy link a data frame
+//! rejected as corrupt comes back only by end-to-end retransmission, and
+//! the ring does not hold the signal frame behind it back, so the signal
+//! can be seen first. A consumer that must stay exact under loss checks
+//! the data itself, as `allreduce` does with the epoch proof each block
+//! carries.
 
 use crate::ctx::{OpOptions, ShmemCtx};
 use crate::error::Result;

@@ -6,6 +6,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ntb_sim::FaultPlan;
 use shmem_core::{
     CmpOp, ReduceOp, ShmemConfig, ShmemWorld, SignalOp, TimeModel, Topology, TypedSym,
 };
@@ -135,6 +136,71 @@ fn back_to_back(cfg: ShmemConfig, delay: Duration) {
 fn back_to_back_allreduces_never_mix_rounds() {
     back_to_back(torus(TimeModel::zero()), Duration::from_millis(2));
     back_to_back(torus(TimeModel::paper()), Duration::from_millis(3));
+}
+
+/// Under payload corruption a block's frame can be rejected while the
+/// signal frame behind it lands; the block comes back only with the
+/// end-to-end retransmission. The fold must wait for it and never take
+/// the block the bank still holds from two rounds earlier.
+#[test]
+fn allreduce_is_exact_when_blocks_are_lost_and_retransmitted() {
+    let retry = ntb_net::RetryPolicy {
+        ack_timeout: Duration::from_millis(40),
+        max_retries: 8,
+        backoff_base: Duration::from_millis(5),
+        backoff_max: Duration::from_millis(40),
+        probe_interval: Duration::from_millis(20),
+        mailbox_timeout: Duration::from_millis(20),
+        failure_threshold: 3,
+    };
+    let cfg = torus(TimeModel::zero())
+        .with_retry(retry)
+        .with_faults(FaultPlan::none().with_seed(11).with_payload_corrupt(0.01));
+    let rejects = ShmemWorld::run(cfg, |ctx| {
+        let (me, n) = (ctx.my_pe() as u64, ctx.num_pes() as u64);
+        for i in 0..150u64 {
+            let got = ctx.allreduce(ReduceOp::Sum, &[i * 1000 + me, i]).unwrap();
+            assert_eq!(got, vec![i * 1000 * n + n * (n - 1) / 2, i * n], "pe {me} call {i}");
+        }
+        let got = ctx.allreduce(ReduceOp::Sum, &[GROUPING[ctx.my_pe()]]).unwrap();
+        assert_eq!(got[0].to_bits(), GROUPING.iter().fold(0.0, |a, b| a + b).to_bits());
+        ctx.barrier_all().unwrap();
+        ctx.stats_snapshot().checksum_rejects
+    })
+    .unwrap();
+    assert!(rejects.iter().sum::<u64>() > 0, "the fault plan rejected no frame: {rejects:?}");
+}
+
+/// On fault-free links the in-order ring drain never skips a sequence
+/// number and never finds a header changed under it: both counters stay
+/// at zero through thousands of forwarded allreduce rounds and signalled
+/// puts at paper timing.
+#[test]
+fn fault_free_rings_never_skip_or_miss_a_slot() {
+    let stats = ShmemWorld::run(torus(TimeModel::paper()), |ctx| {
+        let data: TypedSym<u64> = ctx.calloc_array(WINDOW).unwrap();
+        let sig: TypedSym<u64> = ctx.calloc_array(1).unwrap();
+        let (me, n) = (ctx.my_pe(), ctx.num_pes());
+        for i in 0..400u64 {
+            // Every PE streams signalled puts at the PE two hops away
+            // between allreduces, so forwarded traffic and collective
+            // traffic share every ring.
+            let far = n - 1 - me;
+            for r in 0..4 {
+                let word = (i as usize * 4 + r) % WINDOW;
+                ctx.put_with_signal(&data, word, &[i], &sig, 0, i, SignalOp::Set, far).unwrap();
+            }
+            ctx.allreduce(ReduceOp::Sum, &[i]).unwrap();
+        }
+        ctx.barrier_all().unwrap();
+        ctx.stats_snapshot()
+    })
+    .unwrap();
+    assert!(stats.iter().map(|s| s.forwards).sum::<u64>() > 0, "no forwarded traffic");
+    for (pe, s) in stats.iter().enumerate() {
+        assert_eq!((s.slot_skips, s.slot_release_misses), (0, 0), "pe {pe}");
+        assert_eq!(s.retransmits, 0, "pe {pe}");
+    }
 }
 
 /// A world whose last call is an allreduce tears down with no put left to
