@@ -1,9 +1,9 @@
 //! `ntb-lint` — workspace-native static analysis for the NTB/OpenSHMEM
 //! workspace.
 //!
-//! Eight rules, all keyed to the paper's ordered shared-state protocol
+//! Nine rules, all keyed to the paper's ordered shared-state protocol
 //! (ScratchPad publish → doorbell → service-thread consume). Four are
-//! token-level hygiene rules, four are function-granular protocol-
+//! token-level hygiene rules, five are function-granular protocol-
 //! discipline rules built on the [`parse`] module:
 //!
 //! 1. **safety** — every `unsafe` block / fn / impl carries a
@@ -25,6 +25,10 @@
 //!    inserts into a pending table per [`manifest::CALL_PAIRS`]) must
 //!    reach a paired resolution on every control-flow exit, or carry
 //!    `// RESOLVES(<event>): why`.
+//!    **emit-before-publish** (same family) — a resolution another
+//!    thread waits on ([`manifest::PUBLISHED_RESOLUTIONS`]) is emitted
+//!    inside the observer closure of the call that publishes it, or the
+//!    site carries `// NO-WAITER: why`.
 //! 6. **deadline-clip** — blocking wait primitives must derive their
 //!    timeout from a deadline-clipped expression, or carry
 //!    `// DEADLINE-CLIPPED: why`.
@@ -59,7 +63,8 @@ pub struct Finding {
     /// 1-based line.
     pub line: u32,
     /// Rule id: `safety`, `atomics`, `unwraps`, `locks`, `lockdep-sync`,
-    /// `resolution`, `deadline-clip`, `bounded-wait`, `typed-error`.
+    /// `resolution`, `emit-before-publish`, `deadline-clip`,
+    /// `bounded-wait`, `typed-error`.
     pub rule: &'static str,
     /// Human-readable description with the expected annotation.
     pub message: String,
@@ -95,6 +100,8 @@ pub struct ScanStats {
     pub acquires: usize,
     /// (acquire, exit) pairs checked by the resolution rule.
     pub exits_checked: usize,
+    /// Published-resolution emits checked by the emit-before-publish rule.
+    pub publish_emits: usize,
     /// Timed-wait call sites checked by the deadline-clip rule.
     pub waits_checked: usize,
     /// Waiting loops checked by the bounded-wait rule.
@@ -104,11 +111,13 @@ pub struct ScanStats {
 }
 
 impl ScanStats {
-    fn absorb(&mut self, other: ScanStats) {
+    /// Add another scan's counters to these.
+    pub fn absorb(&mut self, other: ScanStats) {
         self.files += other.files;
         self.functions += other.functions;
         self.acquires += other.acquires;
         self.exits_checked += other.exits_checked;
+        self.publish_emits += other.publish_emits;
         self.waits_checked += other.waits_checked;
         self.loops_checked += other.loops_checked;
         self.errors_checked += other.errors_checked;
@@ -119,12 +128,14 @@ impl std::fmt::Display for ScanStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} files, {} functions; {} acquires / {} exits paired, \
-             {} waits deadline-checked, {} loops bound-checked, {} error constructions checked",
+            "{} files, {} functions; {} acquires / {} exits paired, {} resolution emits \
+             publish-checked, {} waits deadline-checked, {} loops bound-checked, \
+             {} error constructions checked",
             self.files,
             self.functions,
             self.acquires,
             self.exits_checked,
+            self.publish_emits,
             self.waits_checked,
             self.loops_checked,
             self.errors_checked
@@ -340,6 +351,7 @@ pub fn scan_source_with_stats(file: &str, src: &str, mode: FileMode) -> (Vec<Fin
     rules::unwraps::run(&ctx, mode, &mut out);
     rules::locks::run(&ctx, &mut out);
     rules::resolution::run(&ctx, mode, &mut out, &mut stats);
+    rules::publish::run(&ctx, mode, &mut out, &mut stats);
     rules::deadline::run(&ctx, mode, &mut out, &mut stats);
     rules::bounded::run(&ctx, mode, &mut out, &mut stats);
     rules::typederr::run(&ctx, mode, &mut out, &mut stats);

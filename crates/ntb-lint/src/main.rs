@@ -79,7 +79,7 @@ fn main() -> ExitCode {
                     let (fnd, s) =
                         scan_source_with_stats(&f.display().to_string(), &src, FileMode::Single);
                     out.extend(fnd);
-                    stats = merge(stats, s);
+                    stats.absorb(s);
                 }
                 Err(e) => {
                     eprintln!("ntb-lint: cannot read {}: {e}", f.display());
@@ -122,17 +122,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn merge(mut a: ScanStats, b: ScanStats) -> ScanStats {
-    a.files += b.files;
-    a.functions += b.functions;
-    a.acquires += b.acquires;
-    a.exits_checked += b.exits_checked;
-    a.waits_checked += b.waits_checked;
-    a.loops_checked += b.loops_checked;
-    a.errors_checked += b.errors_checked;
-    a
-}
-
 /// Hand-rolled JSON (the lint is deliberately dependency-free).
 fn render_json(findings: &[Finding], stats: &ScanStats) -> String {
     let mut s = String::from("{\n  \"findings\": [");
@@ -154,12 +143,13 @@ fn render_json(findings: &[Finding], stats: &ScanStats) -> String {
     s.push_str("],\n");
     s.push_str(&format!(
         "  \"stats\": {{\"files\": {}, \"functions\": {}, \"acquires\": {}, \
-         \"exits_checked\": {}, \"waits_checked\": {}, \"loops_checked\": {}, \
-         \"errors_checked\": {}}},\n",
+         \"exits_checked\": {}, \"publish_emits\": {}, \"waits_checked\": {}, \
+         \"loops_checked\": {}, \"errors_checked\": {}}},\n",
         stats.files,
         stats.functions,
         stats.acquires,
         stats.exits_checked,
+        stats.publish_emits,
         stats.waits_checked,
         stats.loops_checked,
         stats.errors_checked

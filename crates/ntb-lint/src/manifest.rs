@@ -326,6 +326,31 @@ pub const EVENT_PAIRS: &[EventPair] = &[
     },
 ];
 
+/// A resolution event that another thread waits on, and the table calls
+/// that publish it (rule `emit-before-publish`): the event must be
+/// emitted inside the observer closure one of `publishers` runs under its
+/// table lock.
+#[derive(Debug, Clone, Copy)]
+pub struct PublishedResolution {
+    /// The resolution `EventKind` variant.
+    pub event: &'static str,
+    /// Calls whose argument list (the observer closure) may emit it.
+    pub publishers: &'static [&'static str],
+}
+
+/// Resolutions a blocked requester can observe: puts (`quiet` on the
+/// unacked table), get chunks and AMO responses (the pending table's
+/// waits).
+pub const PUBLISHED_RESOLUTIONS: &[PublishedResolution] = &[
+    PublishedResolution { event: "PutAcked", publishers: &["ack_with"] },
+    PublishedResolution {
+        event: "PutAbandon",
+        publishers: &["ack_with", "fail", "fail_expired", "fail_dest"],
+    },
+    PublishedResolution { event: "GetChunkRx", publishers: &["fill_with"] },
+    PublishedResolution { event: "AmoDone", publishers: &["fill_with"] },
+];
+
 /// One classified protocol-table acquire call: `<receiver>.<method>(..)`
 /// inserts an entry that must later be resolved by one of `resolutions`.
 #[derive(Debug, Clone, Copy)]
@@ -455,6 +480,7 @@ pub const ERROR_ENUMS: &[&str] = &["NtbError", "ShmemError"];
 /// (union of the pairing resolutions plus generic drain/cleanup verbs).
 pub const RESOLVER_CALLS: &[&str] = &[
     "abandon",
+    "abandon_unless_done",
     "fail",
     "fail_expired",
     "fail_dest",
@@ -477,6 +503,7 @@ pub const RESOLVER_CALLS: &[&str] = &[
 /// pending entry and calls `.unwrap()`, the leak is the story.
 pub const RULE_PRECEDENCE: &[&str] = &[
     "resolution",
+    "emit-before-publish",
     "deadline-clip",
     "bounded-wait",
     "typed-error",

@@ -2,13 +2,15 @@
 //!
 //! Hygiene rules (token-level): [`safety`], [`atomics`], [`unwraps`],
 //! [`locks`]. Protocol-discipline rules (function-granular, built on
-//! [`crate::parse`]): [`resolution`], [`deadline`], [`bounded`],
-//! [`typederr`]. Shared scoping and annotation-grammar helpers live here.
+//! [`crate::parse`]): [`resolution`] with its family member [`publish`]
+//! (`emit-before-publish`), [`deadline`], [`bounded`], [`typederr`].
+//! Shared scoping and annotation-grammar helpers live here.
 
 pub(crate) mod atomics;
 pub(crate) mod bounded;
 pub(crate) mod deadline;
 pub(crate) mod locks;
+pub(crate) mod publish;
 pub(crate) mod resolution;
 pub(crate) mod safety;
 pub(crate) mod typederr;
@@ -17,8 +19,8 @@ pub(crate) mod unwraps;
 use crate::{FileCtx, FileMode};
 
 /// Protocol-code scope: the crates that own pending-op lifecycles and the
-/// typed error ladder. Applies to `resolution`, `deadline-clip`,
-/// `typed-error` (and `unwraps`).
+/// typed error ladder. Applies to `resolution`, `emit-before-publish`,
+/// `deadline-clip`, `typed-error` (and `unwraps`).
 pub(crate) fn in_protocol_scope(file: &str, mode: FileMode) -> bool {
     if mode == FileMode::Single {
         return true;
@@ -72,7 +74,7 @@ pub(crate) fn has_resolves_annotation(ctx: &FileCtx<'_>, line: u32, event: Optio
 }
 
 /// Does `text` contain `<marker>: reason` with a non-empty reason?
-/// Used for `DEADLINE-CLIPPED:` and `BOUNDED-BY:`.
+/// Used for `DEADLINE-CLIPPED:`, `BOUNDED-BY:` and `NO-WAITER:`.
 pub(crate) fn justified_annotation_matches(text: &str, marker: &str) -> bool {
     let mut rest = text;
     while let Some(p) = rest.find(marker) {

@@ -79,6 +79,15 @@ fn resolution_fixtures() {
 }
 
 #[test]
+fn publish_fixtures() {
+    assert_clean("publish_pass.rs");
+    assert_flags("publish_fail.rs", "emit-before-publish", 2);
+    assert_clean("publish_annotated.rs");
+    // A bare marker with no reason is tampering, not a waiver.
+    assert_flags("publish_tampered.rs", "emit-before-publish", 1);
+}
+
+#[test]
 fn deadline_fixtures() {
     assert_clean("deadline_pass.rs");
     assert_flags("deadline_fail.rs", "deadline-clip", 2);
@@ -122,6 +131,7 @@ fn workspace_self_scan_is_clean_with_evidence() {
     assert!(stats.functions >= 900, "suspiciously few functions parsed: {stats}");
     assert!(stats.acquires >= 5, "resolution rule found too few acquires: {stats}");
     assert!(stats.exits_checked >= 10, "resolution rule checked too few exits: {stats}");
+    assert!(stats.publish_emits >= 6, "publish rule checked too few emits: {stats}");
     assert!(stats.waits_checked >= 12, "deadline rule checked too few waits: {stats}");
     assert!(stats.loops_checked >= 15, "bounded rule checked too few loops: {stats}");
     assert!(stats.errors_checked >= 15, "typed-error rule checked too few sites: {stats}");

@@ -83,7 +83,9 @@ pub struct OverloadConfig {
     /// Forward-queue occupancy at/above which the endpoint reports
     /// congestion and stops advertising credits to its peer sender.
     pub high_watermark: usize,
-    /// Occupancy at/below which congestion clears (hysteresis).
+    /// Occupancy at/below which congestion clears (hysteresis). Also the
+    /// most put chunks a host keeps waiting for their acks: an end-to-end
+    /// window over every hop and the ack return path.
     pub low_watermark: usize,
     /// Frames' worth of credit a receiver advertises to each peer sender
     /// at bring-up, re-granted one per drained frame.
@@ -171,7 +173,11 @@ pub struct NetConfig {
     /// into mailbox ring slots and a whole drained batch rings one
     /// doorbell. Off = legacy one-doorbell-per-frame scratchpad path.
     pub coalesce: bool,
-    /// Transmit-ring slots per link direction.
+    /// Transmit-ring slots per link direction. The default (64) holds
+    /// what a sender publishes during one receiver wake: the receiver
+    /// drains only after its interrupt-service delay (150 µs at paper
+    /// timing), and a small frame takes about 2.5 µs to publish, so some
+    /// 60 frames land before the first drain (see DESIGN.md §12).
     pub tx_slots: u32,
     /// Published slots that force a flush (capped by `tx_slots`).
     pub coalesce_batch: u32,
@@ -356,7 +362,7 @@ impl Default for NetConfig {
             heartbeat: crate::membership::HeartbeatConfig::default(),
             faults: FaultPlan::none(),
             coalesce: true,
-            tx_slots: 8,
+            tx_slots: 64,
             coalesce_batch: 8,
             coalesce_payload_max: 4096,
             pio_crossover: 1024,

@@ -12,6 +12,10 @@
 //!   credit per staged frame and stops staging when none remain. Both
 //!   counters only grow, so a re-read of a stale grant is harmless and
 //!   conservation is checkable: `granted == consumed + available`.
+//!   The credit word is one aligned 32-bit cell, written with one atomic
+//!   store through the window ([`write_credit_word`]) and read with one
+//!   atomic load ([`read_credit_word`]), so the sender never reads half
+//!   of an update.
 //! * [`RetryBudget`] — a token bucket bounding retransmissions per link.
 //!   Retries are the classic congestion amplifier (every lost frame
 //!   becomes N frames); when the bucket runs dry the sweeper sheds the
@@ -20,7 +24,27 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use ntb_sim::{OutgoingWindow, Region, Result, TransferMode};
 use parking_lot::Mutex;
+
+/// Publish the cumulative grant `total` into the peer's credit word at
+/// `off`: one atomic 32-bit store through the window (saturating at
+/// `u32::MAX`). A `memcpy` could land the word as several stores, and a
+/// sender reading between them would see a grant that was never made.
+pub fn write_credit_word(window: &OutgoingWindow, off: u64, total: u64) -> Result<()> {
+    let wire = u32::try_from(total).unwrap_or(u32::MAX);
+    window.write_u32(off, wire, TransferMode::Memcpy)
+}
+
+/// Read the credit word at `off` of this side's own incoming `region`
+/// with one atomic load. `None` until the peer first writes it (zero
+/// means "never written": real totals start at the credit window).
+pub fn read_credit_word(region: &Region, off: u64) -> Option<u64> {
+    match region.load_u32(off) {
+        Ok(0) | Err(_) => None,
+        Ok(wire) => Some(u64::from(wire)),
+    }
+}
 
 /// Sender-side view of the peer's cumulative credit grant.
 ///
@@ -301,6 +325,48 @@ mod tests {
         assert!(gate.consumed_total() <= gate.granted_total());
         assert_eq!(gate.granted_total(), gate.consumed_total() + gate.available());
         assert_eq!(gate.granted_total(), 1000);
+    }
+
+    /// The credit word is written by the receiver while the sender reads
+    /// it. The two values differ in three of their four bytes, so a read
+    /// that saw half of an update would return neither of them.
+    #[test]
+    fn credit_word_is_never_read_half_written() {
+        use ntb_sim::{connect_ports, HostMemory, PortConfig, TimeModel};
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        const A: u64 = 0x0000_FFFF;
+        const B: u64 = 0x0001_0000;
+        const OFF: u64 = 12;
+        let writes = if cfg!(miri) { 200 } else { 20_000 };
+        let (ma, mb) = (HostMemory::new(0, 1 << 20), HostMemory::new(1, 1 << 20));
+        let (a, b) = connect_ports(
+            PortConfig::new(0, 1).with_window_size(4096),
+            PortConfig::new(1, 0).with_window_size(4096),
+            &ma,
+            &mb,
+            Arc::new(TimeModel::zero()),
+        )
+        .unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (a, done) = (Arc::clone(&a), Arc::clone(&done));
+            std::thread::spawn(move || {
+                for i in 0..writes {
+                    write_credit_word(a.outgoing(), OFF, if i % 2 == 0 { A } else { B }).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        let mut reads = 0u64;
+        while !done.load(Ordering::SeqCst) {
+            let got = read_credit_word(b.incoming().region(), OFF);
+            assert!(matches!(got, None | Some(A) | Some(B)), "mixed credit word {got:x?}");
+            reads += 1;
+        }
+        writer.join().unwrap();
+        assert_eq!(read_credit_word(b.incoming().region(), OFF), Some(B));
+        assert!(reads > 0);
     }
 
     #[test]

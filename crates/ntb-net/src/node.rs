@@ -359,6 +359,7 @@ impl NtbNode {
                     );
                     ring.set_abort(Arc::clone(&shutdown));
                     ring.set_retry(config.retry.mailbox_timeout, config.retry.max_retries);
+                    ring.set_metrics(Arc::clone(&metrics), link_idx);
                     ring
                 });
                 LinkEndpoint {
@@ -815,12 +816,10 @@ impl NtbNode {
     /// written" (bring-up) and is skipped; real totals start at the
     /// configured window and only grow.
     pub(crate) fn refresh_credits(&self, ep: &LinkEndpoint) {
-        if let Ok(bytes) = ep.port.incoming().region().read_vec(self.layout.credit_off(), 4) {
-            // lint: unwrap-ok(read_vec returned exactly the 4 requested bytes)
-            let wire = u32::from_le_bytes(bytes.try_into().unwrap());
-            if wire != 0 {
-                ep.credit.advertise(u64::from(wire));
-            }
+        if let Some(total) =
+            crate::credit::read_credit_word(ep.port.incoming().region(), self.layout.credit_off())
+        {
+            ep.credit.advertise(total);
         }
     }
 
@@ -842,11 +841,10 @@ impl NtbNode {
         if ep.fwd.congested() {
             return;
         }
-        let wire = u32::try_from(ep.ledger.total()).unwrap_or(u32::MAX);
-        let _ = ep.port.outgoing().write_bytes(
+        let _ = crate::credit::write_credit_word(
+            ep.port.outgoing(),
             self.layout.credit_off(),
-            &wire.to_le_bytes(),
-            TransferMode::Memcpy,
+            ep.ledger.total(),
         );
     }
 
@@ -1014,6 +1012,7 @@ impl NtbNode {
         deadline_us: u32,
     ) -> Result<()> {
         let offset = offset32(heap_offset)?;
+        self.wait_put_window(deadline_us)?;
         let deadline = Instant::now() + self.config.retry.ack_timeout;
         let put_id =
             self.unacked.register(dest, offset, chunk.to_vec(), mode, deadline, deadline_us);
@@ -1040,6 +1039,39 @@ impl NtbNode {
                 Err(e)
             }
         }
+    }
+
+    /// End-to-end put window: at most `overload.low_watermark` put chunks
+    /// of this host wait for their acks at once. Link credits bound only
+    /// the frames between two neighbours; a deep transmit ring lets an
+    /// nbi stream outrun the forwarders and the ack return path, whose
+    /// queues would overflow and shed. A chunk and its ack take at most
+    /// one place in each forward queue on their route, so with the window
+    /// no origin alone can congest a queue. Past the window a put first
+    /// flushes the staged chunks (their acks must be able to come back),
+    /// then waits for acks to retire entries.
+    fn wait_put_window(&self, deadline_us: u32) -> Result<()> {
+        let window = self.config.overload.low_watermark.max(1);
+        if self.unacked.current() < window {
+            return Ok(());
+        }
+        self.flush_all_rings();
+        // BOUNDED-BY: the retry sweeper retires every unacked entry within
+        // its retry schedule (ack, abandonment or a dead-peer sweep), and
+        // the op deadline and shutdown are checked every poll.
+        while self.unacked.current() >= window {
+            if deadline_us != 0 && self.now_us() > deadline_us {
+                // RESOLVES(none): nothing registered yet for this chunk.
+                return Err(NtbError::DeadlineExceeded);
+            }
+            if self.is_shutdown() {
+                return Err(NtbError::DmaShutdown);
+            }
+            // DEADLINE-CLIPPED: 20 µs poll quantum; the loop checks the op
+            // deadline every round.
+            std::thread::sleep(Duration::from_micros(20));
+        }
+        Ok(())
     }
 
     /// One-sided put: write `data` into host `dest`'s symmetric space at
@@ -1407,6 +1439,8 @@ impl NtbNode {
                 // invariant sees aperture and protocol gets alike.
                 let req_id = self.pending.allocate_id();
                 self.obs.emit(EventKind::GetReqTx, u64::from(req_id), [heap_offset, len]);
+                // NO-WAITER: the requester completes this get on its own
+                // thread; nothing else waits on the id.
                 self.obs.emit(EventKind::GetChunkRx, u64::from(req_id), [0, len]);
                 self.obs.emit(EventKind::GetDone, u64::from(req_id), [heap_offset, len]);
                 self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
@@ -1524,7 +1558,8 @@ impl NtbNode {
                 return Err(deadline_failure(e, deadline_us, self.now_us()));
             }
         };
-        self.obs.emit(EventKind::AmoDone, u64::from(req_id), [op as u64, 0]);
+        // `AmoDone` was logged by the service thread when it filled the
+        // response, before this wait could return it.
         let bytes: [u8; 8] = buf
             .get(0..8)
             .and_then(|s| s.try_into().ok())

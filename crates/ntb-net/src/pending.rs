@@ -21,7 +21,7 @@
 //! (and therefore the barrier) drains it.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ntb_sim::{spin_for, NtbError, Result, TimeModel, TransferMode};
@@ -45,7 +45,7 @@ struct Entry {
     failed: Option<NtbError>,
 }
 
-/// What became of a response chunk handed to [`PendingOps::fill`].
+/// What became of a response chunk handed to [`PendingOps::fill_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FillOutcome {
     /// Fresh chunk, deposited.
@@ -132,16 +132,13 @@ impl PendingOps {
     /// the entry done once all bytes arrived and wakes the requester.
     /// Late (stale) and duplicated chunks are tolerated and reported in
     /// the outcome — both are expected under retransmission.
-    pub fn fill(&self, req_id: u32, offset: u64, data: &[u8]) -> Result<FillOutcome> {
-        self.fill_with(req_id, offset, data, |_| {})
-    }
-
-    /// [`Self::fill`] with an observer invoked *before* the completion
-    /// becomes visible to the waiting requester (the entry lock is still
-    /// held). Trace emission must go through this hook: emitting after
-    /// `fill` returns races the woken requester, which can log its
-    /// completion event — or even have the whole trace drained — before
-    /// the service thread logs the chunk arrival that caused it.
+    ///
+    /// `observe` runs *before* the completion becomes visible to the
+    /// waiting requester (the entry lock is still held). Trace emission
+    /// must go through this hook: emitting after the fill returns races
+    /// the woken requester, which can log its completion event — or even
+    /// have the whole trace drained — before the service thread logs the
+    /// arrival that caused it (ntb-lint rule `emit-before-publish`).
     pub fn fill_with<F>(
         &self,
         req_id: u32,
@@ -250,20 +247,30 @@ impl PendingOps {
                 return Ok(buf);
             }
             if op_deadline.is_some_and(|d| Instant::now() >= d) {
-                self.abandon(req_id);
-                return Err(NtbError::DeadlineExceeded);
+                return self.abandon_unless_done(req_id, NtbError::DeadlineExceeded);
             }
             if attempt >= policy.max_retries {
-                self.abandon(req_id);
-                return Err(NtbError::LinkFailed { attempts: attempt + 1 });
+                return self
+                    .abandon_unless_done(req_id, NtbError::LinkFailed { attempts: attempt + 1 });
             }
             attempt += 1;
             if let Err(e) = resend(attempt) {
                 if !e.is_transient() {
-                    self.abandon(req_id);
-                    return Err(e);
+                    return self.abandon_unless_done(req_id, e);
                 }
             }
+        }
+    }
+
+    /// Abandon `req_id` with `err` — unless its completion landed since
+    /// the wait last looked, in which case the filled buffer is returned:
+    /// a response whose fill was logged as completing the request must
+    /// not then be reported as abandoned.
+    fn abandon_unless_done(&self, req_id: u32, err: NtbError) -> Result<Vec<u8>> {
+        crate::lockdep_track!(&crate::lockdep::NET_PENDING_SHARD);
+        match self.shard(req_id).inner.lock().remove(&req_id) {
+            Some(entry) if entry.done => Ok(entry.buf),
+            _ => Err(err),
         }
     }
 
@@ -448,6 +455,9 @@ struct PutShard {
 pub struct UnackedPuts {
     shards: [PutShard; SHARD_COUNT],
     next_id: AtomicU32,
+    /// Entries across all shards, changed under the shard lock that
+    /// inserts or removes them.
+    outstanding: AtomicUsize,
 }
 
 impl Default for UnackedPuts {
@@ -463,6 +473,7 @@ impl UnackedPuts {
             shards: std::array::from_fn(|_| PutShard::default()),
             // Start at 1: put id 0 is reserved for payload-free traffic.
             next_id: AtomicU32::new(1),
+            outstanding: AtomicUsize::new(0),
         }
     }
 
@@ -486,7 +497,13 @@ impl UnackedPuts {
         let put = UnackedPut { dest, heap_offset, data, mode, attempts: 1, deadline, deadline_us };
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         self.shard(id).state.lock().map.insert(id, put);
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
         id
+    }
+
+    /// Note `n` entries removed from a shard (under its lock).
+    fn retired(&self, n: usize) {
+        self.outstanding.fetch_sub(n, Ordering::SeqCst);
     }
 
     /// Retire a chunk on acknowledgement; `false` if the id was unknown
@@ -502,6 +519,9 @@ impl UnackedPuts {
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
         let known = st.map.remove(&id).is_some();
+        if known {
+            self.retired(1);
+        }
         observe(known);
         if st.map.is_empty() {
             shard.cond.notify_all();
@@ -553,6 +573,7 @@ impl UnackedPuts {
         let mut st = shard.state.lock();
         let known = match st.map.remove(&id) {
             Some(put) => {
+                self.retired(1);
                 st.failed.push(put.attempts);
                 observe();
                 true
@@ -576,6 +597,7 @@ impl UnackedPuts {
         let mut st = shard.state.lock();
         let known = st.map.remove(&id).is_some();
         if known {
+            self.retired(1);
             st.expired = true;
             observe();
         }
@@ -587,8 +609,7 @@ impl UnackedPuts {
 
     /// Current unacknowledged chunk count.
     pub fn current(&self) -> usize {
-        crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
-        self.shards.iter().map(|s| s.state.lock().map.len()).sum()
+        self.outstanding.load(Ordering::SeqCst)
     }
 
     /// Block until every outstanding chunk is acknowledged or abandoned
@@ -647,6 +668,7 @@ impl UnackedPuts {
             if doomed.is_empty() {
                 continue;
             }
+            self.retired(doomed.len());
             for id in doomed {
                 st.map.remove(&id);
                 observe(id);
@@ -664,6 +686,7 @@ impl UnackedPuts {
         for shard in &self.shards {
             crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
             let mut st = shard.state.lock();
+            self.retired(st.map.len());
             st.map.clear();
             st.failed.clear();
             st.expired = false;
@@ -691,8 +714,8 @@ mod tests {
     fn register_fill_wait() {
         let p = PendingOps::new();
         let id = p.register(8, 1);
-        assert_eq!(p.fill(id, 0, &[1, 2, 3, 4]).unwrap(), FillOutcome::Filled);
-        assert_eq!(p.fill(id, 4, &[5, 6, 7, 8]).unwrap(), FillOutcome::Filled);
+        assert_eq!(p.fill_with(id, 0, &[1, 2, 3, 4], |_| {}).unwrap(), FillOutcome::Filled);
+        assert_eq!(p.fill_with(id, 4, &[5, 6, 7, 8], |_| {}).unwrap(), FillOutcome::Filled);
         let buf = p.wait(id, &TimeModel::zero()).unwrap();
         assert_eq!(buf, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(p.in_flight(), 0);
@@ -708,7 +731,7 @@ mod tests {
     #[test]
     fn stale_fill_ignored_unknown_wait_errors() {
         let p = PendingOps::new();
-        assert_eq!(p.fill(99, 0, &[1]).unwrap(), FillOutcome::Stale);
+        assert_eq!(p.fill_with(99, 0, &[1], |_| {}).unwrap(), FillOutcome::Stale);
         assert!(p.wait(99, &TimeModel::zero()).is_err());
     }
 
@@ -716,13 +739,13 @@ mod tests {
     fn duplicate_chunk_suppressed() {
         let p = PendingOps::new();
         let id = p.register(8, 1);
-        assert_eq!(p.fill(id, 0, &[1, 2, 3, 4]).unwrap(), FillOutcome::Filled);
+        assert_eq!(p.fill_with(id, 0, &[1, 2, 3, 4], |_| {}).unwrap(), FillOutcome::Filled);
         // Retransmitted response redelivers the same chunk with different
         // bytes; the first deposit wins and `received` is not double
         // counted (a double count would mark the entry done early).
-        assert_eq!(p.fill(id, 0, &[9, 9, 9, 9]).unwrap(), FillOutcome::Duplicate);
+        assert_eq!(p.fill_with(id, 0, &[9, 9, 9, 9], |_| {}).unwrap(), FillOutcome::Duplicate);
         assert_eq!(p.in_flight(), 1);
-        assert_eq!(p.fill(id, 4, &[5, 6, 7, 8]).unwrap(), FillOutcome::Filled);
+        assert_eq!(p.fill_with(id, 4, &[5, 6, 7, 8], |_| {}).unwrap(), FillOutcome::Filled);
         let buf = p.wait(id, &TimeModel::zero()).unwrap();
         assert_eq!(buf, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
@@ -731,7 +754,7 @@ mod tests {
     fn overflow_chunk_rejected() {
         let p = PendingOps::new();
         let id = p.register(4, 1);
-        assert!(p.fill(id, 2, &[0u8; 4]).is_err());
+        assert!(p.fill_with(id, 2, &[0u8; 4], |_| {}).is_err());
     }
 
     #[test]
@@ -741,7 +764,7 @@ mod tests {
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            p2.fill(id, 0, b"abc").unwrap();
+            p2.fill_with(id, 0, b"abc", |_| {}).unwrap();
         });
         let buf = p.wait(id, &TimeModel::zero()).unwrap();
         assert_eq!(buf, b"abc");
@@ -760,7 +783,7 @@ mod tests {
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(2));
-            p2.fill(id, 0, &[9]).unwrap();
+            p2.fill_with(id, 0, &[9], |_| {}).unwrap();
         });
         let t0 = std::time::Instant::now();
         let buf = p.wait(id, &model).unwrap();
@@ -798,7 +821,7 @@ mod tests {
         let buf = p.wait_with_retry(id, &TimeModel::zero(), &tight_policy(), |attempt| {
             r2.fetch_add(1, Ordering::Relaxed);
             assert!(attempt >= 1);
-            p2.fill(id, 0, b"ok").map(|_| ())
+            p2.fill_with(id, 0, b"ok", |_| {}).map(|_| ())
         });
         assert_eq!(buf.unwrap(), b"ok");
         assert_eq!(resent.load(Ordering::Relaxed), 1);
@@ -815,7 +838,7 @@ mod tests {
         assert!(t0.elapsed() <= policy.worst_case() + Duration::from_secs(1));
         // The entry is gone; stragglers become stale.
         assert_eq!(p.in_flight(), 0);
-        assert_eq!(p.fill(id, 0, &[0u8; 4]).unwrap(), FillOutcome::Stale);
+        assert_eq!(p.fill_with(id, 0, &[0u8; 4], |_| {}).unwrap(), FillOutcome::Stale);
     }
 
     #[test]
@@ -827,7 +850,7 @@ mod tests {
             if attempt == 1 {
                 Err(NtbError::LinkDown)
             } else {
-                p2.fill(id, 0, &[7]).map(|_| ())
+                p2.fill_with(id, 0, &[7], |_| {}).map(|_| ())
             }
         });
         assert_eq!(buf.unwrap(), vec![7]);
@@ -863,7 +886,7 @@ mod tests {
         );
         // The entry is abandoned; stragglers become stale.
         assert_eq!(p.in_flight(), 0);
-        assert_eq!(p.fill(id, 0, &[0u8; 4]).unwrap(), FillOutcome::Stale);
+        assert_eq!(p.fill_with(id, 0, &[0u8; 4], |_| {}).unwrap(), FillOutcome::Stale);
     }
 
     #[test]
@@ -873,7 +896,7 @@ mod tests {
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
-            p2.fill(id, 0, b"ok").unwrap();
+            p2.fill_with(id, 0, b"ok", |_| {}).unwrap();
         });
         let buf = p.wait_with_retry_until(
             id,
@@ -886,6 +909,21 @@ mod tests {
         h.join().unwrap();
     }
 
+    /// A response that completes the entry after the last wait looked is
+    /// returned, not abandoned: its fill was already logged as the
+    /// resolution.
+    #[test]
+    fn completion_landing_before_abandon_is_returned() {
+        let p = PendingOps::new();
+        let id = p.register(2, 1);
+        let buf = p.wait_with_retry_until(id, &TimeModel::zero(), &tight_policy(), None, |_| {
+            p.fill_with(id, 0, b"ok", |_| {}).unwrap();
+            Err(NtbError::BadDescriptor { reason: "resend failed after the response landed" })
+        });
+        assert_eq!(buf.unwrap(), b"ok");
+        assert_eq!(p.in_flight(), 0);
+    }
+
     #[test]
     fn allocate_id_never_collides_with_registered_ids() {
         let p = PendingOps::new();
@@ -894,7 +932,7 @@ mod tests {
         let c = p.allocate_id();
         assert!(a != b && b != c && a != c);
         // The bare id has no entry: fills against it are stale.
-        assert_eq!(p.fill(a, 0, &[1]).unwrap(), FillOutcome::Stale);
+        assert_eq!(p.fill_with(a, 0, &[1], |_| {}).unwrap(), FillOutcome::Stale);
     }
 
     fn put_entry(u: &UnackedPuts, deadline: Instant) -> u32 {
@@ -995,7 +1033,7 @@ mod tests {
         // Entries aimed at other PEs are untouched.
         let live = p.register(1, 3);
         assert_eq!(p.fail_dest(2, NtbError::PeFailed { pe: 2, epoch: 3 }), 0);
-        p.fill(live, 0, &[1]).unwrap();
+        p.fill_with(live, 0, &[1], |_| {}).unwrap();
         assert_eq!(p.wait(live, &TimeModel::zero()).unwrap(), vec![1]);
     }
 

@@ -699,9 +699,16 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             if data.len() < 8 {
                 return Err(ntb_sim::NtbError::BadDescriptor { reason: "short AMO response" });
             }
-            match node.pending.fill(frame.aux, 0, &data[0..8])? {
-                FillOutcome::Filled => {}
-                FillOutcome::Duplicate | FillOutcome::Stale => node.count_duplicate(),
+            // The resolution is logged under the entry lock, before the
+            // woken requester can return the value (or its caller take
+            // the trace).
+            let outcome = node.pending.fill_with(frame.aux, 0, &data[0..8], |outcome| {
+                if matches!(outcome, FillOutcome::Filled) {
+                    node.obs.emit(EventKind::AmoDone, u64::from(frame.aux), [frame.src as u64, 0]);
+                }
+            })?;
+            if !matches!(outcome, FillOutcome::Filled) {
+                node.count_duplicate();
             }
         }
     }

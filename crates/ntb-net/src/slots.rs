@@ -23,6 +23,14 @@
 //!   sender polls a slot's header back to zero (a non-posted read)
 //!   before reusing it, so flow control needs no reverse channel.
 //!
+//! **Ring depth.** The receiver drains only after its interrupt-service
+//! wake (150 µs at paper timing), so the ring must hold what a sender
+//! publishes in that time: about 2.5 µs per small frame without a stall,
+//! some 60 frames, hence the default of 64 slots (`NetConfig::tx_slots`).
+//! A ring that fills before the wake leaves the sender polling a slot
+//! header across the link until the drain frees it; each such wait is
+//! logged as `SlotFullWait` and counted in the link's `slot_full_waits`.
+//!
 //! **Delivery order.** Every slot record carries a monotonic slot
 //! sequence number, and headers are written in sequence order (one flush
 //! at a time, under the ring lock). The receiver ([`drain_in_order`])
@@ -66,7 +74,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ntb_sim::{
-    DmaRequest, EventKind, NtbError, NtbPort, Obs, Region, Result, TimeModel, TransferMode,
+    DmaRequest, EventKind, MetricsRegistry, NtbError, NtbPort, Obs, Region, Result, TimeModel,
+    TransferMode,
 };
 use parking_lot::Mutex;
 
@@ -116,6 +125,8 @@ pub struct TxSlotRing {
     batch_cap: u32,
     abort: Option<Arc<AtomicBool>>,
     retry: Option<(Duration, u32)>,
+    /// Registry and link index that count full-ring waits.
+    metrics: Option<(Arc<MetricsRegistry>, usize)>,
     state: Mutex<TxState>,
 }
 
@@ -140,6 +151,7 @@ impl TxSlotRing {
             batch_cap: cfg.batch_cap(),
             abort: None,
             retry: None,
+            metrics: None,
             state: Mutex::new(TxState::default()),
         }
     }
@@ -157,6 +169,11 @@ impl TxSlotRing {
         self.retry = Some((timeout, max_rerings));
     }
 
+    /// Count full-ring waits in `metrics` under link `link_idx`.
+    pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>, link_idx: usize) {
+        self.metrics = Some((metrics, link_idx));
+    }
+
     /// Whether a payload of `len` bytes fits a slot's payload lane.
     pub fn fits(&self, len: usize) -> bool {
         len as u64 <= self.payload_max
@@ -169,22 +186,29 @@ impl TxSlotRing {
 
     /// Wait until slot `idx`'s header reads back zero (the receiver
     /// consumed its previous occupant). Non-posted read per poll; bounded
-    /// by the retry policy like the scratchpad wait.
+    /// by the retry policy like the scratchpad wait. A wait past the
+    /// first read means the ring was full: it is logged as one
+    /// `SlotFullWait` for publish `seq` and counted in the link's
+    /// `slot_full_waits`.
     ///
     /// The wait escalates instead of busy-spinning forever: a short pure
     /// spin catches the common sub-microsecond free, then the thread
     /// yields its core, then it parks for exponentially growing slices
     /// (capped at 64 µs) so a long-occupied slot costs interrupts, not a
     /// pegged core.
-    fn wait_slot_free(&self, idx: u32) -> Result<()> {
+    fn wait_slot_free(&self, idx: u32, seq: u32) -> Result<()> {
         let off = self.layout.ring_slot_off(idx);
         let mut buf = [0u8; 4];
         let mut spins: u32 = 0;
-        let mut round_start = Instant::now();
+        let wait_start = Instant::now();
+        let mut round_start = wait_start;
         let mut rounds: u32 = 0;
         loop {
             self.port.outgoing().read_bytes(off, &mut buf, TransferMode::Memcpy)?;
             if buf == [0u8; 4] {
+                if spins > 0 {
+                    self.note_full_wait(idx, seq, wait_start.elapsed());
+                }
                 return Ok(());
             }
             spins = spins.wrapping_add(1);
@@ -225,6 +249,14 @@ impl TxSlotRing {
         }
     }
 
+    fn note_full_wait(&self, idx: u32, seq: u32, waited: Duration) {
+        let us = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX);
+        self.obs.emit(EventKind::SlotFullWait, u64::from(seq), [us, u64::from(idx)]);
+        if let Some((metrics, link_idx)) = &self.metrics {
+            metrics.bump_link(*link_idx, |l| &l.slot_full_waits);
+        }
+    }
+
     /// Stage `frame` (+ payload) into the next free ring slot without
     /// ringing a doorbell. The payload and record body are written now;
     /// the header word is withheld until [`flush`](Self::flush) publishes
@@ -241,7 +273,7 @@ impl TxSlotRing {
         }
         let seq = st.slot_seq;
         let idx = seq % self.layout.ring_slots;
-        self.wait_slot_free(idx)?;
+        self.wait_slot_free(idx, seq)?;
         frame.seq = seq as u16;
         let words = frame.encode();
         let mut dma = None;

@@ -51,7 +51,12 @@ impl DeliveryTarget for TestHeap {
 }
 
 fn build(hosts: usize) -> (RingNetwork, Vec<Arc<TestHeap>>) {
-    let net = RingNetwork::build(NetConfig::fast(hosts)).unwrap();
+    build_with(NetConfig::fast(hosts))
+}
+
+fn build_with(cfg: NetConfig) -> (RingNetwork, Vec<Arc<TestHeap>>) {
+    let hosts = cfg.hosts;
+    let net = RingNetwork::build(cfg).unwrap();
     let heaps: Vec<Arc<TestHeap>> = (0..hosts).map(|_| TestHeap::new()).collect();
     for (i, heap) in heaps.iter().enumerate() {
         net.node(i).set_delivery(Arc::clone(heap) as Arc<dyn DeliveryTarget>);
@@ -452,4 +457,47 @@ fn amo_bad_offset_fails_typed_without_leaking_pending_entry() {
     assert_eq!(old, 0);
     assert_eq!(net.node(0).pending_in_flight(), 0);
     assert_no_errors(&net);
+}
+
+/// One burst of `n` 64 B puts from host 0 to host 1 behind deferred
+/// doorbells (the shape of an nbi put stream), then `quiet`. Returns
+/// host 0's full-ring waits: the `slot_full_waits` link counters and the
+/// `SlotFullWait` events, which must agree.
+fn full_ring_waits(cfg: NetConfig, n: usize) -> (u64, usize) {
+    use std::sync::atomic::Ordering;
+    let (net, heaps) = build_with(cfg);
+    net.obs_enable();
+    let node = net.node(0);
+    for i in 0..n {
+        node.put_bytes_coalesced(1, (i * 64) as u64, &[i as u8; 64], TransferMode::Dma, true)
+            .unwrap();
+    }
+    node.quiet().unwrap();
+    assert_eq!(heaps[1].region.read_vec((n as u64 - 1) * 64, 64).unwrap(), vec![(n - 1) as u8; 64]);
+    let m = node.metrics();
+    let counted = (0..m.link_count())
+        .map(|i| m.link(i).unwrap().slot_full_waits.load(Ordering::SeqCst))
+        .sum();
+    let logged = net
+        .take_events()
+        .iter()
+        .filter(|e| e.pe == 0 && e.kind == ntb_sim::EventKind::SlotFullWait)
+        .count();
+    assert_no_errors(&net);
+    net.shutdown();
+    (counted, logged)
+}
+
+/// The default ring holds a whole burst published during one receiver
+/// wake (150 µs at paper timing): a burst no longer than the ring never
+/// waits for a slot. The same burst on the old 8-slot ring fills it with
+/// its first batch and waits for the receiver to drain it.
+#[test]
+fn default_ring_depth_absorbs_a_burst_that_fills_eight_slots() {
+    let depth = NetConfig::paper(2).tx_slots as usize;
+    let (counted, logged) = full_ring_waits(NetConfig::paper(2), depth);
+    assert_eq!((counted, logged), (0, 0), "a {depth}-put burst waited on the default ring");
+    let (counted, logged) = full_ring_waits(NetConfig::paper(2).with_tx_ring(8, 8), depth);
+    assert!(counted > 0, "an 8-slot ring must fill under a {depth}-put burst");
+    assert_eq!(counted, logged as u64, "every full-ring wait is both counted and logged");
 }

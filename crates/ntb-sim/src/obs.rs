@@ -135,6 +135,11 @@ pub enum EventKind {
     /// compare-and-swap clear; the slot is left for the next read
     /// (`op_id` = header word read, `payload` = [sender pe, slot index]).
     SlotReleaseMiss,
+    /// A sender found its next transmit-ring slot still occupied (the
+    /// ring was full) and waited for the receiver to consume it
+    /// (`op_id` = slot sequence number being published, `payload` =
+    /// [wait µs, slot index]).
+    SlotFullWait,
     /// One coalesced doorbell covering a whole published batch (`op_id`
     /// = first slot sequence in the batch, `payload[0]` = slot count).
     DoorbellCoalesce,
@@ -157,7 +162,9 @@ pub enum EventKind {
     /// The target replayed a cached AMO response (`op_id` = req id,
     /// `payload[0]` = origin pe).
     AmoReplay,
-    /// The AMO completed at the origin (`op_id` = req id).
+    /// The AMO's response reached the origin and completed it, logged
+    /// before the requester can return the value (`op_id` = req id,
+    /// `payload[0]` = responding pe).
     AmoDone,
     /// The AMO was abandoned at the origin (`op_id` = req id).
     AmoAbandon,
@@ -275,6 +282,7 @@ impl EventKind {
             EventKind::SlotDrain => "slot_drain",
             EventKind::SlotSkip => "slot_skip",
             EventKind::SlotReleaseMiss => "slot_release_miss",
+            EventKind::SlotFullWait => "slot_full_wait",
             EventKind::DoorbellCoalesce => "doorbell_coalesce",
             EventKind::GetReqTx => "get_req_tx",
             EventKind::GetChunkRx => "get_chunk_rx",
@@ -758,12 +766,15 @@ pub struct LinkMetrics {
     pub overload_sheds: AtomicU64,
     /// Retransmissions shed because the per-link retry budget ran dry.
     pub retry_sheds: AtomicU64,
+    /// Publishes that found the transmit ring full and waited for the
+    /// receiver to free their slot.
+    pub slot_full_waits: AtomicU64,
 }
 
 impl LinkMetrics {
     fn to_json(&self) -> String {
         format!(
-            "{{\"frames_tx\":{},\"frames_rx\":{},\"retransmits\":{},\"reroutes\":{},\"crc_rejects\":{},\"router_drops\":{},\"deadline_sheds\":{},\"overload_sheds\":{},\"retry_sheds\":{}}}",
+            "{{\"frames_tx\":{},\"frames_rx\":{},\"retransmits\":{},\"reroutes\":{},\"crc_rejects\":{},\"router_drops\":{},\"deadline_sheds\":{},\"overload_sheds\":{},\"retry_sheds\":{},\"slot_full_waits\":{}}}",
             get(&self.frames_tx),
             get(&self.frames_rx),
             get(&self.retransmits),
@@ -773,6 +784,7 @@ impl LinkMetrics {
             get(&self.deadline_sheds),
             get(&self.overload_sheds),
             get(&self.retry_sheds),
+            get(&self.slot_full_waits),
         )
     }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use ntb_sim::FaultPlan;
 use shmem_core::{
-    CmpOp, ReduceOp, ShmemConfig, ShmemWorld, SignalOp, TimeModel, Topology, TypedSym,
+    CmpOp, OpOptions, ReduceOp, ShmemConfig, ShmemWorld, SignalOp, TimeModel, Topology, TypedSym,
 };
 
 fn torus(model: TimeModel) -> ShmemConfig {
@@ -48,8 +48,7 @@ fn signal_never_overtakes_its_data_on_two_hop_torus_routes() {
                     ctx.put_with_signal(&data, word, &[r], &sig, 0, r, SignalOp::Set, dest)
                         .unwrap();
                     if r % 32 == 0 {
-                        // Stay inside the link credit window; 64 frames in
-                        // flight still wrap every 8-slot ring many times.
+                        // Stay inside the link credit window (256 frames).
                         ctx.quiet().unwrap();
                     }
                 }
@@ -77,6 +76,91 @@ fn signal_never_overtakes_its_data_on_two_hop_torus_routes() {
     })
     .unwrap();
     assert_eq!(stale, vec![0; 4], "a signal landed before its data (stale reads per PE)");
+}
+
+/// Two-hop nbi bursts from PE 0 to PE 3 on `torus(2, 2)` at paper timing:
+/// `bursts` bursts, each of more than four default ring depths of 8-byte
+/// puts and then a `put_with_signal`, with a `quiet` after every
+/// `quiet_every` bursts. Burst lengths vary, so signals land in every
+/// part of the ring, including just past a wrap. Returns, per PE, the
+/// stale words PE 3 read once it saw a burst's signal, whether PE 0's
+/// last `quiet` succeeded, and the PE's stats.
+fn two_hop_bursts(bursts: u64, quiet_every: u64) -> Vec<(u64, bool, shmem_core::prelude::PeStats)> {
+    let depth = ShmemConfig::fast_sim().net.tx_slots as usize;
+    let len = |b: u64| 4 * depth + 1 + (b as usize * 7) % depth;
+    let words = 5 * depth;
+    let mut cfg = torus(TimeModel::paper());
+    cfg.wait_timeout = Duration::from_secs(10);
+    ShmemWorld::run(cfg, |ctx| {
+        let data: TypedSym<u64> = ctx.calloc_array(words + 1).unwrap();
+        let sig: TypedSym<u64> = ctx.calloc_array(1).unwrap();
+        let (mut stale, mut quiet_ok) = (0u64, true);
+        match ctx.my_pe() {
+            // 0 -> 3 is two hops on torus(2, 2).
+            0 => {
+                for b in 1..=bursts {
+                    for i in 0..len(b) {
+                        ctx.put_slice_opts(&data, i, &[b], 3, OpOptions::nbi()).unwrap();
+                    }
+                    ctx.put_with_signal(&data, words, &[b], &sig, 0, b, SignalOp::Set, 3).unwrap();
+                    if b % quiet_every == 0 {
+                        quiet_ok &= ctx.quiet().is_ok();
+                    }
+                }
+                quiet_ok &= ctx.quiet().is_ok();
+            }
+            3 => {
+                let mut checked = 0;
+                while checked < bursts {
+                    let Ok(seen) = ctx.wait_until(&sig, 0, CmpOp::Ge, checked + 1) else {
+                        stale += 1;
+                        break;
+                    };
+                    stale += (0..len(seen))
+                        .chain([words])
+                        .filter(|&i| ctx.read_local(&data, i).unwrap() < seen)
+                        .count() as u64;
+                    checked = seen;
+                }
+            }
+            _ => {}
+        }
+        ctx.barrier_all().unwrap();
+        (stale, quiet_ok, ctx.stats_snapshot())
+    })
+    .unwrap()
+}
+
+/// With the default ring deep enough to hold a whole receiver wake, each
+/// burst wraps every ring on its route several times with frames in
+/// flight before its signal. The burst and its signal share one route,
+/// whose rings and forwarder hand frames on in publish order: once the
+/// target sees a burst's signal, every word of that burst is in place,
+/// and no slot is skipped or missed on the way.
+#[test]
+fn deep_ring_bursts_never_let_a_signal_overtake_their_data() {
+    let out = two_hop_bursts(64, 2);
+    assert!(out.iter().map(|(_, _, s)| s.forwards).sum::<u64>() > 0, "no forwarded traffic");
+    for (pe, (stale, quiet_ok, s)) in out.iter().enumerate() {
+        assert_eq!(*stale, 0, "pe {pe}: a signal landed before its burst's data");
+        assert!(quiet_ok, "pe {pe}: a put failed");
+        assert_eq!((s.slot_skips, s.slot_release_misses), (0, 0), "pe {pe}");
+    }
+}
+
+/// Thousands of 2-hop nbi puts with no `quiet` between bursts. Link
+/// credits only bound the frames between two neighbours: a sender on a
+/// deep ring outran the forwarder and the ack return path, their queues
+/// overflowed and shed, the retransmissions drained the retry budget and
+/// `quiet` failed with `LinkFailed`. The end-to-end put window keeps
+/// every queue on the route bounded: nothing is shed or retransmitted.
+#[test]
+fn sustained_two_hop_nbi_stream_completes() {
+    for (pe, (stale, quiet_ok, s)) in two_hop_bursts(60, u64::MAX).iter().enumerate() {
+        assert_eq!(*stale, 0, "pe {pe}: a signal landed before its burst's data");
+        assert!(quiet_ok, "pe {pe}: a put was abandoned");
+        assert_eq!((s.overload_sheds, s.retransmits), (0, 0), "pe {pe}");
+    }
 }
 
 /// Per-PE values whose sum depends on the grouping: only the ascending-PE

@@ -267,6 +267,35 @@ fn tampered_trace_fails_amo_invariant() {
     );
 }
 
+/// Regression: the AMO response used to complete the pending entry
+/// without logging anything, and the requester logged `AmoDone` only
+/// after it woke, so a snapshot could show a completed AMO with no
+/// resolution. The service thread now logs `AmoDone` under the entry
+/// lock, before the requester can return: every snapshot taken after an
+/// AMO returns holds its `AmoDone`, logged by the origin.
+#[test]
+fn every_amo_resolution_is_logged_before_the_amo_returns() {
+    const HOSTS: usize = 2;
+    let net = RingNetwork::build(NetConfig::fast(HOSTS)).unwrap();
+    net.obs_enable();
+    let _heaps = attach_heaps(&net, HOSTS);
+    for round in 0..300u64 {
+        let old = net.node(0).amo(1, AmoOp::FetchAdd, 64, 8, 1, 0).unwrap();
+        assert_eq!(old, round, "fetch-add returned a stale value");
+        let events = net.take_events();
+        let issued: Vec<u64> =
+            events.iter().filter(|e| e.kind == EventKind::AmoReqTx).map(|e| e.op_id).collect();
+        assert_eq!(issued.len(), 1, "round {round}: one AmoReqTx per AMO");
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == EventKind::AmoDone && e.op_id == issued[0] && e.pe == 0),
+            "round {round}: the AMO returned before its AmoDone was logged"
+        );
+        assert!(check(&events, HOSTS).is_clean(), "round {round}: snapshot must certify");
+    }
+}
+
 /// Ordering control: a clean trace of routed small puts certifies, and
 /// swapping two drains of the same transmit ring — the receiver handing
 /// on a later slot before an earlier one — is caught by invariant 6.
