@@ -534,15 +534,16 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
         }
         FrameKind::PutAck => {
             node.obs.emit(EventKind::AckRx, u64::from(frame.aux), [frame.src as u64, 0]);
-            // The resolution is logged under the table lock, before the
-            // woken `quiet` can return (or its caller take the trace).
+            // The resolution is logged and counted under the table lock,
+            // before the woken `quiet` can return (or its caller take the
+            // trace or a stats snapshot).
             let known = node.unacked.ack_with(frame.aux, |known| {
                 if known {
                     node.obs.emit(EventKind::PutAcked, u64::from(frame.aux), [frame.src as u64, 0]);
+                    node.count_ack();
                 }
             });
             if known {
-                node.count_ack();
                 node.trace(TraceKind::AckReceived, frame.src, frame.dest, 0);
             } else {
                 // The put was already retired by an earlier copy of this

@@ -58,13 +58,11 @@ impl Shape {
 ///
 /// Build one with [`Topology::ring`], [`Topology::torus`] or
 /// [`Topology::clique`] and hand it to `NetConfig::with_topology` or
-/// `ShmemConfig::builder().topology(..)`. The old enum-style
-/// `Topology::Ring` / `Topology::FullMesh` values survive as deprecated
-/// associated constants so existing constructors still compile.
+/// `ShmemConfig::builder().topology(..)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     shape: Shape,
-    /// Host count declared at construction; `None` for the shim consts,
+    /// Host count declared at construction; `None` for the default ring,
     /// whose size is implied by `NetConfig::hosts`.
     declared: Option<usize>,
 }
@@ -76,18 +74,6 @@ impl Default for Topology {
 }
 
 impl Topology {
-    /// Deprecated enum-style shim for the paper's ring; the size comes
-    /// from `NetConfig::hosts`.
-    #[deprecated(note = "use Topology::ring(n) instead")]
-    #[allow(non_upper_case_globals)]
-    pub const Ring: Topology = Topology { shape: Shape::Ring, declared: None };
-
-    /// Deprecated enum-style shim for the fully-cabled comparison
-    /// baseline; the size comes from `NetConfig::hosts`.
-    #[deprecated(note = "use Topology::clique(n) instead")]
-    #[allow(non_upper_case_globals)]
-    pub const FullMesh: Topology = Topology { shape: Shape::Clique, declared: None };
-
     /// A switchless ring of `n` hosts.
     pub fn ring(n: usize) -> Topology {
         assert!(
@@ -123,7 +109,7 @@ impl Topology {
     }
 
     /// Host count declared at construction, if any. A torus always knows
-    /// its size; the deprecated shim consts never do.
+    /// its size; the default ring never does.
     pub fn declared_hosts(&self) -> Option<usize> {
         match self.shape {
             Shape::Torus { rows, cols } => Some(rows * cols),
@@ -586,14 +572,6 @@ mod tests {
         assert_eq!(Topology::clique(8).declared_hosts(), Some(8));
         assert_eq!(Topology::default().declared_hosts(), None);
         assert_eq!(Topology::torus(2, 3).shape(), Shape::Torus { rows: 2, cols: 3 });
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_map_to_shapes() {
-        assert_eq!(Topology::Ring.shape(), Shape::Ring);
-        assert_eq!(Topology::FullMesh.shape(), Shape::Clique);
-        assert_eq!(Topology::Ring.declared_hosts(), None);
     }
 
     #[test]

@@ -61,47 +61,5 @@ fn bench_service_wake_delay(c: &mut Criterion) {
     group.finish();
 }
 
-/// Root-fan-out broadcast vs the ring-pipelined broadcast: on the
-/// switchless topology the root's two adapters are the fan-out
-/// bottleneck; the pipeline spreads the work over every link.
-fn bench_broadcast_algorithms(c: &mut Criterion) {
-    use shmem_core::{ShmemConfig, ShmemWorld};
-    let mut group = c.benchmark_group("ablation_broadcast");
-    group.sample_size(10);
-    for (name, pipelined) in [("root_fanout", false), ("ring_pipeline", true)] {
-        group.bench_with_input(
-            criterion::BenchmarkId::new(name, 64 << 10),
-            &pipelined,
-            |b, &pipelined| {
-                b.iter_custom(|iters| {
-                    let mut cfg =
-                        ShmemConfig::paper().with_hosts(5).with_model(TimeModel::scaled(0.05));
-                    cfg.barrier_timeout = std::time::Duration::from_secs(120);
-                    let totals = ShmemWorld::run(cfg, move |ctx| {
-                        let sym = ctx.calloc_array::<u8>(64 << 10).unwrap();
-                        let t0 = std::time::Instant::now();
-                        for _ in 0..iters {
-                            if pipelined {
-                                ctx.broadcast_ring(&sym, 0, 64 << 10, 0).unwrap();
-                            } else {
-                                ctx.broadcast(&sym, 0, 64 << 10, 0).unwrap();
-                            }
-                        }
-                        t0.elapsed()
-                    })
-                    .expect("world");
-                    totals[0]
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_get_chunk_size,
-    bench_service_wake_delay,
-    bench_broadcast_algorithms
-);
+criterion_group!(benches, bench_get_chunk_size, bench_service_wake_delay);
 criterion_main!(benches);

@@ -2,20 +2,21 @@
 //!
 //! The paper's testbed stops at a 5-host ring; this is the beyond-paper
 //! measurement that tracks how the topology-generic routing layer and the
-//! log-depth collectives behave as the simulated machine grows to 64 PEs.
+//! collectives behave as the simulated machine grows to 64 PEs.
 //! It emits `BENCH_scale.json` with:
 //!
 //! * `shmem_barrier_all` latency at 8/16/32/64 PEs on a ring under both
 //!   the paper's two-sweep algorithm and the dissemination algorithm,
 //!   and on a balanced 2-D torus (dissemination); a 16-PE clique cell
 //!   anchors the switch-like upper bound,
-//! * binomial-tree broadcast and tree allreduce latency on the same
-//!   dissemination cells,
-//! * two regression gates: the 64-PE torus dissemination barrier must
-//!   stay within [`TORUS_64V8_MAX_RATIO`]× of its 8-PE latency, and at
-//!   16 PEs the dissemination barrier on the densest cabling the
-//!   adapter budget allows (the clique) must strictly beat the paper's
-//!   two-sweep ring barrier.
+//! * `broadcast` and `allreduce` latency on the same dissemination cells,
+//! * three regression gates: the 64-PE torus dissemination barrier must
+//!   stay within [`TORUS_64V8_MAX_RATIO`]× of its 8-PE latency; at 16
+//!   PEs the dissemination barrier on the densest cabling the adapter
+//!   budget allows (the clique) must strictly beat the paper's two-sweep
+//!   ring barrier; and, whenever collectives are measured, the 64-PE
+//!   torus allreduce must cost at most [`TORUS_64_ALLREDUCE_MAX_BARRIERS`]
+//!   barriers.
 //!
 //! The torus gate is the scaling claim: dissemination rounds cost the
 //! hop distance of the round's partner, and on a torus the per-round hop
@@ -51,6 +52,10 @@ use shmem_core::{BarrierAlgorithm, ReduceOp, ShmemConfig, ShmemWorld, Topology};
 /// of the 8-PE torus barrier.
 pub const TORUS_64V8_MAX_RATIO: f64 = 4.0;
 
+/// The 64-PE torus allreduce may cost at most this multiple of the
+/// barrier on the same cell.
+pub const TORUS_64_ALLREDUCE_MAX_BARRIERS: f64 = 3.0;
+
 /// Parameters of the scale run.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
@@ -60,14 +65,15 @@ pub struct ScaleConfig {
     pub pe_counts: Vec<usize>,
     /// Timed samples per collective per cell (after one warm-up).
     pub reps: usize,
-    /// `u64` elements broadcast per tree-broadcast sample.
+    /// `u64` elements broadcast per broadcast sample.
     pub broadcast_elems: usize,
     /// Fixed modelled-latency multiplier; `None` (the default) sizes it
     /// per cell from the critical-path hop count. See the module docs.
     pub amplification: Option<f64>,
-    /// Also measure tree broadcast/allreduce on dissemination cells.
-    /// The gates only need barriers; the CI gate run turns this off.
-    pub measure_trees: bool,
+    /// Also measure broadcast/allreduce on dissemination cells (and so
+    /// gate the 64-PE torus allreduce). The barrier gates need only
+    /// barriers; the in-tree gate test turns this off.
+    pub measure_collectives: bool,
 }
 
 impl Default for ScaleConfig {
@@ -78,7 +84,7 @@ impl Default for ScaleConfig {
             reps: 8,
             broadcast_elems: 64,
             amplification: None,
-            measure_trees: true,
+            measure_collectives: true,
         }
     }
 }
@@ -154,11 +160,11 @@ pub struct ScalePoint {
     pub barrier_p50_us: f64,
     /// Mean `shmem_barrier_all` latency in microseconds.
     pub barrier_mean_us: f64,
-    /// Median tree-broadcast latency in microseconds (dissemination
-    /// cells only).
+    /// Median `broadcast` latency in microseconds (dissemination cells
+    /// only).
     pub broadcast_p50_us: Option<f64>,
-    /// Median tree-allreduce latency in microseconds (dissemination
-    /// cells only).
+    /// Median `allreduce` latency in microseconds (dissemination cells
+    /// only).
     pub reduce_p50_us: Option<f64>,
 }
 
@@ -169,6 +175,8 @@ pub struct ScaleGates {
     pub torus_8_us: Option<f64>,
     /// 64-PE torus dissemination barrier p50 (µs).
     pub torus_64_us: Option<f64>,
+    /// 64-PE torus allreduce p50 (µs), if collectives were measured.
+    pub torus_64_reduce_us: Option<f64>,
     /// 16-PE ring two-sweep barrier p50 (µs).
     pub ring_sweep_16_us: Option<f64>,
     /// 16-PE clique dissemination barrier p50 (µs).
@@ -247,13 +255,14 @@ fn algorithm_label(algorithm: BarrierAlgorithm) -> &'static str {
 }
 
 /// Time one (PE count, topology, algorithm) cell. Every PE times the
-/// same collectives; PE 0's view is summarized. Tree broadcast/reduce
+/// same collectives; PE 0's view is summarized. Broadcast and allreduce
 /// are only measured on dissemination cells — the two-sweep cells exist
-/// for the barrier-algorithm comparison. Barriers and trees run in
-/// separate worlds: a tree walks several times more hops than a barrier,
-/// so each phase gets its own amplification sized to the same wall
-/// target (one amp for both would overshoot the tree samples' wall time
-/// several-fold, or starve the barrier samples of amplification).
+/// for the barrier-algorithm comparison. Barriers and the other
+/// collectives run in separate worlds: a broadcast walks several times
+/// more hops than a barrier, so each phase gets its own amplification
+/// sized to the same wall target (one amp for both would overshoot the
+/// collective samples' wall time several-fold, or starve the barrier
+/// samples of amplification).
 fn run_cell(
     cfg: &ScaleConfig,
     pes: usize,
@@ -263,57 +272,56 @@ fn run_cell(
 ) -> ScalePoint {
     let reps = cfg.reps;
     let elems = cfg.broadcast_elems;
-    let trees = cfg.measure_trees && algorithm == BarrierAlgorithm::Dissemination;
+    let collectives = cfg.measure_collectives && algorithm == BarrierAlgorithm::Dissemination;
     let label = topology.label();
     let barrier_cp = barrier_cp_estimate(&topology, pes, algorithm);
     let amp_b = cfg.amplification.unwrap_or_else(|| auto_amplification(cfg, barrier_cp, pes));
-    let results =
-        ShmemWorld::run(world_cfg(cfg, pes, topology, algorithm, amp_b), move |ctx| {
-            ctx.barrier_all().expect("warm-up barrier");
-            let mut barrier = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                ctx.barrier_all().expect("timed barrier");
-                barrier.push(t0.elapsed());
-            }
-            barrier
-        })
-        .expect("scale world");
+    let results = ShmemWorld::run(world_cfg(cfg, pes, topology, algorithm, amp_b), move |ctx| {
+        ctx.barrier_all().expect("warm-up barrier");
+        let mut barrier = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            ctx.barrier_all().expect("timed barrier");
+            barrier.push(t0.elapsed());
+        }
+        barrier
+    })
+    .expect("scale world");
     let barrier = &results[0];
     let (mut bcast_p50, mut reduce_p50) = (None, None);
-    if trees {
-        // A binomial tree round-trips each level's puts plus the reduce's
-        // return sweep; ~4x the barrier's hop budget is close enough to
-        // size the amplification (the estimate only steers the floor
-        // share, not the reported numbers).
-        let amp_t =
+    if collectives {
+        // A broadcast is two barriers around the root's fan-out; ~4x the
+        // barrier's hop budget is close enough to size the amplification
+        // (the estimate only steers the floor share, not the reported
+        // numbers).
+        let amp_c =
             cfg.amplification.unwrap_or_else(|| auto_amplification(cfg, barrier_cp * 4, pes));
-        let tree_results =
-            ShmemWorld::run(world_cfg(cfg, pes, topology, algorithm, amp_t), move |ctx| {
-                ctx.barrier_all().expect("tree-world warm-up barrier");
+        let coll_results =
+            ShmemWorld::run(world_cfg(cfg, pes, topology, algorithm, amp_c), move |ctx| {
+                ctx.barrier_all().expect("collective-world warm-up barrier");
                 let sym = ctx.calloc_array::<u64>(elems).expect("broadcast buffer");
-                ctx.broadcast_tree(&sym, 0, elems, 0).expect("warm-up broadcast");
+                ctx.broadcast(&sym, 0, elems, 0).expect("warm-up broadcast");
                 let mut bcast = Vec::with_capacity(reps);
                 for _ in 0..reps {
                     let t0 = Instant::now();
-                    ctx.broadcast_tree(&sym, 0, elems, 0).expect("timed broadcast");
+                    ctx.broadcast(&sym, 0, elems, 0).expect("timed broadcast");
                     bcast.push(t0.elapsed());
                 }
                 ctx.free_array(sym).expect("free broadcast buffer");
                 let src: Vec<u64> = vec![ctx.my_pe() as u64; 8];
-                ctx.allreduce_tree(ReduceOp::Sum, &src).expect("warm-up reduce");
+                ctx.allreduce(ReduceOp::Sum, &src).expect("warm-up reduce");
                 let mut reduce = Vec::with_capacity(reps);
                 for _ in 0..reps {
                     let t0 = Instant::now();
-                    ctx.allreduce_tree(ReduceOp::Sum, &src).expect("timed reduce");
+                    ctx.allreduce(ReduceOp::Sum, &src).expect("timed reduce");
                     reduce.push(t0.elapsed());
                 }
                 (bcast, reduce)
             })
-            .expect("scale tree world");
-        let (bcast, reduce) = &tree_results[0];
-        bcast_p50 = Some(p50_us(bcast) / amp_t);
-        reduce_p50 = Some(p50_us(reduce) / amp_t);
+            .expect("scale collective world");
+        let (bcast, reduce) = &coll_results[0];
+        bcast_p50 = Some(p50_us(bcast) / amp_c);
+        reduce_p50 = Some(p50_us(reduce) / amp_c);
     }
     ScalePoint {
         pes,
@@ -330,16 +338,15 @@ fn run_cell(
 impl ScaleGates {
     fn from_points(points: &[ScalePoint]) -> ScaleGates {
         let find = |shape: &str, algorithm: &str, pes: usize| {
-            points
-                .iter()
-                .find(|p| p.shape == shape && p.algorithm == algorithm && p.pes == pes)
-                .map(|p| p.barrier_p50_us)
+            points.iter().find(|p| p.shape == shape && p.algorithm == algorithm && p.pes == pes)
         };
+        let barrier = |shape, algorithm, pes| find(shape, algorithm, pes).map(|p| p.barrier_p50_us);
         ScaleGates {
-            torus_8_us: find("torus", "dissemination", 8),
-            torus_64_us: find("torus", "dissemination", 64),
-            ring_sweep_16_us: find("ring", "ring-sweep", 16),
-            clique_16_us: find("clique", "dissemination", 16),
+            torus_8_us: barrier("torus", "dissemination", 8),
+            torus_64_us: barrier("torus", "dissemination", 64),
+            torus_64_reduce_us: find("torus", "dissemination", 64).and_then(|p| p.reduce_p50_us),
+            ring_sweep_16_us: barrier("ring", "ring-sweep", 16),
+            clique_16_us: barrier("clique", "dissemination", 16),
         }
     }
 
@@ -347,6 +354,15 @@ impl ScaleGates {
     pub fn torus_64v8_ratio(&self) -> Option<f64> {
         match (self.torus_8_us, self.torus_64_us) {
             (Some(a), Some(b)) if a > 0.0 => Some(b / a),
+            _ => None,
+        }
+    }
+
+    /// 64-PE torus allreduce-to-barrier ratio, if collectives were
+    /// measured on that cell.
+    pub fn torus_64_allreduce_vs_barrier(&self) -> Option<f64> {
+        match (self.torus_64_us, self.torus_64_reduce_us) {
+            (Some(b), Some(r)) if b > 0.0 => Some(r / b),
             _ => None,
         }
     }
@@ -387,7 +403,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
 }
 
 impl ScaleResult {
-    /// Check both regression gates; `Err` describes the first failure.
+    /// Check the regression gates; `Err` describes the first failure.
     pub fn check_gates(&self) -> Result<(), String> {
         let ratio = self
             .gates
@@ -414,6 +430,14 @@ impl ScaleResult {
                 "dissemination barrier ({diss:.1} µs on the 16-PE clique) did not beat \
                  the two-sweep ring barrier ({sweep:.1} µs) at 16 PEs"
             ));
+        }
+        if let Some(ratio) = self.gates.torus_64_allreduce_vs_barrier() {
+            if ratio > TORUS_64_ALLREDUCE_MAX_BARRIERS {
+                return Err(format!(
+                    "64-PE torus allreduce cost {ratio:.2}x its barrier \
+                     (max {TORUS_64_ALLREDUCE_MAX_BARRIERS:.1}x)"
+                ));
+            }
         }
         Ok(())
     }
@@ -449,6 +473,11 @@ impl ScaleResult {
         if let (Some(s), Some(d)) = (self.gates.ring_sweep_16_us, self.gates.clique_16_us) {
             out.push_str(&format!(
                 "  16-PE barrier: clique dissemination {d:.1} µs vs ring two-sweep {s:.1} µs\n"
+            ));
+        }
+        if let Some(ratio) = self.gates.torus_64_allreduce_vs_barrier() {
+            out.push_str(&format!(
+                "  64-PE torus allreduce vs barrier: {ratio:.2}x (max {TORUS_64_ALLREDUCE_MAX_BARRIERS:.1}x)\n"
             ));
         }
         out
@@ -488,6 +517,8 @@ impl ScaleResult {
              \"torus_64_vs_8_max_ratio\": {TORUS_64V8_MAX_RATIO:.1},\n    \
              \"ring_sweep_p50_us_16\": {},\n    \
              \"clique_dissemination_p50_us_16\": {},\n    \
+             \"torus_64_allreduce_vs_barrier\": {},\n    \
+             \"torus_64_allreduce_vs_barrier_max\": {TORUS_64_ALLREDUCE_MAX_BARRIERS:.1},\n    \
              \"gates_pass\": {}\n  }}\n}}\n",
             points.join(",\n"),
             opt(self.gates.torus_8_us),
@@ -495,6 +526,7 @@ impl ScaleResult {
             opt(self.gates.torus_64v8_ratio()),
             opt(self.gates.ring_sweep_16_us),
             opt(self.gates.clique_16_us),
+            opt(self.gates.torus_64_allreduce_vs_barrier()),
             self.check_gates().is_ok(),
         )
     }
@@ -511,7 +543,7 @@ mod tests {
             reps: 4,
             broadcast_elems: 16,
             amplification: Some(1.0),
-            measure_trees: true,
+            measure_collectives: true,
         }
     }
 
@@ -574,7 +606,7 @@ mod tests {
                 reps: 6,
                 broadcast_elems: 16,
                 amplification: None,
-                measure_trees: false,
+                measure_collectives: false,
             };
             run_scale(&cfg).check_gates()
         });
@@ -591,7 +623,7 @@ mod tests {
                 reps: 4,
                 broadcast_elems: 16,
                 amplification: Some(amp),
-                measure_trees: false,
+                measure_collectives: false,
             };
             let p8 =
                 run_cell(&cfg, 8, Topology::torus(2, 4), "torus", BarrierAlgorithm::Dissemination);
@@ -622,12 +654,15 @@ mod tests {
             gates: ScaleGates {
                 torus_8_us: Some(10.0),
                 torus_64_us: Some(30.0),
+                torus_64_reduce_us: Some(60.0),
                 ring_sweep_16_us: Some(100.0),
                 clique_16_us: Some(20.0),
             },
         };
         let json = r.to_json();
         assert!(json.contains("\"torus_64_vs_8_ratio\": 3.000"));
+        assert!(json.contains("\"torus_64_allreduce_vs_barrier\": 2.000"));
+        assert!(json.contains("\"torus_64_allreduce_vs_barrier_max\": 3.0"));
         assert!(json.contains("\"clique_dissemination_p50_us_16\": 20.000"));
         assert!(json.contains("\"torus_64_vs_8_max_ratio\": 4.0"));
         assert!(json.contains("\"gates_pass\": true"));
@@ -640,6 +675,7 @@ mod tests {
         let mut gates = ScaleGates {
             torus_8_us: Some(10.0),
             torus_64_us: Some(50.0),
+            torus_64_reduce_us: None,
             ring_sweep_16_us: Some(100.0),
             clique_16_us: Some(20.0),
         };
@@ -651,5 +687,10 @@ mod tests {
         let fail = ScaleResult { points: vec![], gates };
         let err = fail.check_gates().expect_err("slower dissemination must fail");
         assert!(err.contains("did not beat"), "unexpected message: {err}");
+        gates.clique_16_us = Some(20.0);
+        gates.torus_64_reduce_us = Some(100.0);
+        let fail = ScaleResult { points: vec![], gates };
+        let err = fail.check_gates().expect_err("a 3.33x allreduce must fail");
+        assert!(err.contains("3.33x its barrier"), "unexpected message: {err}");
     }
 }

@@ -390,26 +390,29 @@ c_atomic!(
     shmem_ulong_atomic_set
 );
 
-/// Reduction routines for one C type name.
+/// Reduction routines for one C type name: all PEs receive the result
+/// of [`ShmemCtx::allreduce`]. Generates the
+/// classic `shmem_TYPE_OP_to_all` names and the OpenSHMEM 1.5
+/// `shmem_TYPE_OP_reduce` names alike.
 macro_rules! c_reduce {
     ($t:ty, $sum:ident, $prod:ident, $min:ident, $max:ident) => {
         impl<'a> CApi<'a> {
-            /// `shmem_TYPE_sum_to_all(...)` — all PEs receive the sum.
+            #[doc = concat!("`", stringify!($sum), "`: all PEs receive the sum.")]
             pub fn $sum(&self, src: &[$t]) -> Result<Vec<$t>> {
                 self.ctx.allreduce(ReduceOp::Sum, src)
             }
 
-            /// `shmem_TYPE_prod_to_all(...)`.
+            #[doc = concat!("`", stringify!($prod), "`: all PEs receive the product.")]
             pub fn $prod(&self, src: &[$t]) -> Result<Vec<$t>> {
                 self.ctx.allreduce(ReduceOp::Prod, src)
             }
 
-            /// `shmem_TYPE_min_to_all(...)`.
+            #[doc = concat!("`", stringify!($min), "`: all PEs receive the minimum.")]
             pub fn $min(&self, src: &[$t]) -> Result<Vec<$t>> {
                 self.ctx.allreduce(ReduceOp::Min, src)
             }
 
-            /// `shmem_TYPE_max_to_all(...)`.
+            #[doc = concat!("`", stringify!($max), "`: all PEs receive the maximum.")]
             pub fn $max(&self, src: &[$t]) -> Result<Vec<$t>> {
                 self.ctx.allreduce(ReduceOp::Max, src)
             }
@@ -445,58 +448,28 @@ c_reduce!(
     shmem_double_min_to_all,
     shmem_double_max_to_all
 );
-
-/// The OpenSHMEM 1.5 `shmem_TYPE_OP_reduce` typed wrappers (the modern
-/// names for the classic `_to_all` calls), served by the log-depth
-/// binomial tree rather than the linear gather.
-macro_rules! c_reduce15 {
-    ($t:ty, $sum:ident, $prod:ident, $min:ident, $max:ident) => {
-        impl<'a> CApi<'a> {
-            /// `shmem_TYPE_sum_reduce(team, dest, source, nreduce)`.
-            pub fn $sum(&self, src: &[$t]) -> Result<Vec<$t>> {
-                self.ctx.allreduce_tree(ReduceOp::Sum, src)
-            }
-
-            /// `shmem_TYPE_prod_reduce(...)`.
-            pub fn $prod(&self, src: &[$t]) -> Result<Vec<$t>> {
-                self.ctx.allreduce_tree(ReduceOp::Prod, src)
-            }
-
-            /// `shmem_TYPE_min_reduce(...)`.
-            pub fn $min(&self, src: &[$t]) -> Result<Vec<$t>> {
-                self.ctx.allreduce_tree(ReduceOp::Min, src)
-            }
-
-            /// `shmem_TYPE_max_reduce(...)`.
-            pub fn $max(&self, src: &[$t]) -> Result<Vec<$t>> {
-                self.ctx.allreduce_tree(ReduceOp::Max, src)
-            }
-        }
-    };
-}
-
-c_reduce15!(
+c_reduce!(
     i32,
     shmem_int_sum_reduce,
     shmem_int_prod_reduce,
     shmem_int_min_reduce,
     shmem_int_max_reduce
 );
-c_reduce15!(
+c_reduce!(
     i64,
     shmem_long_sum_reduce,
     shmem_long_prod_reduce,
     shmem_long_min_reduce,
     shmem_long_max_reduce
 );
-c_reduce15!(
+c_reduce!(
     u64,
     shmem_uint64_sum_reduce,
     shmem_uint64_prod_reduce,
     shmem_uint64_min_reduce,
     shmem_uint64_max_reduce
 );
-c_reduce15!(
+c_reduce!(
     f64,
     shmem_double_sum_reduce,
     shmem_double_prod_reduce,
@@ -553,10 +526,9 @@ impl<'a> CApi<'a> {
     }
 
     /// `shmem_broadcastmem(dest == source here, nelems, root)`: the
-    /// OpenSHMEM 1.5 byte-granular broadcast, served by the log-depth
-    /// binomial tree.
+    /// OpenSHMEM 1.5 byte-granular broadcast.
     pub fn shmem_broadcastmem(&self, sym: &TypedSym<u8>, nelems: usize, root: i32) -> Result<()> {
-        self.ctx.broadcast_tree(sym, 0, nelems, root as usize)
+        self.ctx.broadcast(sym, 0, nelems, root as usize)
     }
 
     /// `shmem_team_sync(team)`: OpenSHMEM 1.5 team synchronization.

@@ -9,11 +9,18 @@
 //! or allocation: each PE `put_with_signal`s its block into collective
 //! scratch reserved before user code runs (or at team creation) and waits
 //! on monotone epoch signals — the reserved work arrays and flag signals
-//! of the OpenSHMEM `pSync`/`pWrk` model. The other collectives still
-//! take the simplest correct shape: data moves with puts, and entry/exit
-//! barriers (or the barriers of their scratch allocation) provide the
-//! synchronization the OpenSHMEM collectives specify over their active
-//! set (here always the full world, as in the paper).
+//! of the OpenSHMEM `pSync`/`pWrk` model.
+//!
+//! Each collective has one implementation, and none allocates per call.
+//! [`broadcast_value`](ShmemCtx::broadcast_value) and
+//! [`reduce_to_root`](ShmemCtx::reduce_to_root) are allreduces, and
+//! [`collect`](ShmemCtx::collect) exchanges its sizes with one allreduce
+//! and closes with one exit barrier. [`broadcast`](ShmemCtx::broadcast),
+//! [`fcollect`](ShmemCtx::fcollect) and [`alltoall`](ShmemCtx::alltoall)
+//! still take the simplest correct shape: data moves with puts, and
+//! entry/exit barriers provide the synchronization the OpenSHMEM
+//! collectives specify over their active set (here always the full
+//! world, as in the paper).
 //!
 //! Under a degraded membership (a PE confirmed dead by the heartbeat
 //! detector) the data-movement loops address the **live** PEs only, or
@@ -229,12 +236,7 @@ impl ShmemCtx {
         count: usize,
         root: usize,
     ) -> Result<()> {
-        self.check_pe(root)?;
-        if !self.is_pe_live(root) {
-            // No policy can help: the data source itself is gone.
-            // RESOLVES(none): pre-flight check, before any put is issued.
-            return Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() });
-        }
+        self.check_live_root(root)?;
         let peers = self.collective_peers()?;
         // Entry barrier: everyone's buffers are ready to be overwritten.
         self.barrier_all()?;
@@ -469,89 +471,35 @@ impl ShmemCtx {
         }
     }
 
-    /// Ring-pipelined broadcast: the natural broadcast for the switchless
-    /// topology. Instead of the root issuing N-1 puts (all of which leave
-    /// through the root's two adapters), the payload travels **once**
-    /// around the ring: the root puts to its right neighbour with a
-    /// signal; each PE waits for the signal, forwards to *its* right
-    /// neighbour, and is done. Per-PE link work is constant, so large
-    /// broadcasts scale with the ring instead of bottlenecking the root.
-    /// Collective (allocates an internal signal word).
-    pub fn broadcast_ring<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        count: usize,
-        root: usize,
-    ) -> Result<()> {
-        use crate::signal::SignalOp;
-        use crate::sync::CmpOp;
-        self.check_pe(root)?;
-        let n = self.num_pes();
-        if self.collective_peers()?.len() < n {
-            // The pipeline is structural (every PE forwards to its right
-            // neighbour), so a dead PE breaks it; fall back to the flat
-            // root-fanout broadcast over the live membership.
-            return self.broadcast(sym, index, count, root);
-        }
-        let sig: TypedSym<u64> = self.calloc_array(1)?; // collective + entry sync
-        let result = (|| {
-            if n == 1 {
-                return Ok(());
-            }
-            let me = self.my_pe();
-            let right = (me + 1) % n;
-            // Rank positions along the pipeline, starting at the root.
-            let rank = (me + n - root) % n;
-            if rank == 0 {
-                let data = self.read_local_slice(sym, index, count)?;
-                self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, right)?;
-            } else {
-                self.signal_wait_until(&sig, 0, CmpOp::Eq, 1u64)?;
-                if rank + 1 < n {
-                    // Forward the (now local) payload down the pipeline.
-                    let data = self.read_local_slice(sym, index, count)?;
-                    self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, right)?;
-                }
-            }
-            Ok(())
-        })();
-        // Exit sync doubles as the signal-word teardown barrier.
-        self.free_array(sig)?;
-        result
-    }
-
     /// `shmem_collect`: concatenate *variable-length* per-PE
     /// contributions in PE order into every PE's copy of `dest`.
     /// `dest.count()` must be at least the global total. Returns the
-    /// total number of collected elements. Collective (exchanges sizes
-    /// through an internal symmetric array first).
+    /// total number of collected elements. Collective, with one barrier
+    /// and no allocation: the sizes travel in one [`Self::allreduce`] of
+    /// a one-hot size vector, the blocks follow as puts, and the exit
+    /// barrier makes them visible.
     pub fn collect<T: ShmemScalar>(&self, dest: &TypedSym<T>, src: &[T]) -> Result<usize> {
-        let n = self.num_pes();
-        // Phase 1: everyone learns everyone's contribution size.
-        let sizes: TypedSym<u64> = self.calloc_array(n)?;
-        let result = (|| {
-            self.fcollect(&sizes, &[src.len() as u64])?;
-            let all_sizes = self.read_local_slice::<u64>(&sizes, 0, n)?;
-            let total: u64 = all_sizes.iter().sum();
-            if total as usize > dest.count() {
-                return Err(ShmemError::Runtime("collect: dest too small for the global total"));
+        let me = self.my_pe();
+        let mut sizes = vec![0u64; self.num_pes()];
+        sizes[me] = src.len() as u64;
+        // A dead PE contributes nothing, so its size stays zero and it
+        // adds nothing to the offsets. The allreduce completes only once
+        // every live PE has entered the call, so every `dest` is ready
+        // to be overwritten: no entry barrier is needed.
+        let sizes = self.allreduce(ReduceOp::Sum, &sizes)?;
+        let total: u64 = sizes.iter().sum();
+        if total as usize > dest.count() {
+            return Err(ShmemError::Runtime("collect: dest too small for the global total"));
+        }
+        let my_off = sizes[..me].iter().sum::<u64>() as usize;
+        self.write_local_slice(dest, my_off, src)?;
+        for pe in self.collective_peers()? {
+            if pe != me {
+                self.put_slice(dest, my_off, src, pe)?;
             }
-            let my_off: u64 = all_sizes[..self.my_pe()].iter().sum();
-            // Phase 2: everyone places its block at its prefix offset on
-            // every (live) PE. A dead PE's size slot stayed zero in the
-            // fcollect, so it contributes nothing to the offsets.
-            self.write_local_slice(dest, my_off as usize, src)?;
-            for pe in self.collective_peers()? {
-                if pe != self.my_pe() {
-                    self.put_slice(dest, my_off as usize, src, pe)?;
-                }
-            }
-            self.barrier_all()?;
-            Ok(total as usize)
-        })();
-        self.free_array(sizes)?;
-        result
+        }
+        self.barrier_all()?;
+        Ok(total as usize)
     }
 
     /// Reduce to `root` only (other PEs get `None`). Collective.
@@ -566,164 +514,29 @@ impl ShmemCtx {
         Ok((self.my_pe() == root).then_some(full))
     }
 
-    /// Binomial-tree broadcast: log₂N rounds instead of the flat root
-    /// fan-out. Round *k* doubles the set of PEs holding the payload:
-    /// every holder with tree rank `r` sends to rank `r + 2^k` (for
-    /// `2^k > r`), so the root's adapters stop being the bottleneck and
-    /// latency grows with the tree depth, not the PE count. Ranks are
-    /// positions in the **live** PE list rotated so the root is rank 0,
-    /// which honours [`DegradedPolicy`](crate::config::DegradedPolicy)
-    /// exactly like the flat [`Self::broadcast`]. Collective (allocates
-    /// an internal signal word).
-    pub fn broadcast_tree<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        count: usize,
-        root: usize,
-    ) -> Result<()> {
-        use crate::signal::SignalOp;
-        use crate::sync::CmpOp;
-        self.check_pe(root)?;
-        if !self.is_pe_live(root) {
-            // No policy can help: the data source itself is gone.
-            // RESOLVES(none): pre-flight check, before any put is issued.
-            return Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() });
-        }
-        let peers = self.collective_peers()?;
-        let sig: TypedSym<u64> = self.calloc_array(1)?; // collective + entry sync
-        let result = (|| {
-            let m = peers.len();
-            // lint: unwrap-ok(the root passed the liveness gate above, so
-            // it is present in the live list)
-            let root_idx = peers.iter().position(|&p| p == root).unwrap();
-            let Some(pos) = peers.iter().position(|&p| p == self.my_pe()) else {
-                // Not in the live set (mid-rejoin): sit the data phase
-                // out; the alloc/free barriers still synchronize us.
-                return Ok(());
-            };
-            let rank = (pos + m - root_idx) % m;
-            if rank != 0 {
-                self.signal_wait_until(&sig, 0, CmpOp::Eq, 1u64)?;
-            }
-            let data = self.read_local_slice(sym, index, count)?;
-            let mut step = 1usize;
-            while step < m {
-                if step > rank && rank + step < m {
-                    let dest = peers[(root_idx + rank + step) % m];
-                    self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, dest)?;
-                }
-                step <<= 1;
-            }
-            Ok(())
-        })();
-        // Exit sync doubles as the signal-word teardown barrier.
-        self.free_array(sig)?;
-        result
-    }
-
-    /// Binomial-tree reduction to `root` (other PEs get `None`): log₂N
-    /// combining rounds, each PE sends its partial exactly once to its
-    /// tree parent. Dead PEs are excluded from the tree entirely (their
-    /// contribution is dropped, like [`Self::allreduce`]). Collective
-    /// (allocates internal scratch).
-    pub fn reduce_tree<T: ShmemReduce>(
-        &self,
-        op: ReduceOp,
-        src: &[T],
-        root: usize,
-    ) -> Result<Option<Vec<T>>> {
-        use crate::signal::SignalOp;
-        use crate::sync::CmpOp;
-        self.check_pe(root)?;
-        if !self.is_pe_live(root) {
-            // RESOLVES(none): pre-flight check, before any put is issued.
-            return Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() });
-        }
-        let peers = self.collective_peers()?;
-        let len = src.len();
-        let rounds = peers.len().next_power_of_two().trailing_zeros() as usize;
-        // Per-round landing slots: the child of round k writes its partial
-        // into slot k of its parent, so rounds never alias each other.
-        let scratch: TypedSym<T> = self.calloc_array(len * rounds.max(1))?;
-        let sig: TypedSym<u64> = self.calloc_array(rounds.max(1))?;
-        let result = (|| {
-            let m = peers.len();
-            // lint: unwrap-ok(the root passed the liveness gate above, so
-            // it is present in the live list)
-            let root_idx = peers.iter().position(|&p| p == root).unwrap();
-            let Some(pos) = peers.iter().position(|&p| p == self.my_pe()) else {
-                return Ok(None);
-            };
-            let rank = (pos + m - root_idx) % m;
-            let mut acc = src.to_vec();
-            for k in 0..rounds {
-                let step = 1usize << k;
-                if rank & step != 0 {
-                    // My turn to fold into the parent and retire.
-                    let parent = peers[(root_idx + rank - step) % m];
-                    self.put_with_signal(
-                        &scratch,
-                        k * len,
-                        &acc,
-                        &sig,
-                        k,
-                        1u64,
-                        SignalOp::Set,
-                        parent,
-                    )?;
-                    break;
-                }
-                if rank + step < m {
-                    self.signal_wait_until(&sig, k, CmpOp::Eq, 1u64)?;
-                    let part = self.read_local_slice(&scratch, k * len, len)?;
-                    for (a, b) in acc.iter_mut().zip(part) {
-                        *a = T::combine(op, *a, b);
-                    }
-                }
-            }
-            Ok((rank == 0).then_some(acc))
-        })();
-        self.free_array(sig)?;
-        self.free_array(scratch)?;
-        result
-    }
-
-    /// Log-depth all-reduce: a binomial [`Self::reduce_tree`] to the
-    /// lowest live PE followed by a [`Self::broadcast_tree`] of the
-    /// result — 2·log₂N rounds total, versus the linear gather of
-    /// [`Self::allreduce`]. Collective (allocates internal scratch).
-    pub fn allreduce_tree<T: ShmemReduce>(&self, op: ReduceOp, src: &[T]) -> Result<Vec<T>> {
-        let peers = self.collective_peers()?;
-        // lint: unwrap-ok(the calling PE is alive, so the live list is
-        // never empty)
-        let root = *peers.first().unwrap();
-        let reduced = self.reduce_tree(op, src, root)?;
-        let scratch: TypedSym<T> = self.calloc_array(src.len())?;
-        let result = (|| {
-            if let Some(v) = &reduced {
-                self.write_local_slice(&scratch, 0, v)?;
-            }
-            self.broadcast_tree(&scratch, 0, src.len(), root)?;
-            self.read_local_slice(&scratch, 0, src.len())
-        })();
-        self.free_array(scratch)?;
-        result
-    }
-
     /// Convenience: broadcast one value from `root` to every PE and
-    /// return it. Collective (allocates internal scratch).
+    /// return it. Collective, but it allocates nothing and makes no
+    /// barrier: the value's bytes travel in a wrapping `u8` sum
+    /// [`Self::allreduce`] to which every PE but `root` contributes zeros.
     pub fn broadcast_value<T: ShmemScalar>(&self, value: T, root: usize) -> Result<T> {
-        let scratch: TypedSym<T> = self.malloc_array(1)?;
-        let result = (|| {
-            if self.my_pe() == root {
-                self.write_local(&scratch, 0, value)?;
-            }
-            self.broadcast(&scratch, 0, 1, root)?;
-            self.read_local(&scratch, 0)
-        })();
-        self.free_array(scratch)?;
-        result
+        self.check_live_root(root)?;
+        let mut bytes = T::slice_to_bytes(&[value]);
+        if self.my_pe() != root {
+            bytes.fill(0);
+        }
+        let bytes = self.allreduce(ReduceOp::Sum, &bytes)?;
+        Ok(T::load_le(&bytes))
+    }
+
+    /// A broadcast root must be a PE of the world and live: no policy
+    /// can help when the data source itself is gone.
+    fn check_live_root(&self, root: usize) -> Result<()> {
+        self.check_pe(root)?;
+        if !self.is_pe_live(root) {
+            // RESOLVES(none): pre-flight check, before any put is issued.
+            return Err(ShmemError::PeFailed { pe: root, epoch: self.membership_epoch() });
+        }
+        Ok(())
     }
 }
 

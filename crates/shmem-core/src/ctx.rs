@@ -30,9 +30,7 @@ use crate::heap::SymmetricHeap;
 use crate::symmetric::{SymAddr, TypedSym};
 use crate::types::ShmemScalar;
 
-/// Per-operation options for put/get, replacing the old
-/// `put_slice` / `put_slice_with_mode` / `put_slice_nbi` triplet (and its
-/// get-side mirror) with one builder:
+/// Per-operation options for put/get, set with one builder:
 ///
 /// ```
 /// use shmem_core::prelude::*;
@@ -427,19 +425,6 @@ impl ShmemCtx {
         Ok(())
     }
 
-    /// `shmem_TYPE_put` with an explicit transfer mode.
-    #[deprecated(since = "0.1.0", note = "use put_slice_opts with OpOptions::new().mode(..)")]
-    pub fn put_slice_with_mode<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        data: &[T],
-        pe: usize,
-        mode: TransferMode,
-    ) -> Result<()> {
-        self.put_slice_opts(sym, index, data, pe, OpOptions::new().mode(mode))
-    }
-
     /// `shmem_TYPE_put` with the default transfer mode.
     ///
     /// ```
@@ -475,20 +460,6 @@ impl ShmemCtx {
         pe: usize,
     ) -> Result<()> {
         self.put_slice(sym, index, &[value], pe)
-    }
-
-    /// Non-blocking put (`shmem_TYPE_put_nbi`): equivalent to
-    /// `put_slice_opts` with [`OpOptions::nbi`] — the doorbell is
-    /// deferred and `quiet` is the completion point.
-    #[deprecated(since = "0.1.0", note = "use put_slice_opts with OpOptions::nbi()")]
-    pub fn put_slice_nbi<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        data: &[T],
-        pe: usize,
-    ) -> Result<()> {
-        self.put_slice_opts(sym, index, data, pe, OpOptions::nbi())
     }
 
     /// `shmem_TYPE_get` with explicit [`OpOptions`]: copy `count`
@@ -532,19 +503,6 @@ impl ShmemCtx {
         Ok(T::bytes_to_vec(&bytes))
     }
 
-    /// `shmem_TYPE_get` with an explicit transfer mode.
-    #[deprecated(since = "0.1.0", note = "use get_slice_opts with OpOptions::new().mode(..)")]
-    pub fn get_slice_with_mode<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        count: usize,
-        pe: usize,
-        mode: TransferMode,
-    ) -> Result<Vec<T>> {
-        self.get_slice_opts(sym, index, count, pe, OpOptions::new().mode(mode))
-    }
-
     /// `shmem_TYPE_get` with the default transfer mode.
     ///
     /// ```
@@ -573,19 +531,6 @@ impl ShmemCtx {
     /// Get a single element (`shmem_TYPE_g`).
     pub fn get<T: ShmemScalar>(&self, sym: &TypedSym<T>, index: usize, pe: usize) -> Result<T> {
         Ok(self.get_slice(sym, index, 1, pe)?[0])
-    }
-
-    /// Non-blocking get (`shmem_TYPE_get_nbi`); completion at `quiet`.
-    /// This model completes it eagerly (see [`OpOptions::nbi`]).
-    #[deprecated(since = "0.1.0", note = "use get_slice_opts with OpOptions::nbi()")]
-    pub fn get_slice_nbi<T: ShmemScalar>(
-        &self,
-        sym: &TypedSym<T>,
-        index: usize,
-        count: usize,
-        pe: usize,
-    ) -> Result<Vec<T>> {
-        self.get_slice_opts(sym, index, count, pe, OpOptions::nbi())
     }
 
     // ------------------------------------------------------------------

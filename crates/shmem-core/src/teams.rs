@@ -7,8 +7,11 @@
 //! created collectively over the **whole world** — exactly like classic
 //! SHMEM requires `pSync` to be symmetric even on PEs outside the set.
 //!
+//! Each team collective has one implementation.
 //! [`team_allreduce`](ShmemCtx::team_allreduce) runs on collective
-//! scratch reserved at team creation, so it needs no barrier at all.
+//! scratch reserved at team creation, so it needs no barrier at all;
+//! [`team_broadcast`](ShmemCtx::team_broadcast) is a root fan-out between
+//! two team barriers.
 //!
 //! Subset barriers cannot ride the physical barrier doorbells (those
 //! implement the paper's whole-world ring sweep), so team barriers use the
@@ -194,134 +197,6 @@ impl ShmemCtx {
     /// already provides).
     pub fn team_sync(&self, team: &Team) -> Result<()> {
         self.team_barrier(team)
-    }
-
-    /// Binomial-tree broadcast over the team: log₂(size) rounds, every
-    /// holder with tree rank `r` forwards to rank `r + 2^k`, ranks
-    /// rotated so `root_rank` is rank 0. Collective over the **world**
-    /// (allocates a symmetric signal word); non-members only participate
-    /// in the allocation barriers.
-    pub fn team_broadcast_tree<T: ShmemScalar>(
-        &self,
-        team: &Team,
-        sym: &TypedSym<T>,
-        index: usize,
-        count: usize,
-        root_rank: usize,
-    ) -> Result<()> {
-        use crate::signal::SignalOp;
-        if root_rank >= team.size() {
-            return Err(ShmemError::Runtime("broadcast root outside the team"));
-        }
-        let sig: TypedSym<u64> = self.calloc_array(1)?; // collective + entry sync
-        let result = (|| {
-            let Some(rank_abs) = team.my_rank else {
-                return Ok(());
-            };
-            let m = team.size();
-            let rank = (rank_abs + m - root_rank) % m;
-            if rank != 0 {
-                self.signal_wait_until(&sig, 0, CmpOp::Eq, 1u64)?;
-            }
-            let data = self.read_local_slice(sym, index, count)?;
-            let mut step = 1usize;
-            while step < m {
-                if step > rank && rank + step < m {
-                    let dest = team.set.member((root_rank + rank + step) % m);
-                    self.put_with_signal(sym, index, &data, &sig, 0, 1u64, SignalOp::Set, dest)?;
-                }
-                step <<= 1;
-            }
-            Ok(())
-        })();
-        // Exit sync doubles as the signal-word teardown barrier.
-        self.free_array(sig)?;
-        result
-    }
-
-    /// Log-depth all-reduce over the team: a binomial reduce to rank 0
-    /// followed by a tree broadcast of the result — 2·log₂(size) rounds
-    /// versus the linear gather of [`Self::team_allreduce`]. Members get
-    /// the result, non-members `None`. Collective over the **world**
-    /// (allocates symmetric scratch).
-    pub fn team_allreduce_tree<T: ShmemReduce>(
-        &self,
-        team: &Team,
-        op: ReduceOp,
-        src: &[T],
-    ) -> Result<Option<Vec<T>>> {
-        use crate::signal::SignalOp;
-        let len = src.len();
-        let rounds = team.size().next_power_of_two().trailing_zeros() as usize;
-        let scratch: TypedSym<T> = self.calloc_array(len * rounds.max(1) + len)?;
-        // One signal word per reduce round plus one for the broadcast
-        // phase — everything is allocated up front so members and
-        // non-members execute the same (collective) alloc/free sequence.
-        let sig: TypedSym<u64> = self.calloc_array(rounds.max(1) + 1)?;
-        let result = (|| {
-            let Some(rank) = team.my_rank else {
-                return Ok(None);
-            };
-            let m = team.size();
-            let mut acc = src.to_vec();
-            for k in 0..rounds {
-                let step = 1usize << k;
-                if rank & step != 0 {
-                    // Fold into the round-k parent and retire.
-                    let parent = team.set.member(rank - step);
-                    self.put_with_signal(
-                        &scratch,
-                        k * len,
-                        &acc,
-                        &sig,
-                        k,
-                        1u64,
-                        SignalOp::Set,
-                        parent,
-                    )?;
-                    break;
-                }
-                if rank + step < m {
-                    self.signal_wait_until(&sig, k, CmpOp::Eq, 1u64)?;
-                    let part = self.read_local_slice(&scratch, k * len, len)?;
-                    for (a, b) in acc.iter_mut().zip(part) {
-                        *a = T::combine(op, *a, b);
-                    }
-                }
-            }
-            // Rank 0 holds the full result in the trailing scratch slot;
-            // tree-broadcast it back down the same binomial shape using
-            // the pre-allocated broadcast signal word.
-            let slot = rounds.max(1) * len;
-            let bsig = rounds.max(1);
-            if rank == 0 {
-                self.write_local_slice(&scratch, slot, &acc)?;
-            } else {
-                self.signal_wait_until(&sig, bsig, CmpOp::Eq, 1u64)?;
-            }
-            let data = self.read_local_slice(&scratch, slot, len)?;
-            let mut step = 1usize;
-            while step < m {
-                if step > rank && rank + step < m {
-                    let dest = team.set.member(rank + step);
-                    self.put_with_signal(
-                        &scratch,
-                        slot,
-                        &data,
-                        &sig,
-                        bsig,
-                        1u64,
-                        SignalOp::Set,
-                        dest,
-                    )?;
-                }
-                step <<= 1;
-            }
-            Ok(Some(data))
-        })();
-        self.free_array(sig)?;
-        self.free_array(scratch)?;
-        result
     }
 
     /// Broadcast `count` elements of `sym` starting at `index` from the

@@ -107,6 +107,30 @@ fn classic_reductions_and_collectives() {
         }
         shmem.shmem_broadcast(&bcast, 2, 1).unwrap();
         assert_eq!(ctx.read_local_slice::<u64>(&bcast, 0, 2).unwrap(), vec![111, 222]);
+
+        // The OpenSHMEM 1.5 names run the same allreduce.
+        assert_eq!(shmem.shmem_int_sum_reduce(&[me as i32 + 1, -1]).unwrap(), vec![6, -3]);
+        assert_eq!(shmem.shmem_long_max_reduce(&[me, -me]).unwrap(), vec![2, 0]);
+        assert_eq!(shmem.shmem_uint64_prod_reduce(&[me as u64 + 2]).unwrap(), vec![24]);
+        assert_eq!(shmem.shmem_uint64_min_reduce(&[me as u64 + 7]).unwrap(), vec![7]);
+        // Float sums fold in ascending PE order from 0.0, bit for bit:
+        // here (0.1 + 1e16) - 1e16 = 0, where another order gives 0.1.
+        let parts = |pe: usize| [[0.1, 1.0 / 3.0], [1e16, 0.7], [-1e16, 1e-9]][pe];
+        let want = (0..3).fold([0.0f64; 2], |acc, pe| {
+            let p = parts(pe);
+            [acc[0] + p[0], acc[1] + p[1]]
+        });
+        let got = shmem.shmem_double_sum_reduce(&parts(me as usize)).unwrap();
+        assert_eq!(got[0].to_bits(), want[0].to_bits());
+        assert_eq!(got[1].to_bits(), want[1].to_bits());
+        assert_eq!(got[0], 0.0);
+
+        let bytes = TypedSym::<u8>::new(shmem.shmem_calloc(5, 1).unwrap(), 5).unwrap();
+        if me == 2 {
+            ctx.write_local_slice(&bytes, 0, b"bcast").unwrap();
+        }
+        shmem.shmem_broadcastmem(&bytes, 5, 2).unwrap();
+        assert_eq!(ctx.read_local_slice::<u8>(&bytes, 0, 5).unwrap(), b"bcast");
         shmem.shmem_barrier_all().unwrap();
     })
     .unwrap();

@@ -1,12 +1,13 @@
 //! Ordering and allreduce contract tests: a signal never overtakes its
-//! data on forwarded routes, and the barrier-free allreduce folds in
-//! ascending PE order, never mixes rounds and leaves nothing in flight.
+//! data on forwarded routes, the barrier-free allreduce folds in
+//! ascending PE order, never mixes rounds and leaves nothing in flight,
+//! and the collectives built on it add no barrier of their own.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ntb_sim::FaultPlan;
+use ntb_sim::{EventKind, FaultPlan};
 use shmem_core::{
     CmpOp, OpOptions, ReduceOp, ShmemConfig, ShmemWorld, SignalOp, TimeModel, Topology, TypedSym,
 };
@@ -327,4 +328,46 @@ fn team_allreduce_folds_members_in_rank_order() {
         assert_eq!(got[1], 98.0);
     }
     assert!(results[1].is_none() && results[3].is_none(), "non-members get None");
+}
+
+/// `broadcast_value` is one allreduce, so it synchronises without any
+/// barrier; `collect` adds only its exit barrier. Counted as this PE's
+/// `BarrierStart` events over 50 calls of each.
+#[test]
+fn broadcast_value_and_collect_take_no_per_call_barriers() {
+    const CALLS: usize = 50;
+    let counts = ShmemWorld::run(ring(3, TimeModel::zero()), |ctx| {
+        let me = ctx.my_pe();
+        let log = Arc::clone(ctx.node().obs().log().expect("observed world"));
+        log.enable();
+        let barriers = || {
+            log.merged()
+                .iter()
+                .filter(|e| usize::from(e.pe) == me && e.kind == EventKind::BarrierStart)
+                .count()
+        };
+        let dest = ctx.calloc_array::<u32>(8).unwrap();
+        let start = barriers();
+        for i in 0..CALLS {
+            let root = i % 3;
+            let mine = if me == root { (i * 1000 + root) as u64 } else { u64::MAX };
+            assert_eq!(ctx.broadcast_value(mine, root).unwrap(), (i * 1000 + root) as u64);
+        }
+        let after_broadcasts = barriers();
+        for i in 0..CALLS {
+            // PE p contributes p + 1 copies of i + p.
+            let src = vec![(i + me) as u32; me + 1];
+            assert_eq!(ctx.collect(&dest, &src).unwrap(), 6);
+            let want: Vec<u32> = (0..3).flat_map(|p| vec![(i + p) as u32; p + 1]).collect();
+            assert_eq!(ctx.read_local_slice(&dest, 0, 6).unwrap(), want, "call {i}");
+        }
+        let after_collects = barriers();
+        assert_eq!(log.dropped(), 0, "a truncated trace cannot count barriers");
+        (after_broadcasts - start, after_collects - after_broadcasts)
+    })
+    .unwrap();
+    for (pe, &(broadcast, collect)) in counts.iter().enumerate() {
+        assert_eq!(broadcast, 0, "pe {pe}: barriers in {CALLS} broadcast_value calls");
+        assert_eq!(collect, CALLS, "pe {pe}: barriers in {CALLS} collect calls");
+    }
 }

@@ -404,25 +404,3 @@ fn put_with_signal_add_accumulates_producers() {
     })
     .unwrap();
 }
-
-#[test]
-fn ring_broadcast_matches_direct_broadcast() {
-    for hosts in [2usize, 3, 5] {
-        for root in 0..hosts {
-            ShmemWorld::run(cfg(hosts), |ctx| {
-                let sym = ctx.calloc_array::<i64>(64).unwrap();
-                if ctx.my_pe() == root {
-                    let data: Vec<i64> = (0..64).map(|i| (root * 1000 + i) as i64).collect();
-                    ctx.write_local_slice(&sym, 0, &data).unwrap();
-                }
-                ctx.broadcast_ring(&sym, 0, 64, root).unwrap();
-                let got = ctx.read_local_slice::<i64>(&sym, 0, 64).unwrap();
-                for (i, v) in got.iter().enumerate() {
-                    assert_eq!(*v, (root * 1000 + i) as i64, "hosts {hosts} root {root}");
-                }
-                ctx.barrier_all().unwrap();
-            })
-            .unwrap_or_else(|e| panic!("hosts {hosts} root {root}: {e}"));
-        }
-    }
-}

@@ -72,8 +72,8 @@ fn rhs(i: usize) -> f64 {
 fn main() {
     let n = PES * ROWS_PER_PE;
     // CG is dominated by allreduce dot products; on a 2x2 torus the
-    // dissemination barrier and reduction tree run in log-depth rounds
-    // instead of ring sweeps.
+    // barrier runs in log-depth dissemination rounds instead of ring
+    // sweeps, and the allreduce needs no barrier at all.
     let cfg = ShmemConfig::builder().hosts(PES).topology(Topology::torus(2, 2)).build();
 
     let (pieces, iters): (Vec<Vec<f64>>, Vec<usize>) = {
