@@ -12,9 +12,9 @@
 //! - Ranks grow "outside-in → inside-out": SHMEM-layer locks rank lowest
 //!   because a SHMEM call holds them while descending into ntb-net, and
 //!   ntb-net locks rank below ntb-sim locks because the network layer holds
-//!   its own state while driving the simulated hardware (mailbox `seq` is
-//!   held across the ScratchPad-publish → doorbell-ring sequence, the
-//!   paper's Fig. 5 ordered dance).
+//!   its own state while driving the simulated hardware (the transmit
+//!   ring's `state` is held across the slot-publish → doorbell-ring
+//!   sequence, the paper's Fig. 5 ordered dance).
 //! - Observability sinks (`obs`, trace event buffers) rank highest: any
 //!   layer may emit an event while holding its own lock, so the sink must
 //!   always be acquirable last.
@@ -68,7 +68,7 @@ pub const LOCK_ORDER: &[LockClassDecl] = &[
     LockClassDecl {
         name: "net-membership",
         rank: 55,
-        rationale: "ring membership view (heartbeat failure detector + gossip); the transmit path pins a read guard across the send to linearize against death declarations, so it ranks below the pending/unacked shards and the mailbox/txring locks",
+        rationale: "ring membership view (heartbeat failure detector + gossip); the transmit path pins a read guard across the send to linearize against death declarations, so it ranks below the pending/unacked shards and the txring lock",
     },
     LockClassDecl {
         name: "net-pending-shard",
@@ -93,12 +93,7 @@ pub const LOCK_ORDER: &[LockClassDecl] = &[
     LockClassDecl {
         name: "net-txring",
         rank: 78,
-        rationale: "transmit-ring publish state; held across slot publish -> coalesced doorbell, and the forwarder flushes the ring while holding its queue lock",
-    },
-    LockClassDecl {
-        name: "net-mailbox",
-        rank: 80,
-        rationale: "TX mailbox sequence lock; held across the ScratchPad publish -> doorbell ring sequence (paper Fig. 5), so it must rank below every sim-side lock",
+        rationale: "transmit-ring publish state; held across slot publish -> DMA chain -> coalesced doorbell (paper Fig. 5), so it must rank below every sim-side lock; the forwarder flushes the ring while holding its queue lock",
     },
     LockClassDecl {
         name: "net-admin",
@@ -108,12 +103,12 @@ pub const LOCK_ORDER: &[LockClassDecl] = &[
     LockClassDecl {
         name: "sim-doorbell",
         rank: 100,
-        rationale: "doorbell pending/mask bits; rung by the mailbox while net-mailbox is held",
+        rationale: "doorbell pending/mask bits; rung by the transmit ring while net-txring is held",
     },
     LockClassDecl {
         name: "sim-dma-queue",
         rank: 102,
-        rationale: "DMA job queue; fed under net-mailbox, drained by DMA workers",
+        rationale: "DMA job queue; fed under net-txring, drained by DMA workers",
     },
     LockClassDecl {
         name: "sim-dma-state",
@@ -223,7 +218,6 @@ pub const LOCK_SITES: &[LockSite] = &[
     LockSite { file_suffix: "ntb-net/src/credit.rs", receiver: "state", class: "net-retry-budget" },
     LockSite { file_suffix: "ntb-net/src/network.rs", receiver: "chaos", class: "net-admin" },
     LockSite { file_suffix: "ntb-net/src/slots.rs", receiver: "state", class: "net-txring" },
-    LockSite { file_suffix: "ntb-net/src/mailbox.rs", receiver: "seq", class: "net-mailbox" },
     LockSite { file_suffix: "ntb-net/src/trace.rs", receiver: "events", class: "obs" },
     LockSite {
         file_suffix: "ntb-net/src/lockdep.rs",

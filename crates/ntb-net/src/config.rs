@@ -26,8 +26,8 @@ pub struct RetryPolicy {
     pub backoff_max: Duration,
     /// How often a `Down` link endpoint is probed for recovery.
     pub probe_interval: Duration,
-    /// How long a sender spins on a full mailbox slot before re-ringing
-    /// the last doorbell (recovers a dropped interrupt).
+    /// How long a sender polls an occupied transmit-ring slot before
+    /// re-ringing the drain doorbell (recovers a dropped interrupt).
     pub mailbox_timeout: Duration,
     /// Consecutive transient failures before a link endpoint is marked
     /// `Down` and traffic reroutes around it.
@@ -169,24 +169,20 @@ pub struct NetConfig {
     pub heartbeat: crate::membership::HeartbeatConfig,
     /// Fault-injection plan applied to every link (empty = clean links).
     pub faults: FaultPlan,
-    /// Enable the coalescing transmit ring: terminating puts/acks publish
-    /// into mailbox ring slots and a whole drained batch rings one
-    /// doorbell. Off = legacy one-doorbell-per-frame scratchpad path.
-    pub coalesce: bool,
     /// Transmit-ring slots per link direction. The default (64) holds
     /// what a sender publishes during one receiver wake: the receiver
     /// drains only after its interrupt-service delay (150 µs at paper
     /// timing), and a small frame takes about 2.5 µs to publish, so some
     /// 60 frames land before the first drain (see DESIGN.md §12).
     pub tx_slots: u32,
-    /// Published slots that force a flush (capped by `tx_slots`).
+    /// Published slots that force a flush (capped by `tx_slots`); 1 rings
+    /// one doorbell per frame.
     pub coalesce_batch: u32,
-    /// Largest payload a ring slot's lane carries; bigger frames fall
-    /// back to the scratchpad path.
+    /// Largest payload a ring slot's lane carries; a bigger payload is
+    /// staged in the window's direct or bypass area instead.
     pub coalesce_payload_max: u64,
     /// Payloads at or below this move by zero-copy PIO writes even in
-    /// DMA mode — the paper's Fig. 9 DMA/PIO crossover, applied on the
-    /// ring fast path.
+    /// DMA mode — the paper's Fig. 9 DMA/PIO crossover.
     pub pio_crossover: u64,
 }
 
@@ -258,12 +254,6 @@ impl NetConfig {
         self
     }
 
-    /// Enable or disable the coalescing transmit ring.
-    pub fn with_coalescing(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
-    }
-
     /// Override the transmit-ring geometry (slot count and batch cap).
     pub fn with_tx_ring(mut self, slots: u32, batch: u32) -> Self {
         self.tx_slots = slots;
@@ -271,7 +261,7 @@ impl NetConfig {
         self
     }
 
-    /// Override the DMA/PIO crossover for ring-path payloads.
+    /// Override the DMA/PIO crossover.
     pub fn with_pio_crossover(mut self, bytes: u64) -> Self {
         self.pio_crossover = bytes;
         self
@@ -292,25 +282,18 @@ impl NetConfig {
     pub fn validate(&self) {
         assert!(self.hosts >= 1 && self.hosts <= crate::frame::MAX_HOSTS + 1, "1..=64 hosts");
         assert!(self.window_size.is_power_of_two(), "window size must be a power of two");
-        let (ring_slots, ring_lane) =
-            if self.coalesce { (self.tx_slots, self.coalesce_payload_max) } else { (0, 0) };
         assert!(
-            crate::layout::WindowLayout::required_size_with_ring(
+            crate::layout::WindowLayout::required_size(
                 self.direct_buf,
                 self.bypass_buf,
-                ring_slots,
-                ring_lane,
+                self.tx_slots,
+                self.coalesce_payload_max,
             ) <= self.window_size,
             "window too small for direct+bypass areas and the transmit ring"
         );
-        if self.coalesce {
-            assert!(self.tx_slots >= 1, "coalescing needs at least one transmit-ring slot");
-            assert!(self.coalesce_batch >= 1, "coalesce batch must be at least one slot");
-            assert!(
-                self.coalesce_payload_max >= 4,
-                "ring payload lane must hold at least one word"
-            );
-        }
+        assert!(self.tx_slots >= 1, "the transmit ring needs at least one slot");
+        assert!(self.coalesce_batch >= 1, "coalesce batch must be at least one slot");
+        assert!(self.coalesce_payload_max >= 4, "ring payload lane must hold at least one word");
         assert!(
             self.get_resp_chunk > 0 && self.get_resp_chunk <= self.put_chunk(),
             "get response chunk must fit the payload areas"
@@ -361,7 +344,6 @@ impl Default for NetConfig {
             overload: OverloadConfig::default(),
             heartbeat: crate::membership::HeartbeatConfig::default(),
             faults: FaultPlan::none(),
-            coalesce: true,
             tx_slots: 64,
             coalesce_batch: 8,
             coalesce_payload_max: 4096,
@@ -457,11 +439,10 @@ mod tests {
     #[test]
     fn coalescing_knobs_validate() {
         let c = NetConfig::fast(3).with_tx_ring(4, 2).with_pio_crossover(512);
-        assert!(c.coalesce);
         assert_eq!(c.batch_cap(), 2);
         c.validate();
-        let off = NetConfig::fast(3).with_coalescing(false);
-        off.validate();
+        // One doorbell per frame.
+        NetConfig::fast(3).with_tx_ring(64, 1).validate();
         // Batch cap never exceeds the ring size.
         assert_eq!(NetConfig::fast(3).with_tx_ring(2, 16).batch_cap(), 2);
     }

@@ -3,13 +3,12 @@
 //! The NTB window is ordinary PCIe posted-write territory: the paper's
 //! hardware protects TLPs with LCRC hop by hop, but a switchless ring
 //! forwards payloads through intermediate hosts' memory, where a software
-//! end-to-end check is the only integrity story. Every payload-carrying
-//! frame writes `crc32(payload)` into the window's control slot
-//! ([`WindowLayout::ctrl_off`](crate::layout::WindowLayout)) before the
-//! doorbell; every receiving hop recomputes and compares before staging
-//! or delivering. A mismatch drops the frame (acking the mailbox slot so
-//! the link keeps moving) and relies on the sender's retransmission to
-//! recover.
+//! end-to-end check is the only integrity story. On a link with an armed
+//! fault plan every slot record carries a CRC over the record and its
+//! payload ([`crate::slots`]), written before the doorbell; every
+//! receiving hop recomputes and compares before staging or delivering. A
+//! mismatch drops the frame (releasing its slot so the link keeps
+//! moving) and relies on the sender's retransmission to recover.
 //!
 //! Table-driven, one table built at first use; the polynomial is the
 //! reflected IEEE one (0xEDB88320) so results match zlib/`cksum -o 3`.

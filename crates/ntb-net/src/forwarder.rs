@@ -1,7 +1,7 @@
 //! Store-and-forward queues: the bypass-buffer transmit path.
 //!
-//! A service thread must never block on an outbound mailbox while its own
-//! inbound mailbox is full — with every host doing that, a loaded ring
+//! A service thread must never block on an outbound slot ring while its
+//! own inbound ring is full — with every host doing that, a loaded ring
 //! deadlocks (the classic wormhole cycle). The paper's design avoids this
 //! with its per-host **bypass buffer**: forwarded payloads are staged out
 //! of the window into host memory and re-transmitted asynchronously. The
@@ -32,7 +32,7 @@ use crate::frame::Frame;
 /// One queued transmission.
 #[derive(Debug)]
 pub struct ForwardJob {
-    /// Frame to send (seq is reassigned by the mailbox).
+    /// Frame to send (seq is reassigned by the slot ring).
     pub frame: Frame,
     /// Staged payload bytes (the bypass-buffer copy), if the kind carries
     /// payload.

@@ -1,22 +1,20 @@
-//! Transfer-info frames: the metadata published through ScratchPad
-//! registers.
+//! Transfer-info frames: the metadata every slot record carries.
 //!
 //! The paper's protocol sends, for every payload, "information such as the
 //! source host Id (SrcId), destination host Id (DestId), Address offset,
 //! Data size, and flag for Send/Receive" through the ScratchPad registers
-//! before ringing the doorbell (§III-A). One link has eight 32-bit
-//! scratchpads shared by both sides, so each direction owns four registers:
+//! before ringing the doorbell (§III-A). Here the same four words open
+//! each record of the link's slot ring ([`crate::slots`]):
 //!
-//! | register | content |
-//! |----------|---------|
-//! | `base+0` | header: `kind(4) \| src(6) \| dest(6) \| seq(16)` — zero means *empty mailbox* |
-//! | `base+1` | bit 31: transfer mode (0=DMA, 1=memcpy); bits 0..24/31: length (AMO frames pack the opcode in bits 24..31) |
-//! | `base+2` | address offset (symmetric-heap or response-buffer relative) |
-//! | `base+3` | auxiliary word (request id for Get/AMO traffic, put id for Put/PutAck) |
+//! | word | content |
+//! |------|---------|
+//! | 0 | header: `kind(4) \| src(6) \| dest(6) \| seq(16)` — zero means *empty slot* |
+//! | 1 | bit 31: transfer mode (0=DMA, 1=memcpy); bits 0..24/31: length (AMO frames pack the opcode in bits 24..31) |
+//! | 2 | address offset (symmetric-heap or response-buffer relative) |
+//! | 3 | auxiliary word (request id for Get/AMO traffic, put id for Put/PutAck) |
 //!
-//! The header register is written **last** by the sender and zeroed by the
-//! receiver as the acknowledgement, giving a one-slot mailbox per link
-//! direction.
+//! The header word is written **last** by the sender and zeroed by the
+//! receiver as the acknowledgement that frees the slot.
 
 use ntb_sim::TransferMode;
 
@@ -79,15 +77,6 @@ impl FrameKind {
     pub fn has_payload(self) -> bool {
         !matches!(self, FrameKind::GetReq | FrameKind::PutAck)
     }
-
-    /// Which doorbell announces this kind (paper: `DOORBELL_DMAPUT` for
-    /// data movement, `DOORBELL_DMAGET` for get-side requests).
-    pub fn doorbell(self) -> u32 {
-        match self {
-            FrameKind::GetReq | FrameKind::AmoReq => crate::doorbells::DB_DMAGET,
-            _ => crate::doorbells::DB_DMAPUT,
-        }
-    }
 }
 
 /// A decoded transfer-info frame.
@@ -99,7 +88,8 @@ pub struct Frame {
     pub src: usize,
     /// Final destination host id.
     pub dest: usize,
-    /// Per-link-direction sequence number (wraps at 16 bits; diagnostic).
+    /// Low 16 bits of the slot-ring sequence number (set at publish; it
+    /// makes every header word distinct from the slot's previous one).
     pub seq: u16,
     /// Payload length in bytes (for GetReq: the requested byte count).
     pub len: u32,
@@ -115,11 +105,11 @@ pub struct Frame {
     /// of the length register on the wire).
     pub amo_op: Option<AmoOp>,
     /// Absolute operation deadline in microseconds since the network
-    /// epoch; 0 means "no deadline". The four scratchpad words are fully
-    /// allocated, so this does **not** ride [`Frame::encode`] — the
-    /// mailbox path carries it in the control slot's deadline word and
-    /// the ring path in body word 5; [`Frame::decode`] therefore yields 0
-    /// and the receiving hop re-attaches the wire value.
+    /// epoch; 0 means "no deadline". The four frame words are fully
+    /// allocated, so this does **not** ride [`Frame::encode`] — the slot
+    /// record carries it in its own deadline word; [`Frame::decode`]
+    /// therefore yields 0 and the receiving hop re-attaches the wire
+    /// value.
     pub deadline_us: u32,
 }
 
@@ -259,7 +249,7 @@ impl Frame {
         self.deadline_us != 0 && now_us > self.deadline_us
     }
 
-    /// Encode into the four scratchpad words `[header, len, offset, aux]`.
+    /// Encode into the four frame words `[header, len, offset, aux]`.
     /// The header is non-zero for every valid frame.
     pub fn encode(&self) -> [u32; 4] {
         debug_assert!(self.src <= MAX_HOSTS && self.dest <= MAX_HOSTS);
@@ -281,7 +271,7 @@ impl Frame {
         [header, len_word, self.offset, self.aux]
     }
 
-    /// Decode from the four scratchpad words; `None` if the header is
+    /// Decode from the four frame words; `None` if the header is
     /// empty or malformed.
     pub fn decode(words: [u32; 4]) -> Option<Frame> {
         let header = words[0];
@@ -366,9 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn deadline_rides_beside_the_scratchpad_words() {
-        // The scratchpad encode is full: the deadline travels in the ctrl
-        // slot / ring body instead, so encode/decode must neither carry
+    fn deadline_rides_beside_the_frame_words() {
+        // The four-word encode is full: the deadline travels in the slot
+        // record's own word instead, so encode/decode must neither carry
         // nor corrupt it.
         let f = Frame::put(1, 2, 64, 0, 7, TransferMode::Dma).with_deadline_us(123_456);
         assert_eq!(f.deadline_us, 123_456);
@@ -393,7 +383,7 @@ mod tests {
 
     #[test]
     fn header_nonzero_for_all_kinds() {
-        // The mailbox relies on header==0 meaning empty.
+        // The slot ring relies on header==0 meaning empty.
         let frames = [
             Frame::put(0, 0, 0, 0, 0, TransferMode::Dma),
             Frame::get_req(0, 0, 0, 0, 0, TransferMode::Dma),
@@ -405,17 +395,6 @@ mod tests {
         for f in frames {
             assert_ne!(f.encode()[0], 0, "{:?}", f.kind);
         }
-    }
-
-    #[test]
-    fn doorbell_mapping() {
-        use crate::doorbells::{DB_DMAGET, DB_DMAPUT};
-        assert_eq!(FrameKind::Put.doorbell(), DB_DMAPUT);
-        assert_eq!(FrameKind::GetResp.doorbell(), DB_DMAPUT);
-        assert_eq!(FrameKind::PutAck.doorbell(), DB_DMAPUT);
-        assert_eq!(FrameKind::AmoResp.doorbell(), DB_DMAPUT);
-        assert_eq!(FrameKind::GetReq.doorbell(), DB_DMAGET);
-        assert_eq!(FrameKind::AmoReq.doorbell(), DB_DMAGET);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! address region is also exchanged ... to complete the setup of
 //! translation register."
 //!
-//! The handshake runs over the same split register bank the mailboxes use
-//! later (initiator side publishes in registers 0–3, responder in 4–7):
+//! The handshake runs over a split register bank (initiator side publishes
+//! in registers 0–3, responder in 4–7):
 //!
 //! | register | content |
 //! |----------|---------|
@@ -19,7 +19,8 @@
 //! Both sides publish, spin for the peer's publication, validate the
 //! geometry (both ends must agree on buffer layout or the transfer
 //! protocol would corrupt), and acknowledge. After the handshake the
-//! registers are zeroed for mailbox use.
+//! registers are zeroed: frames then ride the slot ring in the window
+//! ([`crate::slots`]), and the scratchpads carry only the heartbeat.
 
 use std::time::{Duration, Instant};
 
@@ -72,8 +73,8 @@ pub fn exchange_link_info(
     timeout: Duration,
 ) -> Result<PeerInfo> {
     let (tx, rx) = bases(port);
-    // Publish body first, state word last (same release discipline as the
-    // mailbox protocol).
+    // Publish body first, state word last (the same release discipline as
+    // a slot header).
     port.spad_write(tx + 1, my_host_id as u32)?;
     port.spad_write(tx + 2, window_size)?;
     port.spad_write(tx + 3, direct_len)?;
@@ -109,7 +110,7 @@ pub fn exchange_link_info(
     }
 
     // Acknowledge, wait for the peer's ack, then clear our registers so
-    // the mailbox protocol starts from a clean bank.
+    // a later handshake (a restart) starts from a clean bank.
     port.spad_write(tx, state_word(PHASE_ACK))?;
     let deadline = Instant::now() + timeout;
     loop {
@@ -127,7 +128,7 @@ pub fn exchange_link_info(
         port.spad_write(tx + i, 0)?;
     }
     // Wait until the peer cleared too (our RX side reads zero), so no
-    // stale handshake word can be mistaken for a mailbox header.
+    // stale handshake word can be mistaken for a fresh publication.
     let deadline = Instant::now() + timeout;
     while port.spad_read(rx)? != 0 {
         if Instant::now() >= deadline {
@@ -184,7 +185,7 @@ mod tests {
         exchange_link_info(&b, 7, 1 << 20, 1 << 10, Duration::from_secs(2)).unwrap();
         h.join().unwrap();
         for i in 0..8 {
-            assert_eq!(a.spad_read(i).unwrap(), 0, "register {i} must be clean for mailboxes");
+            assert_eq!(a.spad_read(i).unwrap(), 0, "register {i} must be clean after bring-up");
         }
     }
 

@@ -1,54 +1,43 @@
 //! Layout of a link's incoming window.
 //!
 //! Each incoming window is carved into two payload areas, mirroring the
-//! paper's buffer structure:
+//! paper's buffer structure, then a small control slot and the transmit
+//! slot ring:
 //!
 //! ```text
-//! +----------------+--------------------+------+
-//! | direct buffer  | bypass buffer      | ctrl |
-//! | (terminating   | (forwarded         | slot |
-//! |  payloads)     |  payloads)         |      |
-//! +----------------+--------------------+------+
+//! +----------------+--------------------+------+----------------------+
+//! | direct buffer  | bypass buffer      | ctrl | slot records | lanes |
+//! | (terminating   | (forwarded         | slot |  (32 B each) |       |
+//! |  payloads)     |  payloads)         |      |              |       |
+//! +----------------+--------------------+------+----------------------+
 //! 0            direct_buf     direct_buf+bypass_buf  (+CTRL_LEN)
 //! ```
 //!
-//! The sender chooses the area: if the *next hop is the final destination*
-//! the payload goes to the direct buffer; otherwise it goes to the bypass
-//! buffer, from which the receiving host's service thread stages and
-//! forwards it (paper §III-B3, Fig. 4).
+//! Every frame is a record in the slot ring ([`crate::slots`]). A payload
+//! that fits a slot's lane travels in the lane; a bigger one is staged in
+//! a payload area the record names. The sender chooses the area: if the
+//! *next hop is the final destination* the payload goes to the direct
+//! buffer; otherwise it goes to the bypass buffer, from which the
+//! receiving host's service thread stages and forwards it (paper §III-B3,
+//! Fig. 4). Each area holds one staged payload at a time.
 //!
-//! The trailing control slot is a small fixed region past both payload
-//! areas: bytes 0..4 hold the CRC-32 of the in-flight payload (written by
-//! the sender before the doorbell, verified by the receiving hop), bytes
-//! 4..8 are a scratch word down-link probes write to test the path without
-//! touching payload bytes, bytes 8..12 carry the in-flight frame's
-//! absolute deadline (µs since the network epoch, 0 = none; written by
-//! the sender before the header publish), and bytes 12..16 hold the
-//! cumulative credit grant the window's *owner* advertises to the peer
-//! for credit-based flow control. One slot suffices because the mailbox
-//! protocol allows only one in-flight frame per link direction.
-
-use ntb_sim::{Region, Result};
+//! The control slot holds two words: bytes 0..4 are a scratch word
+//! down-link probes write to test the path without touching payload
+//! bytes, and bytes 4..8 hold the cumulative credit grant the window's
+//! *owner* advertises to the peer for credit-based flow control.
 
 /// Size of the control slot appended after the payload areas.
-pub const CTRL_LEN: u64 = 16;
-
-/// Offset within the control slot of the payload CRC word.
-pub const CTRL_CRC_OFF: u64 = 0;
+pub const CTRL_LEN: u64 = 8;
 
 /// Offset within the control slot of the probe scratch word.
-pub const CTRL_PROBE_OFF: u64 = 4;
-
-/// Offset within the control slot of the in-flight frame's absolute
-/// deadline word (µs since the network epoch; 0 = no deadline).
-pub const CTRL_DEADLINE_OFF: u64 = 8;
+pub const CTRL_PROBE_OFF: u64 = 0;
 
 /// Offset within the control slot of the cumulative credit-grant word
 /// the receiving side advertises back to the data sender.
-pub const CTRL_CREDIT_OFF: u64 = 12;
+pub const CTRL_CREDIT_OFF: u64 = 4;
 
 /// Bytes of one transmit-ring slot record: 8 u32 words — header, len,
-/// offset, aux, slot sequence, deadline, crc, and one reserved word (the
+/// offset, aux, slot sequence, deadline, CRC and one reserved word (the
 /// PEX scratchpad mirror is word-granular, so a record is a power-of-two
 /// run of words the sender can publish with plain window writes).
 pub const SLOT_RECORD_LEN: u64 = 32;
@@ -64,25 +53,21 @@ pub struct WindowLayout {
     pub bypass_off: u64,
     /// Bypass buffer size.
     pub bypass_len: u64,
-    /// Control slot offset (CRC + probe words live here).
+    /// Control slot offset (probe + credit words live here).
     pub ctrl_off: u64,
-    /// Transmit-ring area offset (0 when the ring is disabled).
+    /// Transmit-ring area offset.
     pub ring_off: u64,
-    /// Number of transmit-ring slots (0 = no ring).
+    /// Number of transmit-ring slots.
     pub ring_slots: u32,
     /// Payload lane size per ring slot.
     pub ring_lane: u64,
 }
 
 impl WindowLayout {
-    /// Build a layout with the given area sizes and no transmit ring.
-    pub fn new(direct_len: u64, bypass_len: u64) -> Self {
-        Self::with_ring(direct_len, bypass_len, 0, 0)
-    }
-
-    /// Build a layout with a transmit ring of `slots` slots, each with a
-    /// `lane` byte payload lane, appended after the control slot.
-    pub fn with_ring(direct_len: u64, bypass_len: u64, slots: u32, lane: u64) -> Self {
+    /// Build a layout with the given area sizes and a transmit ring of
+    /// `slots` slots, each with a `lane` byte payload lane, appended after
+    /// the control slot.
+    pub fn new(direct_len: u64, bypass_len: u64, slots: u32, lane: u64) -> Self {
         WindowLayout {
             direct_off: 0,
             direct_len,
@@ -97,13 +82,8 @@ impl WindowLayout {
 
     /// Minimum window size that holds both areas, the control slot, and
     /// a ring of `slots` slots with `lane` byte payload lanes.
-    pub fn required_size_with_ring(direct_len: u64, bypass_len: u64, slots: u32, lane: u64) -> u64 {
+    pub fn required_size(direct_len: u64, bypass_len: u64, slots: u32, lane: u64) -> u64 {
         direct_len + bypass_len + CTRL_LEN + u64::from(slots) * (SLOT_RECORD_LEN + lane)
-    }
-
-    /// Minimum window size that holds both areas plus the control slot.
-    pub fn required_size(direct_len: u64, bypass_len: u64) -> u64 {
-        Self::required_size_with_ring(direct_len, bypass_len, 0, 0)
     }
 
     /// Offset of ring slot `idx`'s record (header word first).
@@ -121,24 +101,9 @@ impl WindowLayout {
             + u64::from(idx) * self.ring_lane
     }
 
-    /// True when this layout carries a transmit ring.
-    pub fn has_ring(&self) -> bool {
-        self.ring_slots > 0
-    }
-
-    /// Offset of the payload CRC word within the window.
-    pub fn crc_off(&self) -> u64 {
-        self.ctrl_off + CTRL_CRC_OFF
-    }
-
     /// Offset of the probe scratch word within the window.
     pub fn probe_off(&self) -> u64 {
         self.ctrl_off + CTRL_PROBE_OFF
-    }
-
-    /// Offset of the in-flight frame's deadline word within the window.
-    pub fn deadline_off(&self) -> u64 {
-        self.ctrl_off + CTRL_DEADLINE_OFF
     }
 
     /// Offset of the cumulative credit-grant word within the window.
@@ -163,16 +128,6 @@ impl WindowLayout {
             self.bypass_len
         }
     }
-
-    /// View of the direct buffer within `window`.
-    pub fn direct_region(&self, window: &Region) -> Result<Region> {
-        window.slice(self.direct_off, self.direct_len)
-    }
-
-    /// View of the bypass buffer within `window`.
-    pub fn bypass_region(&self, window: &Region) -> Result<Region> {
-        window.slice(self.bypass_off, self.bypass_len)
-    }
 }
 
 #[cfg(test)]
@@ -181,20 +136,18 @@ mod tests {
 
     #[test]
     fn areas_dont_overlap() {
-        let l = WindowLayout::new(256 << 10, 128 << 10);
+        let l = WindowLayout::new(256 << 10, 128 << 10, 0, 0);
         assert_eq!(l.direct_off, 0);
         assert_eq!(l.bypass_off, 256 << 10);
         assert_eq!(l.ctrl_off, 384 << 10);
-        assert_eq!(WindowLayout::required_size(256 << 10, 128 << 10), (384 << 10) + CTRL_LEN);
-        assert_eq!(l.crc_off(), 384 << 10);
-        assert_eq!(l.probe_off(), (384 << 10) + 4);
-        assert_eq!(l.deadline_off(), (384 << 10) + 8);
-        assert_eq!(l.credit_off(), (384 << 10) + 12);
+        assert_eq!(WindowLayout::required_size(256 << 10, 128 << 10, 0, 0), (384 << 10) + CTRL_LEN);
+        assert_eq!(l.probe_off(), 384 << 10);
+        assert_eq!(l.credit_off(), (384 << 10) + 4);
     }
 
     #[test]
     fn area_selection() {
-        let l = WindowLayout::new(100, 200);
+        let l = WindowLayout::new(100, 200, 0, 0);
         assert_eq!(l.area_offset(true), 0);
         assert_eq!(l.area_offset(false), 100);
         assert_eq!(l.area_len(true), 100);
@@ -202,36 +155,16 @@ mod tests {
     }
 
     #[test]
-    fn regions_view_right_bytes() {
-        let l = WindowLayout::new(64, 64);
-        let win = Region::anonymous(256);
-        l.direct_region(&win).unwrap().write(0, b"direct").unwrap();
-        l.bypass_region(&win).unwrap().write(0, b"bypass").unwrap();
-        assert_eq!(win.read_vec(0, 6).unwrap(), b"direct");
-        assert_eq!(win.read_vec(64, 6).unwrap(), b"bypass");
-    }
-
-    #[test]
     fn ring_areas_dont_overlap() {
-        let l = WindowLayout::with_ring(1024, 512, 4, 256);
-        assert!(l.has_ring());
+        let l = WindowLayout::new(1024, 512, 4, 256);
         assert_eq!(l.ring_off, 1024 + 512 + CTRL_LEN);
         assert_eq!(l.ring_slot_off(0), l.ring_off);
         assert_eq!(l.ring_slot_off(3), l.ring_off + 3 * SLOT_RECORD_LEN);
         assert_eq!(l.ring_lane_off(0), l.ring_off + 4 * SLOT_RECORD_LEN);
         assert_eq!(l.ring_lane_off(3), l.ring_off + 4 * SLOT_RECORD_LEN + 3 * 256);
         assert_eq!(
-            WindowLayout::required_size_with_ring(1024, 512, 4, 256),
+            WindowLayout::required_size(1024, 512, 4, 256),
             1024 + 512 + CTRL_LEN + 4 * (SLOT_RECORD_LEN + 256)
         );
-        assert!(!WindowLayout::new(1024, 512).has_ring());
-    }
-
-    #[test]
-    fn region_views_bounds_checked() {
-        let l = WindowLayout::new(64, 64);
-        let win = Region::anonymous(100); // too small for bypass area
-        assert!(l.direct_region(&win).is_ok());
-        assert!(l.bypass_region(&win).is_err());
     }
 }

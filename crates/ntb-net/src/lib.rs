@@ -6,10 +6,14 @@
 //! * Hosts form a **ring**: each host carries two NTB adapters, cabled to
 //!   the left and right neighbours ([`network::RingNetwork`]).
 //! * A transfer pushes its payload into the neighbour's **memory window**
-//!   (direct area if the neighbour is the final destination, **bypass
-//!   area** otherwise), publishes a **transfer-info frame** through the
-//!   link's ScratchPad registers ([`frame`], [`mailbox`]) and rings a
-//!   **doorbell**.
+//!   and publishes a **transfer-info frame** ([`frame`]) as a record in
+//!   the link's slot ring ([`slots`]), then rings a **doorbell**. A small
+//!   payload travels in the slot's own lane; a large one is staged in the
+//!   window's direct area if the neighbour is the final destination and
+//!   in its **bypass area** otherwise. The ring delivers in publish order
+//!   and one doorbell covers a whole batch. The ScratchPad registers only
+//!   carry the bring-up handshake ([`handshake`]) and the heartbeat
+//!   ([`membership`]).
 //! * Each host runs **service threads** (paper Fig. 5): they deliver
 //!   payloads destined for this host into the symmetric heap (through the
 //!   [`delivery::DeliveryTarget`] installed by the OpenSHMEM layer) and
@@ -33,7 +37,6 @@ pub mod frame;
 pub mod handshake;
 pub mod layout;
 pub mod lockdep;
-pub mod mailbox;
 pub mod membership;
 pub mod network;
 pub mod node;
@@ -64,11 +67,11 @@ pub use trace::{to_chrome_json, TraceKind, TraceRecord, Tracer};
 /// Doorbell bit assignments (paper §III-B1 defines the four interrupt
 /// sources; bit 15 is the model's shutdown signal for service threads).
 pub mod doorbells {
-    /// Interrupt source for DMA Put (data frames: Put, GetResp, PutAck,
-    /// AmoResp).
+    /// Interrupt source for the slot ring: one ring announces a flushed
+    /// batch of frames of every kind. The paper's separate DMA Get source
+    /// (bit 1) is unused, because get and AMO requests ride the same
+    /// in-order ring as the data.
     pub const DB_DMAPUT: u32 = 0;
-    /// Interrupt source for DMA Get (request frames: GetReq, AmoReq).
-    pub const DB_DMAGET: u32 = 1;
     /// Barrier start sweep signal.
     pub const DB_BARRIER_START: u32 = 2;
     /// Barrier end sweep signal.
@@ -83,8 +86,7 @@ pub mod doorbells {
     pub const DB_SHUTDOWN: u32 = 15;
 
     /// Mask of the bits the service threads listen on.
-    pub const SERVICE_INTEREST: u32 =
-        (1 << DB_DMAPUT) | (1 << DB_DMAGET) | (1 << DB_GOSSIP) | (1 << DB_SHUTDOWN);
+    pub const SERVICE_INTEREST: u32 = (1 << DB_DMAPUT) | (1 << DB_GOSSIP) | (1 << DB_SHUTDOWN);
     /// Mask of the bits the barrier algorithm listens on.
     pub const BARRIER_INTEREST: u32 = (1 << DB_BARRIER_START) | (1 << DB_BARRIER_END);
 }

@@ -68,8 +68,6 @@ pub const NET_FORWARD: LockClass = LockClass { name: "net-forward", rank: 70 };
 pub const NET_RETRY_BUDGET: LockClass = LockClass { name: "net-retry-budget", rank: 72 };
 /// Transmit-ring publish state (slot seq + coalesced doorbell pairing).
 pub const NET_TXRING: LockClass = LockClass { name: "net-txring", rank: 78 };
-/// Mailbox send serialization (slot seq + doorbell pairing).
-pub const NET_MAILBOX: LockClass = LockClass { name: "net-mailbox", rank: 80 };
 /// Node admin state: service-thread handles, error sink.
 pub const NET_ADMIN: LockClass = LockClass { name: "net-admin", rank: 90 };
 /// This module's own graph state; leaf of the hierarchy, never tracked.
@@ -223,8 +221,8 @@ pub fn reset() {
 /// otherwise. Use directly before the real lock acquisition:
 ///
 /// ```ignore
-/// ntb_net::lockdep_track!(&ntb_net::lockdep::NET_MAILBOX);
-/// let mut seq = self.seq.lock();
+/// ntb_net::lockdep_track!(&ntb_net::lockdep::NET_TXRING);
+/// let mut st = self.state.lock();
 /// ```
 #[macro_export]
 macro_rules! lockdep_track {
@@ -248,7 +246,7 @@ mod tests {
         {
             let _a = track(&SHMEM_AMO);
             let _b = track(&SHMEM_HEAP);
-            let _c = track(&NET_MAILBOX);
+            let _c = track(&NET_TXRING);
         }
         assert!(take_violations().is_empty());
         assert!(find_cycle().is_none());
@@ -260,12 +258,12 @@ mod tests {
         let _s = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
         reset();
         {
-            let _hi = track(&NET_MAILBOX);
+            let _hi = track(&NET_TXRING);
             let _lo = track(&NET_FORWARD);
         }
         let v = take_violations();
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("net-forward") && v[0].contains("net-mailbox"), "{v:?}");
+        assert!(v[0].contains("net-forward") && v[0].contains("net-txring"), "{v:?}");
     }
 
     #[test]

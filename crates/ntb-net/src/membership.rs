@@ -28,7 +28,7 @@
 //! ## Scratchpad layout
 //!
 //! The heartbeat block lives in scratchpad registers 8..16, above the
-//! mailbox bank (0..8), split by direction exactly like the mailboxes:
+//! handshake bank (0..8), split by direction exactly like the handshake:
 //! the upstream side transmits in 8..12, the downstream side in 12..16.
 //!
 //! | offset | content |
@@ -45,7 +45,7 @@
 
 use std::time::{Duration, Instant};
 
-use ntb_sim::LinkDirection;
+use ntb_sim::{LinkDirection, NtbPort, Result};
 use parking_lot::{RwLock, RwLockReadGuard};
 
 /// Heartbeat / failure-detector tuning knobs.
@@ -116,8 +116,8 @@ pub const HB_BLOCK_LEN: usize = 4;
 pub const REJOIN_FLAG: u32 = 1 << 31;
 
 /// Transmit base of the heartbeat block for a port facing `dir`. Mirrors
-/// the mailbox convention (upstream writes the lower half) shifted above
-/// the mailbox bank.
+/// the handshake convention (upstream writes the lower half) shifted above
+/// the handshake bank.
 pub fn hb_tx_base(dir: LinkDirection) -> usize {
     match dir {
         LinkDirection::Upstream => 8,
@@ -131,6 +131,38 @@ pub fn hb_rx_base(dir: LinkDirection) -> usize {
         LinkDirection::Upstream => 12,
         LinkDirection::Downstream => 8,
     }
+}
+
+/// Write `view` into the transmit half of `port`'s heartbeat block.
+/// Bitmaps first, epoch last — the epoch word doubles as the release
+/// publication (readers discard samples whose epoch moved mid-read).
+pub fn publish_view(port: &NtbPort, view: MembershipView) -> Result<()> {
+    let base = hb_tx_base(port.outgoing().direction());
+    port.spad_write(base + HB_LIVE, view.live)?;
+    port.spad_write(base + HB_CRASH, view.crash_flags)?;
+    port.spad_write(base + HB_EPOCH, view.epoch as u32)
+}
+
+/// Write the beat word of `port`'s transmit half: a beat counter, or a
+/// rejoin request (`REJOIN_FLAG` plus [`rejoin_signature`]).
+pub fn write_beat(port: &NtbPort, word: u32) -> Result<()> {
+    port.spad_write(hb_tx_base(port.outgoing().direction()) + HB_BEAT, word)
+}
+
+/// Read the neighbour's half of `port`'s heartbeat block: the raw beat
+/// word plus its published membership view. `Ok(None)` means the epoch
+/// word changed mid-read (a torn sample) — skip and resample on the next
+/// tick.
+pub fn read_peer_block(port: &NtbPort) -> Result<Option<(u32, MembershipView)>> {
+    let base = hb_rx_base(port.outgoing().direction());
+    let epoch = port.spad_read(base + HB_EPOCH)?;
+    let beat = port.spad_read(base + HB_BEAT)?;
+    let live = port.spad_read(base + HB_LIVE)?;
+    let crash = port.spad_read(base + HB_CRASH)?;
+    if port.spad_read(base + HB_EPOCH)? != epoch {
+        return Ok(None);
+    }
+    Ok(Some((beat, MembershipView { epoch: u64::from(epoch), live, crash_flags: crash })))
 }
 
 /// Signature a restarting PE publishes in its rejoin request. Derived
@@ -585,7 +617,7 @@ mod tests {
     fn hb_bases_are_disjoint_and_mirror() {
         assert_eq!(hb_tx_base(LinkDirection::Upstream), hb_rx_base(LinkDirection::Downstream));
         assert_eq!(hb_tx_base(LinkDirection::Downstream), hb_rx_base(LinkDirection::Upstream));
-        assert!(hb_tx_base(LinkDirection::Upstream) >= 8, "above the mailbox bank");
+        assert!(hb_tx_base(LinkDirection::Upstream) >= 8, "above the handshake bank");
         assert!(
             hb_tx_base(LinkDirection::Downstream) + HB_BLOCK_LEN <= ntb_sim::SCRATCHPAD_COUNT,
             "fits the bank"

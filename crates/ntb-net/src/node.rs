@@ -1,4 +1,4 @@
-//! One host of the switchless ring: ports, mailboxes, forwarders, and the
+//! One host of the switchless ring: ports, slot rings, forwarders, and the
 //! host-side operations (put / get / atomics / quiet / barrier signals).
 //!
 //! Lossy-link recovery lives here too: every put chunk is tracked in
@@ -16,24 +16,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ntb_sim::{
-    DmaRequest, EventKind, EventLog, HostMemory, LinkHealth, LinkHealthTracker, MetricsRegistry,
-    NtbError, NtbPort, Obs, PortStatsSnapshot, Region, Result, TimeModel, TransferMode,
+    EventKind, EventLog, HostMemory, LinkHealth, LinkHealthTracker, MetricsRegistry, NtbError,
+    NtbPort, Obs, PortStatsSnapshot, Region, Result, TimeModel, TransferMode,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::config::NetConfig;
-use crate::crc::crc32;
 use crate::credit::{CreditGate, CreditLedger, RetryBudget};
 use crate::delivery::{AmoOp, DeliveryTarget};
 use crate::doorbells::{DB_BARRIER_END, DB_BARRIER_START, DB_GOSSIP, DB_SHUTDOWN};
 use crate::forwarder::{ForwardQueue, PushOutcome};
 use crate::frame::Frame;
 use crate::layout::WindowLayout;
-use crate::mailbox::{RxMailbox, TxMailbox};
-use crate::membership::{
-    hb_rx_base, hb_tx_base, rejoin_signature, Membership, MembershipView, HB_BEAT, HB_CRASH,
-    HB_EPOCH, HB_LIVE, REJOIN_FLAG,
-};
+use crate::membership::{self, rejoin_signature, Membership, MembershipView, REJOIN_FLAG};
 use crate::pending::{PendingOps, UnackedPuts};
 use crate::slots::TxSlotRing;
 use crate::topology::{RingTopology, RouteDirection, Shape, TopoGraph, Topology};
@@ -176,7 +171,7 @@ impl AmoCache {
     }
 }
 
-/// One cabled link of a host: the port plus its mailboxes and forward
+/// One cabled link of a host: the port plus its transmit ring and forward
 /// queue.
 pub struct LinkEndpoint {
     /// The neighbour host on the other side.
@@ -186,21 +181,13 @@ pub struct LinkEndpoint {
     pub(crate) link_idx: usize,
     /// Event emission handle bound to `(this host, this link)`.
     pub(crate) obs: Obs,
-    /// Next expected inbound frame sequence number (service thread only;
-    /// detects protocol bugs that would lose or duplicate frames).
-    pub(crate) rx_seq: std::sync::atomic::AtomicU32,
     /// The NTB port.
     pub(crate) port: Arc<NtbPort>,
-    /// Transmit mailbox (PE thread and forwarder contend through its
-    /// internal lock).
-    pub(crate) tx: TxMailbox,
-    /// Receive mailbox (service thread only).
-    pub(crate) rx: RxMailbox,
     /// Store-and-forward queue consumed by this endpoint's forwarder.
     pub(crate) fwd: Arc<ForwardQueue>,
-    /// Coalescing transmit ring for terminating data frames (`None` when
-    /// `NetConfig::coalesce` is off — everything rides the scratchpad).
-    pub(crate) txring: Option<TxSlotRing>,
+    /// The transmit slot ring every frame toward the neighbour rides (PE
+    /// thread, forwarder and sweeper contend through its internal lock).
+    pub(crate) txring: TxSlotRing,
     /// Observed link health (drives rerouting and recovery probes).
     pub(crate) health: LinkHealthTracker,
     /// Sender-side credit gate for puts staged toward this neighbour:
@@ -212,11 +199,6 @@ pub struct LinkEndpoint {
     pub(crate) ledger: CreditLedger,
     /// Token-bucket budget bounding retransmissions on this link.
     pub(crate) retry_budget: RetryBudget,
-    /// Whether the outgoing control slot's deadline word currently holds
-    /// a non-zero value. Lets deadline-free sends (the common case) skip
-    /// the clearing write; sends serialize under the mailbox lock, so a
-    /// plain flag suffices.
-    pub(crate) deadline_armed: AtomicBool,
 }
 
 impl LinkEndpoint {
@@ -332,43 +314,31 @@ impl NtbNode {
         epoch: Instant,
     ) -> Arc<NtbNode> {
         let topo = RingTopology::new(me, config.hosts);
-        let layout = if config.coalesce {
-            WindowLayout::with_ring(
-                config.direct_buf,
-                config.bypass_buf,
-                config.tx_slots,
-                config.coalesce_payload_max,
-            )
-        } else {
-            WindowLayout::new(config.direct_buf, config.bypass_buf)
-        };
+        let layout = WindowLayout::new(
+            config.direct_buf,
+            config.bypass_buf,
+            config.tx_slots,
+            config.coalesce_payload_max,
+        );
         let obs = Obs::new(Arc::clone(&event_log), me, 0).unlinked();
         let endpoints = ports
             .into_iter()
             .map(|(neighbor, link_idx, port)| {
-                let mut tx = TxMailbox::new(Arc::clone(&port));
-                tx.set_abort(Arc::clone(&shutdown));
-                tx.set_retry(config.retry.mailbox_timeout, config.retry.max_retries);
-                let txring = config.coalesce.then(|| {
-                    let mut ring = TxSlotRing::new(
-                        Arc::clone(&port),
-                        layout,
-                        &config,
-                        Arc::clone(&model),
-                        Obs::new(Arc::clone(&event_log), me, link_idx),
-                    );
-                    ring.set_abort(Arc::clone(&shutdown));
-                    ring.set_retry(config.retry.mailbox_timeout, config.retry.max_retries);
-                    ring.set_metrics(Arc::clone(&metrics), link_idx);
-                    ring
-                });
+                let mut txring = TxSlotRing::new(
+                    Arc::clone(&port),
+                    neighbor,
+                    layout,
+                    &config,
+                    Arc::clone(&model),
+                    Obs::new(Arc::clone(&event_log), me, link_idx),
+                );
+                txring.set_abort(Arc::clone(&shutdown));
+                txring.set_retry(config.retry.mailbox_timeout, config.retry.max_retries);
+                txring.set_metrics(Arc::clone(&metrics), link_idx);
                 LinkEndpoint {
                     neighbor,
                     link_idx,
                     obs: Obs::new(Arc::clone(&event_log), me, link_idx),
-                    rx_seq: std::sync::atomic::AtomicU32::new(0),
-                    rx: RxMailbox::new(Arc::clone(&port)),
-                    tx,
                     port,
                     fwd: Arc::new(ForwardQueue::with_watermarks(
                         config.overload.forward_queue_cap,
@@ -383,7 +353,6 @@ impl NtbNode {
                         config.overload.retry_budget_rate,
                         config.overload.retry_budget_burst,
                     ),
-                    deadline_armed: AtomicBool::new(false),
                 }
             })
             .collect();
@@ -656,50 +625,6 @@ impl NtbNode {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Push `data` into the peer's window at `area_off` under `mode`
-    /// (staging through a pinned bounce buffer for DMA, as the prototype
-    /// stages local data for the NTB engine).
-    pub(crate) fn push_payload(
-        &self,
-        port: &NtbPort,
-        area_off: u64,
-        data: &[u8],
-        mode: TransferMode,
-    ) -> Result<()> {
-        match mode {
-            TransferMode::Memcpy => {
-                port.outgoing().write_bytes(area_off, data, TransferMode::Memcpy)?
-            }
-            TransferMode::Dma => {
-                let staging = Region::anonymous(data.len() as u64);
-                staging.write(0, data)?;
-                self.model.delay(self.model.local_copy_time(data.len() as u64));
-                port.dma_transfer(DmaRequest {
-                    src: staging,
-                    src_offset: 0,
-                    dst_offset: area_off,
-                    len: data.len() as u64,
-                })?;
-            }
-        }
-        // Publish the payload checksum in the control slot so the
-        // receiving hop can verify integrity before staging. Written
-        // after the payload and before the frame header — the same
-        // posted-write ordering that publishes the payload itself. Only
-        // links with an armed fault plan pay the checksum tax: the clean
-        // hardware model never corrupts a posted write, and benchmark
-        // latencies must not shift when no faults are configured.
-        if !data.is_empty() && port.outgoing().faults().is_active() {
-            let crc = crc32(data);
-            port.outgoing().write_bytes(
-                self.layout.crc_off(),
-                &crc.to_le_bytes(),
-                TransferMode::Memcpy,
-            )?;
-        }
-        Ok(())
-    }
-
     /// Feed a send result into the endpoint's health tracker; an
     /// `Up`/`Degraded` → `Down` transition is counted.
     pub(crate) fn note_send_result(&self, ep: &LinkEndpoint, result: &Result<()>) {
@@ -722,18 +647,33 @@ impl NtbNode {
         }
     }
 
-    /// Flush one endpoint's coalescing ring (no-op without one, or with
-    /// nothing staged). A flush failure drops the staged batch, which is
-    /// safe: every staged put chunk stays registered in the unacked
-    /// ledger and the sweeper retransmits it.
-    pub(crate) fn flush_ring(&self, ep: &LinkEndpoint) {
-        if let Some(ring) = &ep.txring {
-            let result = ring.flush();
-            self.note_send_result(ep, &result);
+    /// Publish `frame` (+ `payload`) on `ep`'s transmit ring and, unless
+    /// `defer_flush`, ring its doorbell at once.
+    pub(crate) fn send_frame(
+        &self,
+        ep: &LinkEndpoint,
+        frame: Frame,
+        payload: Option<&[u8]>,
+        defer_flush: bool,
+    ) -> Result<()> {
+        ep.txring.publish(frame, payload)?;
+        if defer_flush {
+            Ok(())
+        } else {
+            ep.txring.flush()
         }
     }
 
-    /// Flush every endpoint's coalescing ring (quiet, end of a put batch).
+    /// Flush one endpoint's transmit ring (no-op with nothing staged). A
+    /// flush failure drops the staged batch, which is safe: every staged
+    /// put chunk stays registered in the unacked ledger and the sweeper
+    /// retransmits it.
+    pub(crate) fn flush_ring(&self, ep: &LinkEndpoint) {
+        let result = ep.txring.flush();
+        self.note_send_result(ep, &result);
+    }
+
+    /// Flush every endpoint's transmit ring (quiet, end of a put batch).
     pub(crate) fn flush_all_rings(&self) {
         for ep in &self.endpoints {
             self.flush_ring(ep);
@@ -789,26 +729,6 @@ impl NtbNode {
             }
             PushOutcome::ShedShutdown => false,
         }
-    }
-
-    /// Write the outgoing control slot's deadline word for the next
-    /// mailbox frame. Called inside the send closure — under the mailbox
-    /// sequencer lock — so exactly one frame observes each value.
-    /// Deadline-free sends (the common case) skip the write entirely
-    /// unless a stale non-zero value must be cleared.
-    pub(crate) fn write_deadline_word(&self, ep: &LinkEndpoint, deadline_us: u32) -> Result<()> {
-        // lint: relaxed-ok(flag is only mutated under the mailbox sequencer lock)
-        if deadline_us == 0 && !ep.deadline_armed.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        ep.port.outgoing().write_bytes(
-            self.layout.deadline_off(),
-            &deadline_us.to_le_bytes(),
-            TransferMode::Memcpy,
-        )?;
-        // lint: relaxed-ok(flag is only mutated under the mailbox sequencer lock)
-        ep.deadline_armed.store(deadline_us != 0, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Refresh the sender-side credit gate from the credit word the peer
@@ -905,11 +825,10 @@ impl NtbNode {
     /// Transmit (or retransmit) one tracked put chunk. Does not touch the
     /// unacked table — registration and retirement are the caller's job.
     ///
-    /// A chunk that fits a ring slot rides the coalescing ring whether
-    /// its next hop terminates or forwards: with `defer_flush` it is only
-    /// staged (the caller batches several chunks behind one doorbell and
-    /// flushes later), otherwise it is flushed immediately. Oversized
-    /// chunks use the legacy scratchpad mailbox and its bypass area.
+    /// The chunk rides the transmit ring whether its next hop terminates
+    /// or forwards: with `defer_flush` it is only staged (the caller
+    /// batches several chunks behind one doorbell and flushes later),
+    /// otherwise it is flushed immediately.
     #[allow(clippy::too_many_arguments)] // internal hot path, two call sites
     pub(crate) fn transmit_put(
         &self,
@@ -948,29 +867,10 @@ impl NtbNode {
             return Err(NtbError::DeadlineExceeded);
         }
         self.acquire_credit(ep, put_id, deadline_us)?;
-        let terminating = ep.neighbor == dest;
         let frame = Frame::put(self.topo.me, dest, chunk.len() as u32, heap_offset, put_id, mode)
             .with_deadline_us(deadline_us);
         self.trace(TraceKind::FrameSent, self.topo.me, dest, chunk.len() as u32);
-        // Any chunk that fits a slot lane rides the coalescing ring —
-        // including routed chunks whose next hop is only an intermediate
-        // host (the drain side routes non-terminating slot frames onward
-        // exactly like mailbox frames). Only oversized chunks fall back
-        // to the scratchpad mailbox and its bypass staging area.
-        let ring = ep.txring.as_ref().filter(|r| r.fits(chunk.len()));
-        let result = match ring {
-            Some(ring) => match ring.publish(frame, Some(chunk)) {
-                Ok(()) if !defer_flush => ring.flush(),
-                other => other,
-            },
-            None => {
-                let area = self.layout.area_offset(terminating);
-                ep.tx.send(frame, |port| {
-                    self.push_payload(port, area, chunk, mode)?;
-                    self.write_deadline_word(ep, deadline_us)
-                })
-            }
-        };
+        let result = self.send_frame(ep, frame, Some(chunk), defer_flush);
         if result.is_err() {
             // The frame never left this host, so the peer will never see
             // (or re-grant) its credit — return it.
@@ -1353,10 +1253,8 @@ impl NtbNode {
         Ok(out)
     }
 
-    /// Transmit one get sub-request. Terminating requests are
-    /// payload-free, so they always fit a ring slot and batch through
-    /// the coalescing transmit ring (the doorbell held back while
-    /// `defer_flush`); routed requests use the scratchpad mailbox.
+    /// Transmit one get sub-request, a payload-free ring frame (the
+    /// doorbell held back while `defer_flush`).
     #[allow(clippy::too_many_arguments)] // internal fan-in for the windowed get path
     fn send_get_req(
         &self,
@@ -1380,14 +1278,7 @@ impl NtbNode {
         let frame =
             Frame::get_req(self.topo.me, src, len31(sub_len)?, offset32(abs_offset)?, req_id, mode)
                 .with_deadline_us(deadline_us);
-        let ring = ep.txring.as_ref().filter(|_| ep.neighbor == src);
-        let result = match ring {
-            Some(ring) => match ring.publish(frame, None) {
-                Ok(()) if !defer_flush => ring.flush(),
-                other => other,
-            },
-            None => ep.tx.send(frame, |_port| self.write_deadline_word(ep, deadline_us)),
-        };
+        let result = self.send_frame(ep, frame, None, defer_flush);
         self.note_send_result(ep, &result);
         if result.is_ok() {
             self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
@@ -1507,12 +1398,7 @@ impl NtbNode {
             }
             self.check_alive(target)?;
             let ep = self.endpoint_for(target);
-            let terminating = ep.neighbor == target;
-            let area = self.layout.area_offset(terminating);
-            let result = ep.tx.send(frame, |port| {
-                self.push_payload(port, area, &payload, TransferMode::Dma)?;
-                self.write_deadline_word(ep, deadline_us)
-            });
+            let result = self.send_frame(ep, frame, Some(&payload), false);
             self.note_send_result(ep, &result);
             if result.is_ok() {
                 self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
@@ -1901,42 +1787,9 @@ impl NtbNode {
     /// not carry this round of gossip; the periodic beat republishes.
     pub(crate) fn gossip_view(&self, view: MembershipView) {
         for ep in &self.endpoints {
-            let _ = self.publish_view(ep, view);
+            let _ = membership::publish_view(&ep.port, view);
             let _ = ep.port.ring_peer(DB_GOSSIP);
         }
-    }
-
-    /// Write `view` into `ep`'s transmit half of the heartbeat block.
-    /// Bitmaps first, epoch last — the epoch word doubles as the release
-    /// publication (readers discard samples whose epoch moved mid-read).
-    pub(crate) fn publish_view(&self, ep: &LinkEndpoint, view: MembershipView) -> Result<()> {
-        let base = hb_tx_base(ep.port.outgoing().direction());
-        ep.port.spad_write(base + HB_LIVE, view.live)?;
-        ep.port.spad_write(base + HB_CRASH, view.crash_flags)?;
-        ep.port.spad_write(base + HB_EPOCH, view.epoch as u32)
-    }
-
-    /// Stamp this node's liveness beat on `ep` (the rejoin flag bit is
-    /// reserved and always cleared here).
-    pub(crate) fn publish_beat(&self, ep: &LinkEndpoint, beat: u32) -> Result<()> {
-        let base = hb_tx_base(ep.port.outgoing().direction());
-        ep.port.spad_write(base + HB_BEAT, beat & !REJOIN_FLAG)
-    }
-
-    /// Read the neighbour's half of `ep`'s heartbeat block: the raw beat
-    /// word plus its published membership view. `Ok(None)` means the
-    /// epoch word changed mid-read (a torn sample) — skip and resample
-    /// on the next tick.
-    pub(crate) fn read_peer_hb(&self, ep: &LinkEndpoint) -> Result<Option<(u32, MembershipView)>> {
-        let base = hb_rx_base(ep.port.outgoing().direction());
-        let epoch = ep.port.spad_read(base + HB_EPOCH)?;
-        let beat = ep.port.spad_read(base + HB_BEAT)?;
-        let live = ep.port.spad_read(base + HB_LIVE)?;
-        let crash = ep.port.spad_read(base + HB_CRASH)?;
-        if ep.port.spad_read(base + HB_EPOCH)? != epoch {
-            return Ok(None);
-        }
-        Ok(Some((beat, MembershipView { epoch: u64::from(epoch), live, crash_flags: crash })))
     }
 
     /// Crash this host: every port dies atomically (in-flight and future
@@ -1999,12 +1852,11 @@ impl NtbNode {
         let deadline = Instant::now() + timeout;
         let view = 'wait: loop {
             for ep in &self.endpoints {
-                let base = hb_tx_base(ep.port.outgoing().direction());
-                let _ = ep.port.spad_write(base + HB_BEAT, sig);
+                let _ = membership::write_beat(&ep.port, sig);
                 let _ = ep.port.ring_peer(DB_GOSSIP);
             }
             for ep in &self.endpoints {
-                if let Ok(Some((_, view))) = self.read_peer_hb(ep) {
+                if let Ok(Some((_, view))) = membership::read_peer_block(&ep.port) {
                     if view.epoch > 0 && view.is_live(self.topo.me) {
                         break 'wait view;
                     }
@@ -2022,7 +1874,7 @@ impl NtbNode {
         // Resume normal beats: withdrawing the rejoin flag tells the
         // neighbours the handshake is over.
         for ep in &self.endpoints {
-            let _ = self.publish_beat(ep, 1);
+            let _ = membership::write_beat(&ep.port, 1);
         }
         self.rejoining.store(false, Ordering::SeqCst);
         self.obs.emit(EventKind::NodeRestart, self.membership.epoch(), [self.topo.me as u64, 0]);

@@ -2,41 +2,40 @@
 //!
 //! Each link endpoint runs two background threads:
 //!
-//! * the **service loop** waits on the doorbell, decodes the arrived
-//!   transfer-info frame, consumes (or stages) the payload, acknowledges
-//!   the mailbox, and dispatches: deliver to the local symmetric space,
-//!   serve a Get, execute an atomic, count an ack — or hand the frame to
-//!   the opposite endpoint's forwarder if this host is not the final
-//!   destination;
+//! * the **service loop** waits on the doorbell, drains the endpoint's
+//!   slot ring in publish order (copying each payload out of its lane or
+//!   payload area and releasing the slot), and dispatches: deliver to the
+//!   local symmetric space, serve a Get, execute an atomic, count an
+//!   ack — or hand the frame to the opposite endpoint's forwarder if this
+//!   host is not the final destination;
 //! * the **forwarder loop** drains the endpoint's [`ForwardQueue`](crate::forwarder::ForwardQueue),
 //!   re-transmitting staged frames towards their destination (the bypass
 //!   data path of paper Fig. 4).
 //!
 //! The split is what makes the ring deadlock-free: the service loop never
-//! blocks on an outbound mailbox.
+//! blocks on an outbound slot ring.
 //!
 //! A third per-*node* thread, the **retry sweeper**, owns end-to-end
 //! recovery: it retransmits put chunks whose acknowledgement is overdue
 //! (exponential backoff, abandonment into `quiet` once the budget is
 //! spent) and probes `Down` endpoints back into service.
 //!
-//! Lossy-link hardening in the receive path: the idle tick also polls the
-//! mailbox (a dropped doorbell otherwise strands a frame in the slot),
-//! every staged payload is CRC-checked against the window's control slot
-//! (a corrupted payload is dropped and recovered by retransmission), and
-//! deliveries are deduplicated so retransmissions stay idempotent.
+//! Lossy-link hardening in the receive path: the idle tick also drains the
+//! ring (a dropped doorbell otherwise strands a batch in its slots), every
+//! record and payload is CRC-checked against its slot's integrity word on
+//! links with an armed fault plan (a corrupted frame is dropped and
+//! recovered by retransmission), and deliveries are deduplicated so
+//! retransmissions stay idempotent.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ntb_sim::{DoorbellWaiter, EventKind, Result};
 
-use crate::crc::crc32;
-use crate::doorbells::{DB_DMAGET, DB_DMAPUT, DB_GOSSIP, DB_SHUTDOWN, SERVICE_INTEREST};
+use crate::doorbells::{DB_DMAPUT, DB_GOSSIP, DB_SHUTDOWN, SERVICE_INTEREST};
 use crate::forwarder::ForwardJob;
 use crate::frame::{Frame, FrameKind};
-use crate::membership::{rejoin_signature, BeatMonitor, BeatVerdict, REJOIN_FLAG};
+use crate::membership::{self, rejoin_signature, BeatMonitor, BeatVerdict, REJOIN_FLAG};
 use crate::node::NtbNode;
 use crate::pending::FillOutcome;
 use crate::slots::{self, Drained, DrainedSlot};
@@ -44,29 +43,8 @@ use crate::trace::TraceKind;
 
 /// How long the service loop sleeps between shutdown-flag checks when the
 /// doorbell stays silent. Doubles as the lost-doorbell recovery latency:
-/// the idle tick polls the mailbox even without an interrupt.
+/// the idle tick drains the ring even without an interrupt.
 const IDLE_TICK: Duration = Duration::from_millis(100);
-
-/// Drain every frame currently in the endpoint's receive mailbox.
-fn drain_mailbox(node: &Arc<NtbNode>, idx: usize) {
-    let ep = &node.endpoints[idx];
-    loop {
-        match ep.rx.try_recv() {
-            Ok(Some(frame)) => {
-                if let Err(e) = handle_frame(node, idx, frame) {
-                    node.record_error(e);
-                    // Free the link even on a failed frame.
-                    let _ = ep.rx.ack();
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                node.record_error(e);
-                break;
-            }
-        }
-    }
-}
 
 /// Receive loop for endpoint `idx` (paper Fig. 5:
 /// `Do_DMAPutInterruptService` / `Do_DMAGetInterruptService`).
@@ -74,8 +52,7 @@ pub(crate) fn service_loop(node: &Arc<NtbNode>, idx: usize) {
     let ep = &node.endpoints[idx];
     let hb = node.config().heartbeat;
     // With the detector on, the idle tick must keep up with the beat
-    // period; a frozen *port* still stalls the thread inside the gated
-    // scratchpad calls, which is exactly what a hung host looks like.
+    // period.
     let tick = if hb.enabled { IDLE_TICK.min(hb.period) } else { IDLE_TICK };
     let mut beat = HeartbeatState::default();
     // This thread is the only one draining this endpoint's ring.
@@ -84,10 +61,12 @@ pub(crate) fn service_loop(node: &Arc<NtbNode>, idx: usize) {
         if node.is_shutdown() {
             return;
         }
-        if ep.port().is_dead() || node.is_rejoining() {
+        if ep.port().is_dead() || ep.port().is_frozen() || node.is_rejoining() {
             // A crashed host's threads do nothing until `restart()`
-            // revives the ports — and while the rejoin handshake runs it
-            // owns the heartbeat block, so the loop stays parked.
+            // revives the ports, and a hung (frozen) host drains and
+            // beats nothing until it thaws — and while the rejoin
+            // handshake runs it owns the heartbeat block, so the loop
+            // stays parked.
             // DEADLINE-CLIPPED: 1 ms park tick; the loop re-checks the
             // shutdown flag and port state every iteration.
             std::thread::sleep(Duration::from_millis(1));
@@ -96,13 +75,17 @@ pub(crate) fn service_loop(node: &Arc<NtbNode>, idx: usize) {
         let mut gossip = false;
         // DEADLINE-CLIPPED: `tick` is the idle-poll quantum of the service
         // loop — there is no op deadline here, only the lost-interrupt net.
-        match ep.port().wait_doorbell(SERVICE_INTEREST, Some(tick)) {
+        let woke = ep.port().wait_doorbell(SERVICE_INTEREST, Some(tick));
+        if ep.port().is_frozen() {
+            // Frozen while waiting: a hung host services nothing, and the
+            // pending doorbell bits wait for the thaw.
+            continue;
+        }
+        match woke {
             DoorbellWaiter::TimedOut => {
                 // Lost-interrupt safety net: a dropped doorbell leaves a
-                // frame stranded in the slot (or a batch in the transmit
-                // ring) with no ring to announce it; the idle poll picks
-                // it up within one tick.
-                drain_mailbox(node, idx);
+                // batch stranded in the ring with nothing to announce it;
+                // the idle poll picks it up within one tick.
                 drain_ring(node, idx, &mut cursor);
             }
             DoorbellWaiter::Fired(bits) => {
@@ -110,15 +93,12 @@ pub(crate) fn service_loop(node: &Arc<NtbNode>, idx: usize) {
                     return;
                 }
                 // Acknowledge the interrupt before processing so a ring
-                // for the *next* frame (sent after our mailbox ack) is
+                // for the *next* batch (sent after our slot releases) is
                 // not lost.
-                ep.port().clear_doorbell(
-                    bits & ((1 << DB_DMAPUT) | (1 << DB_DMAGET) | (1 << DB_GOSSIP)),
-                );
+                ep.port().clear_doorbell(bits & ((1 << DB_DMAPUT) | (1 << DB_GOSSIP)));
                 gossip = bits & (1 << DB_GOSSIP) != 0;
                 // ISR + wakeup + the prototype's sleep-and-wait loop.
                 node.model().delay(node.model().interrupt_service_delay);
-                drain_mailbox(node, idx);
                 drain_ring(node, idx, &mut cursor);
             }
         }
@@ -161,15 +141,15 @@ fn heartbeat_tick(node: &Arc<NtbNode>, idx: usize, st: &mut HeartbeatState, goss
         // Failures here are link faults (or our own death racing the
         // crash injector); either way the beat simply doesn't land and
         // the neighbour's detector does its job.
-        let _ = node.publish_beat(ep, st.my_beat);
+        let _ = membership::write_beat(ep.port(), st.my_beat);
     }
-    let _ = node.publish_view(ep, node.membership().view());
+    let _ = membership::publish_view(ep.port(), node.membership().view());
     // Credit upkeep rides the heartbeat: re-advertise the grant total
     // (deferred advertisements from congested spells catch up here once
     // the queue drains) and absorb the peer's latest advertisement.
     node.advertise_credits(ep);
     node.refresh_credits(ep);
-    let Ok(Some((raw, peer_view))) = node.read_peer_hb(ep) else {
+    let Ok(Some((raw, peer_view))) = membership::read_peer_block(ep.port()) else {
         // A torn sample or a faulted link: neither says anything about
         // the *node* behind the link. Resample next tick.
         return;
@@ -231,124 +211,6 @@ fn heartbeat_tick(node: &Arc<NtbNode>, idx: usize, st: &mut HeartbeatState, goss
     }
 }
 
-/// Handle one decoded frame that arrived on endpoint `idx`.
-fn handle_frame(node: &Arc<NtbNode>, idx: usize, frame: Frame) -> Result<()> {
-    node.count_frame();
-    node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
-    {
-        let ep = &node.endpoints[idx];
-        ep.obs.emit(
-            EventKind::FrameRx,
-            u64::from(frame.aux),
-            [frame.kind as u64, frame.src as u64],
-        );
-        node.metrics.bump_link(ep.link_idx, |l| &l.frames_rx);
-    }
-    // Per-link-direction frames carry a 16-bit sequence number; a gap or
-    // repeat means the one-slot mailbox protocol was violated. (Sequence
-    // numbers are assigned per transmission, so retransmitted frames do
-    // not create gaps.)
-    {
-        // lint: relaxed-ok(rx_seq is single-owner: only this endpoint's service thread loads
-        // and stores it; the doorbell/ScratchPad handshake orders the frame itself)
-        let expected = node.endpoints[idx].rx_seq.load(Ordering::Relaxed) as u16;
-        if frame.seq != expected {
-            node.record_error(ntb_sim::NtbError::BadDescriptor {
-                reason: "frame sequence gap on link (mailbox protocol violation)",
-            });
-        }
-        // lint: relaxed-ok(single-owner, see the load above)
-        node.endpoints[idx].rx_seq.store(u32::from(frame.seq.wrapping_add(1)), Ordering::Relaxed);
-    }
-    let ep = &node.endpoints[idx];
-    let me = node.host_id();
-    let terminating = frame.dest == me;
-
-    // Restore the wire deadline from the control slot (the four-word
-    // scratchpad encode has no room for it). Must happen before the ack:
-    // acking frees the sender to overwrite the word for its next frame.
-    let frame = {
-        let raw = ep.port().incoming().region().read_vec(node.layout.deadline_off(), 4)?;
-        // lint: unwrap-ok(read_vec returned exactly the 4 requested bytes)
-        frame.with_deadline_us(u32::from_le_bytes(raw.try_into().unwrap()))
-    };
-
-    // Stage the payload out of the window (direct area if it terminates
-    // here, bypass area otherwise — mirroring where the sender placed it),
-    // then acknowledge the mailbox so the link is free for the next frame.
-    let payload: Option<Vec<u8>> = if frame.kind.has_payload() && frame.len > 0 {
-        let area = node.layout.area_offset(terminating);
-        let data = ep.port().incoming().region().read_vec(area, u64::from(frame.len))?;
-        // Hop-by-hop integrity: on links with an armed fault plan the
-        // sender published crc32(payload) in the control slot. A mismatch
-        // means the window write was corrupted in flight — drop the frame
-        // (the ack below frees the slot) and let the sender's
-        // retransmission recover. Clean links skip the check; their
-        // posted writes cannot corrupt.
-        if ep.port().outgoing().faults().is_active() {
-            let crc_bytes = ep.port().incoming().region().read_vec(node.layout.crc_off(), 4)?;
-            let crc_arr: [u8; 4] = crc_bytes
-                .try_into()
-                .map_err(|_| ntb_sim::NtbError::BadDescriptor { reason: "short CRC slot read" })?;
-            let expected_crc = u32::from_le_bytes(crc_arr);
-            if crc32(&data) != expected_crc {
-                node.count_checksum_reject();
-                node.metrics.bump_link(ep.link_idx, |l| &l.crc_rejects);
-                ep.obs.emit(
-                    EventKind::CrcReject,
-                    u64::from(frame.aux),
-                    [frame.src as u64, frame.dest as u64],
-                );
-                node.trace(TraceKind::FrameHandled, frame.src, frame.dest, 0);
-                ep.rx.ack()?;
-                // The header decoded fine, so the source is known: the
-                // neighbour's consumed credit is still re-granted — a
-                // corrupted put must cost retransmission, not a credit.
-                if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
-                    node.grant_credits(ep, 1);
-                }
-                return Ok(());
-            }
-        }
-        node.model().delay(node.model().window_copy_time(u64::from(frame.len)));
-        Some(data)
-    } else {
-        None
-    };
-    ep.rx.ack()?;
-
-    // Credit bookkeeping for the first hop (DESIGN.md §14): one arrived
-    // put from the direct neighbour is exactly one credit its gate
-    // consumed — grant it back. Acks from the direct neighbour may carry
-    // a piggybacked cumulative grant total in their (otherwise unused)
-    // offset field.
-    if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
-        node.grant_credits(ep, 1);
-    }
-    if frame.kind == FrameKind::PutAck && frame.src == ep.neighbor() && frame.offset != 0 {
-        ep.credit.advertise(u64::from(frame.offset));
-    }
-    // Deadline propagation: every hop sheds expired work — a frame whose
-    // deadline passed is dead weight whether it terminates here or has
-    // half the ring left to cross.
-    let now = node.now_us();
-    if frame.deadline_expired(now) {
-        node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
-        ep.obs.emit(
-            EventKind::DeadlineShed,
-            u64::from(frame.aux),
-            [u64::from(frame.deadline_us), u64::from(now)],
-        );
-        return Ok(());
-    }
-
-    if !terminating {
-        forward_onward(node, idx, frame, payload);
-        return Ok(());
-    }
-    dispatch_frame(node, frame, payload)
-}
-
 /// Hand a non-terminating frame to the onward forwarder (paper Fig. 5:
 /// "Destination is my neighbor? / Bypass data via transfer buffer").
 /// Split horizon: never back out the arrival endpoint `idx`.
@@ -358,15 +220,12 @@ fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option
     ep.obs.emit(EventKind::FrameFwd, u64::from(frame.aux), [frame.src as u64, frame.dest as u64]);
     let out = node.forward_endpoint(frame.dest, idx);
     // The bypass-buffer staging cost only applies to payloads that will
-    // actually stage through the bypass window area (the mailbox path).
-    // A payload that fits the outgoing slot lane is re-published straight
-    // into the ring; its real costs — slot PIO writes, the coalesced
-    // doorbell, the next hop's interrupt — are charged by the ring
-    // machinery itself.
+    // actually stage through the next hop's bypass area. A payload that
+    // fits the outgoing slot lane is re-published straight into the
+    // ring; its real costs — slot PIO writes, the coalesced doorbell, the
+    // next hop's interrupt — are charged by the ring machinery itself.
     let think = match &payload {
-        Some(data) if !out.txring.as_ref().is_some_and(|r| r.fits(data.len())) => {
-            node.model().bypass_forward_delay
-        }
+        Some(data) if !out.txring.fits(data.len()) => node.model().bypass_forward_delay,
         _ => Duration::ZERO,
     };
     let (aux, deadline_us) = (u64::from(frame.aux), frame.deadline_us);
@@ -381,20 +240,19 @@ fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option
 /// ring, in publish order (see [`slots::drain_in_order`]). One coalesced
 /// doorbell (or one idle tick) drains the whole batch.
 fn drain_ring(node: &Arc<NtbNode>, idx: usize, cursor: &mut slots::RxCursor) {
-    if !node.layout.has_ring() {
-        return;
-    }
     let ep = &node.endpoints[idx];
     let src = slots::RegionSlots {
         region: ep.port().incoming().region(),
         layout: &node.layout,
+        me: node.host_id(),
         // The fault plan is per-link and symmetric: the peer arms its CRC
         // exactly when our outgoing half reports an active plan.
         check_crc: ep.port().outgoing().faults().is_active(),
+        model: node.model(),
     };
     let sender = ep.neighbor() as u64;
     let result = slots::drain_in_order(&src, cursor, |drained| match drained {
-        Drained::Rejected(slot) => {
+        Drained::Rejected { idx: slot, header } => {
             // Consumed without dispatch (and without a SlotDrain event —
             // a corrupted record's sequence number cannot be trusted to
             // pair with any publish); the sender's end-to-end
@@ -402,6 +260,16 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize, cursor: &mut slots::RxCursor) {
             node.count_checksum_reject();
             node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
             ep.obs.emit(EventKind::CrcReject, 0, [sender, u64::from(slot)]);
+            // A rejected put from the neighbour still consumed one of its
+            // credits: grant it back, or every corrupted put would shrink
+            // the link's window for good. The header is the best witness
+            // left; a corruption inside it may misname the kind, which
+            // costs or adds one credit once.
+            if Frame::decode([header, 0, 0, 0])
+                .is_some_and(|f| f.kind == FrameKind::Put && f.src == ep.neighbor())
+            {
+                node.grant_credits(ep, 1);
+            }
         }
         Drained::Skipped { seq, idx: slot } => {
             // A lost header, not a checksum failure: counted apart so a
@@ -441,14 +309,19 @@ fn dispatch_slot(node: &Arc<NtbNode>, idx: usize, drained: DrainedSlot) {
     node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
     ep.obs.emit(EventKind::FrameRx, u64::from(frame.aux), [frame.kind as u64, frame.src as u64]);
     node.metrics.bump_link(ep.link_idx(), |l| &l.frames_rx);
-    // Same first-hop credit and deadline plumbing as the scratchpad path
-    // (the ring is just a batched lane over the same cable).
+    // First-hop credit bookkeeping (DESIGN.md §14): one arrived put from
+    // the direct neighbour is exactly one credit its gate consumed — grant
+    // it back. Acks from the direct neighbour may carry a piggybacked
+    // cumulative grant total in their (otherwise unused) offset field.
     if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
         node.grant_credits(ep, 1);
     }
     if frame.kind == FrameKind::PutAck && frame.src == ep.neighbor() && frame.offset != 0 {
         ep.credit.advertise(u64::from(frame.offset));
     }
+    // Deadline propagation: every hop sheds expired work — a frame whose
+    // deadline passed is dead weight whether it terminates here or has
+    // half the ring left to cross.
     let now = node.now_us();
     if frame.deadline_expired(now) {
         node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
@@ -459,15 +332,16 @@ fn dispatch_slot(node: &Arc<NtbNode>, idx: usize, drained: DrainedSlot) {
         );
         return;
     }
-    if let Some(data) = &drained.payload {
+    // An area payload paid its copy before its slot was released.
+    if let Some(data) = drained.payload.as_ref().filter(|d| d.len() as u64 <= node.layout.ring_lane)
+    {
         node.model().delay(node.model().window_copy_time(data.len() as u64));
     }
     let result = if frame.dest == node.host_id() {
         dispatch_frame(node, frame, drained.payload)
     } else {
-        // Routed slot frames are the normal case on multi-hop shapes:
-        // small chunks ride the ring on every hop, and intermediate hosts
-        // route them onward exactly like mailbox frames.
+        // Routed frames ride the ring on every hop; intermediate hosts
+        // route them onward (paper Fig. 5: "Destination is my neighbor?").
         forward_onward(node, idx, frame, drained.payload);
         Ok(())
     };
@@ -476,8 +350,7 @@ fn dispatch_slot(node: &Arc<NtbNode>, idx: usize, drained: DrainedSlot) {
     }
 }
 
-/// Terminating per-kind frame logic, shared by the scratchpad mailbox
-/// path ([`handle_frame`]) and the transmit-ring path ([`drain_ring`]).
+/// Terminating per-kind frame logic for a frame drained from the ring.
 fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -> Result<()> {
     let me = node.host_id();
     match frame.kind {
@@ -750,33 +623,10 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
             );
             continue;
         }
-        let terminating = ep.neighbor() == job.frame.dest;
-        let mode = job.frame.mode;
-        // Data frames that fit a slot lane (put chunks at any hop, the
-        // returning acknowledgement stream, and get response chunks) ride
-        // the coalescing ring: back-to-back jobs batch behind one
-        // doorbell, so a round of small routed frames crossing the same
-        // link shares one interrupt instead of serializing one mailbox
-        // handshake each.
-        let ring = ep.txring.as_ref().filter(|r| {
-            matches!(job.frame.kind, FrameKind::Put | FrameKind::PutAck | FrameKind::GetResp)
-                && r.fits(job.payload.as_ref().map_or(0, |p| p.len()))
-        });
-        let result = match ring {
-            Some(ring) => ring.publish(job.frame, job.payload.as_deref()),
-            None => {
-                let area = node.layout.area_offset(terminating);
-                match &job.payload {
-                    Some(data) => ep.tx.send(job.frame, |port| {
-                        node.push_payload(port, area, data, mode)?;
-                        node.write_deadline_word(ep, job.frame.deadline_us)
-                    }),
-                    None => ep.tx.send(job.frame, |_port| {
-                        node.write_deadline_word(ep, job.frame.deadline_us)
-                    }),
-                }
-            }
-        };
+        // Every job rides the ring: back-to-back jobs batch behind one
+        // doorbell, so a round of routed frames crossing the same link
+        // shares one interrupt.
+        let result = node.send_frame(ep, job.frame, job.payload.as_deref(), true);
         node.note_send_result(ep, &result);
         if result.is_ok() {
             node.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
@@ -793,12 +643,8 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
         // ring auto-flushes at its batch cap). A flush failure is not
         // re-queued: staged puts are recovered by their origin's
         // retransmission and a lost ack is re-served on the duplicate.
-        if ep.fwd.depth() == 0 {
-            if let Some(ring) = &ep.txring {
-                if ring.staged() > 0 {
-                    node.flush_ring(ep);
-                }
-            }
+        if ep.fwd.depth() == 0 && ep.txring.staged() > 0 {
+            node.flush_ring(ep);
         }
         if let Err(e) = result {
             if node.is_shutdown() {

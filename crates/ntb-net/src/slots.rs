@@ -1,18 +1,25 @@
-//! The coalescing transmit ring: multi-slot mailboxes with one doorbell
-//! per drained batch.
+//! The slot ring: every frame between two neighbours, in publish order,
+//! with one doorbell per flushed batch.
 //!
-//! The legacy scratchpad mailbox ([`crate::mailbox`]) is a one-slot
-//! protocol: every frame waits for the previous frame's consumption,
-//! publishes four ScratchPad registers, and rings its own doorbell — one
-//! full link round-trip and one interrupt per message. That per-op
-//! overhead dominates small transfers (the paper's Fig. 8/9 story), so
-//! this module pipelines the hot path:
+//! The paper's protocol stages a payload in the neighbour's window,
+//! publishes `{src, dest, offset, size, kind}` and rings a doorbell. Here
+//! every frame of a link direction rides one ring of slot records in the
+//! peer's window; the ScratchPads only carry the bring-up handshake and
+//! the heartbeat.
 //!
-//! * The window gains a **ring of mailbox slots** past the control slot
-//!   (see [`WindowLayout::with_ring`]): each slot is a 32-byte record
-//!   (header word, length, offset, aux, sequence, deadline, CRC) plus a
-//!   private payload lane. A sender publishes record + payload with plain window
-//!   writes, keeping several frames in flight at once.
+//! * The window holds a **ring of slots** past the control slot (see
+//!   [`WindowLayout`]): each slot is a 32-byte record (header word,
+//!   length, offset, aux, sequence, deadline, CRC, one reserved word)
+//!   plus a private payload lane. A sender publishes record + payload
+//!   with plain window writes, keeping several frames in flight at once.
+//! * A payload that fits the lane (`NetConfig::coalesce_payload_max`)
+//!   travels in it. A bigger one is staged in a payload area, the direct
+//!   area when the receiver is its destination and the bypass area when
+//!   the receiver forwards it; the receiver finds it by the same two
+//!   tests on the record's length and destination. Each area holds **one
+//!   staged payload**: its record is flushed as soon as it is staged, and
+//!   before staging into an area the sender waits for the slot of the
+//!   area's previous record to clear.
 //! * Headers are written **last and in batch** by [`TxSlotRing::flush`]:
 //!   after the batch's payloads land (small ones by zero-copy PIO below
 //!   the crossover threshold, large ones as one chained DMA submission
@@ -21,7 +28,9 @@
 //! * The receiver's service thread drains **all** pending slots per
 //!   interrupt, zeroing each header as the per-slot acknowledgement; the
 //!   sender polls a slot's header back to zero (a non-posted read)
-//!   before reusing it, so flow control needs no reverse channel.
+//!   before reusing it, so flow control needs no reverse channel. An area
+//!   payload is copied out, and its copy time paid, before its slot is
+//!   released, so the next payload cannot overwrite it.
 //!
 //! **Ring depth.** The receiver drains only after its interrupt-service
 //! wake (150 µs at paper timing), so the ring must hold what a sender
@@ -50,11 +59,11 @@
 //! rewrites a header the receiver already consumed (a plain-store
 //! publish: the frame is read twice).
 //!
-//! Loss tolerance mirrors the scratchpad path: a swallowed doorbell is
-//! recovered by the sender's bounded re-ring and the receiver's idle
-//! poll; a corrupted record or payload fails the per-slot CRC (armed only
-//! when the link has an active fault plan) and is consumed without
-//! dispatch, leaving recovery to end-to-end retransmission. A gap in the
+//! Loss tolerance: a swallowed doorbell is recovered by the sender's
+//! bounded re-ring and the receiver's idle poll; a corrupted record or
+//! payload, lane or area, fails the per-slot CRC (armed only when the
+//! link has an active fault plan) and is consumed without dispatch,
+//! leaving recovery to end-to-end retransmission. A gap in the
 //! sequence — a corrupted record, or a header that a fault zeroed — is
 //! passed over once a later header proves the missing one will never
 //! land, so the ring never stalls behind it; the unacked-put ledger
@@ -77,7 +86,7 @@ use ntb_sim::{
     DmaRequest, EventKind, MetricsRegistry, NtbError, NtbPort, Obs, Region, Result, TimeModel,
     TransferMode,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::config::NetConfig;
 use crate::crc::crc32;
@@ -87,7 +96,8 @@ use crate::layout::WindowLayout;
 
 /// Byte offset of the record body (everything after the header word).
 const BODY_OFF: u64 = 4;
-/// Record body length: len word, offset, aux, slot sequence, deadline, CRC.
+/// Record body length: len word, offset, aux, slot sequence, deadline,
+/// CRC (the record's last word is reserved and never written).
 const BODY_LEN: usize = 24;
 
 /// One frame staged in the current batch: its header word is withheld
@@ -112,16 +122,21 @@ struct TxState {
     /// DMA descriptors accumulated for the batch's large payloads;
     /// submitted as one chain at flush time.
     dma_reqs: Vec<DmaRequest>,
+    /// Sequence number of the last record whose payload was staged in the
+    /// direct area (`[0]`) and in the bypass area (`[1]`).
+    areas: [Option<u32>; 2],
 }
 
 /// The transmit side of one link direction's slot ring.
 pub struct TxSlotRing {
     port: Arc<NtbPort>,
+    /// The host on the other side: frames addressed to it stage oversized
+    /// payloads in the direct area, all others in the bypass area.
+    neighbor: usize,
     layout: WindowLayout,
     obs: Obs,
     model: Arc<TimeModel>,
     pio_crossover: u64,
-    payload_max: u64,
     batch_cap: u32,
     abort: Option<Arc<AtomicBool>>,
     retry: Option<(Duration, u32)>,
@@ -131,23 +146,23 @@ pub struct TxSlotRing {
 }
 
 impl TxSlotRing {
-    /// Transmit ring of `port`, publishing into the peer's window ring
-    /// area described by `layout`.
+    /// Transmit ring of `port` toward host `neighbor`, publishing into
+    /// the peer's window described by `layout`.
     pub fn new(
         port: Arc<NtbPort>,
+        neighbor: usize,
         layout: WindowLayout,
         cfg: &NetConfig,
         model: Arc<TimeModel>,
         obs: Obs,
     ) -> Self {
-        assert!(layout.has_ring(), "TxSlotRing needs a layout with a ring area");
         TxSlotRing {
             port,
+            neighbor,
             layout,
             obs,
             model,
             pio_crossover: cfg.pio_crossover,
-            payload_max: cfg.coalesce_payload_max,
             batch_cap: cfg.batch_cap(),
             abort: None,
             retry: None,
@@ -176,7 +191,7 @@ impl TxSlotRing {
 
     /// Whether a payload of `len` bytes fits a slot's payload lane.
     pub fn fits(&self, len: usize) -> bool {
-        len as u64 <= self.payload_max
+        len as u64 <= self.layout.ring_lane
     }
 
     /// Frames staged but not yet flushed (diagnostics and tests).
@@ -185,31 +200,27 @@ impl TxSlotRing {
     }
 
     /// Wait until slot `idx`'s header reads back zero (the receiver
-    /// consumed its previous occupant). Non-posted read per poll; bounded
-    /// by the retry policy like the scratchpad wait. A wait past the
-    /// first read means the ring was full: it is logged as one
-    /// `SlotFullWait` for publish `seq` and counted in the link's
-    /// `slot_full_waits`.
+    /// consumed its previous occupant). One atomic non-posted read per
+    /// poll; bounded by the retry policy. Returns how long it waited when
+    /// the first read found the slot occupied.
     ///
-    /// The wait escalates instead of busy-spinning forever: a short pure
-    /// spin catches the common sub-microsecond free, then the thread
-    /// yields its core, then it parks for exponentially growing slices
-    /// (capped at 64 µs) so a long-occupied slot costs interrupts, not a
-    /// pegged core.
-    fn wait_slot_free(&self, idx: u32, seq: u32) -> Result<()> {
+    /// A full-ring wait escalates instead of busy-spinning forever: a
+    /// short pure spin catches the common sub-microsecond free, then the
+    /// thread yields its core, then, with `park`, it parks for
+    /// exponentially growing slices (capped at 64 µs) so a long-occupied
+    /// slot costs interrupts, not a pegged core. A wait for a payload
+    /// area does not park: it lasts one receiver wake plus one payload
+    /// copy, and a park's timer slack (tens of µs) would add to every
+    /// chunk of a bulk transfer.
+    fn wait_slot_free(&self, idx: u32, park: bool) -> Result<Option<Duration>> {
         let off = self.layout.ring_slot_off(idx);
-        let mut buf = [0u8; 4];
         let mut spins: u32 = 0;
         let wait_start = Instant::now();
         let mut round_start = wait_start;
         let mut rounds: u32 = 0;
         loop {
-            self.port.outgoing().read_bytes(off, &mut buf, TransferMode::Memcpy)?;
-            if buf == [0u8; 4] {
-                if spins > 0 {
-                    self.note_full_wait(idx, seq, wait_start.elapsed());
-                }
-                return Ok(());
+            if self.port.outgoing().read_u32(off, TransferMode::Memcpy)? == 0 {
+                return Ok((spins > 0).then(|| wait_start.elapsed()));
             }
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(64) {
@@ -236,7 +247,7 @@ impl TxSlotRing {
             }
             if spins < 64 {
                 std::hint::spin_loop();
-            } else if spins < 512 {
+            } else if spins < 512 || !park {
                 std::thread::yield_now();
             } else {
                 // 1, 2, 4 ... 64 µs parks; a pending unpark or timeout
@@ -249,6 +260,8 @@ impl TxSlotRing {
         }
     }
 
+    /// A wait on a full ring: logged as one `SlotFullWait` for publish
+    /// `seq` and counted in the link's `slot_full_waits`.
     fn note_full_wait(&self, idx: u32, seq: u32, waited: Duration) {
         let us = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX);
         self.obs.emit(EventKind::SlotFullWait, u64::from(seq), [us, u64::from(idx)]);
@@ -257,32 +270,73 @@ impl TxSlotRing {
         }
     }
 
+    /// Make area `area` (0 direct, 1 bypass) free for a new payload: wait
+    /// until the slot of the record that last staged a payload there is
+    /// released. That record was flushed when it was published, so its
+    /// header is out (or was rolled back and never lands). The wait runs
+    /// with the ring unlocked, so frames to the lanes keep flowing
+    /// meanwhile; it is over once the area's last record is still that
+    /// slot's, or the ring has reused the slot (which needed it
+    /// released).
+    fn claim_area<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, TxState>,
+        area: usize,
+    ) -> Result<MutexGuard<'a, TxState>> {
+        while let Some(prev) = st.areas[area] {
+            if st.slot_seq.wrapping_sub(prev) > self.layout.ring_slots {
+                break;
+            }
+            drop(st);
+            self.wait_slot_free(prev % self.layout.ring_slots, false)?;
+            st = self.state.lock();
+            if st.areas[area] == Some(prev) {
+                break;
+            }
+        }
+        Ok(st)
+    }
+
     /// Stage `frame` (+ payload) into the next free ring slot without
-    /// ringing a doorbell. The payload and record body are written now;
-    /// the header word is withheld until [`flush`](Self::flush) publishes
-    /// the batch. Auto-flushes first when the batch cap is reached. The
+    /// ringing a doorbell. The payload and record body are written now
+    /// (large payloads join the batch's DMA chain); the header word is
+    /// withheld until [`flush`](Self::flush) publishes the batch.
+    /// Auto-flushes first when the batch cap is reached. A payload too
+    /// big for the lane is staged in the direct or bypass area, once
+    /// the area's previous payload is consumed, and flushed at once. The
     /// slot's sequence number is committed only once every write
     /// succeeded, so a failed publish leaves no gap in the sequence.
     pub fn publish(&self, mut frame: Frame, payload: Option<&[u8]>) -> Result<()> {
         let data = payload.unwrap_or(&[]);
-        debug_assert!(self.fits(data.len()), "payload exceeds the slot lane");
         crate::lockdep_track!(&crate::lockdep::NET_TXRING);
         let mut st = self.state.lock();
+        // The payload area, if any: 0 direct, 1 bypass.
+        let area = (!self.fits(data.len())).then(|| usize::from(frame.dest != self.neighbor));
+        if let Some(area) = area {
+            st = self.claim_area(st, area)?;
+        }
+        // After the claim, which may have let other frames in: the batch
+        // never holds as many records as the ring has slots.
         if st.staged.len() as u32 >= self.batch_cap {
             self.flush_locked(&mut st)?;
         }
         let seq = st.slot_seq;
         let idx = seq % self.layout.ring_slots;
-        self.wait_slot_free(idx, seq)?;
+        if let Some(waited) = self.wait_slot_free(idx, true)? {
+            self.note_full_wait(idx, seq, waited);
+        }
         frame.seq = seq as u16;
         let words = frame.encode();
         let mut dma = None;
         if !data.is_empty() {
-            let lane = self.layout.ring_lane_off(idx);
+            let dst = match area {
+                None => self.layout.ring_lane_off(idx),
+                Some(area) => self.layout.area_offset(area == 0),
+            };
             if frame.mode == TransferMode::Memcpy || data.len() as u64 <= self.pio_crossover {
                 // Zero-copy PIO fast path: below the crossover a CPU
                 // store beats paying DMA setup (paper Fig. 9).
-                self.port.outgoing().write_bytes(lane, data, TransferMode::Memcpy)?;
+                self.port.pio_write(dst, data)?;
             } else {
                 let staging = Region::anonymous(data.len() as u64);
                 staging.write(0, data)?;
@@ -290,7 +344,7 @@ impl TxSlotRing {
                 dma = Some(DmaRequest {
                     src: staging,
                     src_offset: 0,
-                    dst_offset: lane,
+                    dst_offset: dst,
                     len: data.len() as u64,
                 });
             }
@@ -301,11 +355,11 @@ impl TxSlotRing {
         body[8..12].copy_from_slice(&words[3].to_le_bytes());
         body[12..16].copy_from_slice(&seq.to_le_bytes());
         body[16..20].copy_from_slice(&frame.deadline_us.to_le_bytes());
-        // Per-slot integrity word, armed (like the control-slot CRC) only
-        // on links with an active fault plan. Covers the header word too —
-        // it is written separately at flush time, and a corrupted header
-        // that still decodes would otherwise dispatch a frame with garbage
-        // routing fields.
+        // Per-slot integrity word, armed only on links with an active
+        // fault plan. Covers the header word too — it is written
+        // separately at flush time, and a corrupted header that still
+        // decodes would otherwise dispatch a frame with garbage routing
+        // fields — and the payload, in the lane or in an area.
         if self.port.outgoing().faults().is_active() {
             let mut crc = slot_crc(words[0], &body);
             if !data.is_empty() {
@@ -313,15 +367,19 @@ impl TxSlotRing {
             }
             body[20..24].copy_from_slice(&crc.to_le_bytes());
         }
-        self.port.outgoing().write_bytes(
-            self.layout.ring_slot_off(idx) + BODY_OFF,
-            &body,
-            TransferMode::Memcpy,
-        )?;
+        // Through the port's vitals gate: a frozen host's publish stalls
+        // here, before any of its record lands.
+        self.port.pio_write(self.layout.ring_slot_off(idx) + BODY_OFF, &body)?;
         // Commit: from here on the slot belongs to the batch.
         st.dma_reqs.extend(dma);
         st.slot_seq = seq.wrapping_add(1);
         st.staged.push(StagedSlot { idx, header: words[0], seq, len: data.len() as u32 });
+        if let Some(area) = area {
+            // An area holds one payload, so nothing can batch behind this
+            // one: publish it at once.
+            st.areas[area] = Some(seq);
+            self.flush_locked(&mut st)?;
+        }
         Ok(())
     }
 
@@ -382,17 +440,14 @@ impl TxSlotRing {
             }
         }
         if written > 0 {
-            match self.port.ring_peer(DB_DMAPUT) {
-                Ok(()) => {
-                    self.obs.emit(
-                        EventKind::DoorbellCoalesce,
-                        u64::from(first),
-                        [u64::from(written), 0],
-                    );
-                }
-                // Published frames without a ring are still recovered by
-                // the receiver's idle poll and the sender's re-ring.
-                Err(e) => err = err.or(Some(e)),
+            // Logged before the ring wakes the receiver: once a frame's
+            // effect is visible (a get or an AMO returns), the trace
+            // already holds the doorbell that announced it.
+            self.obs.emit(EventKind::DoorbellCoalesce, u64::from(first), [u64::from(written), 0]);
+            // Published frames without a ring are still recovered by the
+            // receiver's idle poll and the sender's re-ring.
+            if let Err(e) = self.port.ring_peer(DB_DMAPUT) {
+                err = err.or(Some(e));
             }
         }
         match err {
@@ -416,7 +471,7 @@ impl std::fmt::Debug for TxSlotRing {
 pub struct DrainedSlot {
     /// The decoded frame.
     pub frame: Frame,
-    /// Payload copied out of the slot's lane (`None` for payload-free
+    /// Payload copied out of the lane or area (`None` for payload-free
     /// kinds).
     pub payload: Option<Vec<u8>>,
     /// Slot index the frame occupied.
@@ -440,12 +495,15 @@ pub enum SlotRead {
     Frame(DrainedSlot),
 }
 
-/// Read ring slot `idx` from the receiver's own incoming `region`.
-/// Does not consume the slot — the caller clears the header (see
-/// [`release_slot`]) after copying what it needs.
+/// Read ring slot `idx` from the incoming `region` of host `me`. Does
+/// not consume the slot — the caller clears the header (see
+/// [`release_slot`]) after copying what it needs. A payload longer than
+/// a lane is read from the area the sender staged it in: the direct area
+/// when `me` is its destination, the bypass area otherwise.
 pub fn read_slot(
     region: &Region,
     layout: &WindowLayout,
+    me: usize,
     idx: u32,
     check_crc: bool,
 ) -> Result<SlotRead> {
@@ -466,12 +524,18 @@ pub fn read_slot(
     };
     let frame = frame.with_deadline_us(deadline_us);
     let payload = if frame.kind.has_payload() && frame.len > 0 {
-        if u64::from(frame.len) > layout.ring_lane {
-            // A corrupted length must not trigger an out-of-bounds lane
-            // read; treat it like any other integrity failure.
+        let (src, cap) = if u64::from(frame.len) <= layout.ring_lane {
+            (layout.ring_lane_off(idx), layout.ring_lane)
+        } else {
+            let direct = frame.dest == me;
+            (layout.area_offset(direct), layout.area_len(direct))
+        };
+        if u64::from(frame.len) > cap {
+            // A corrupted length must not trigger an out-of-bounds read;
+            // treat it like any other integrity failure.
             return Ok(SlotRead::Corrupt(header));
         }
-        Some(region.read_vec(layout.ring_lane_off(idx), u64::from(frame.len))?)
+        Some(region.read_vec(src, u64::from(frame.len))?)
     } else {
         None
     };
@@ -528,8 +592,15 @@ pub struct RegionSlots<'a> {
     pub region: &'a Region,
     /// Where the ring sits in the window.
     pub layout: &'a WindowLayout,
+    /// The receiving host: payloads addressed to it sit in the direct
+    /// area, all others in the bypass area.
+    pub me: usize,
     /// Verify the per-slot CRC (links with an active fault plan).
     pub check_crc: bool,
+    /// Charges `window_copy_time` for an area payload when it is read,
+    /// before its slot is released: the area's next payload cannot
+    /// overlap the copy out of it.
+    pub model: &'a TimeModel,
 }
 
 impl SlotSource for RegionSlots<'_> {
@@ -538,7 +609,13 @@ impl SlotSource for RegionSlots<'_> {
     }
 
     fn read(&self, idx: u32) -> Result<SlotRead> {
-        read_slot(self.region, self.layout, idx, self.check_crc)
+        let read = read_slot(self.region, self.layout, self.me, idx, self.check_crc)?;
+        if let SlotRead::Frame(DrainedSlot { payload: Some(data), .. }) = &read {
+            if data.len() as u64 > self.layout.ring_lane {
+                self.model.delay(self.model.window_copy_time(data.len() as u64));
+            }
+        }
+        Ok(read)
     }
 
     fn release(&self, idx: u32, header: u32) -> Result<bool> {
@@ -553,7 +630,13 @@ pub enum Drained {
     Frame(DrainedSlot),
     /// Slot `idx` was consumed without dispatch: its record failed to
     /// decode or its CRC. Recovery is end to end.
-    Rejected(u32),
+    Rejected {
+        /// The slot.
+        idx: u32,
+        /// The header word as read (it may itself be the corrupted
+        /// word).
+        header: u32,
+    },
     /// Sequence number `seq` (slot `idx`) was skipped: its header never
     /// landed although a later one did, or its frame landed only after
     /// the number was skipped and was dropped. Recovery is end to end; on
@@ -649,7 +732,7 @@ pub fn drain_in_order<S: SlotSource>(
                 }
                 SlotRead::Corrupt(header) => {
                     if src.release(missing, header)? {
-                        deliver(Drained::Rejected(missing));
+                        deliver(Drained::Rejected { idx: missing, header });
                     } else {
                         deliver(Drained::ReleaseMiss { idx: missing, header });
                     }
@@ -694,7 +777,7 @@ fn take_slot<S: SlotSource>(
         return Ok(None);
     }
     if taken.is_err() {
-        deliver(Drained::Rejected(idx));
+        deliver(Drained::Rejected { idx, header });
     }
     Ok(Some(taken))
 }
@@ -715,7 +798,7 @@ mod tests {
             Arc::new(TimeModel::zero()),
         )
         .unwrap();
-        let layout = WindowLayout::with_ring(
+        let layout = WindowLayout::new(
             cfg.direct_buf,
             cfg.bypass_buf,
             cfg.tx_slots,
@@ -736,7 +819,7 @@ mod tests {
 
     fn tx_ring(port: &Arc<NtbPort>, layout: WindowLayout, cfg: &NetConfig) -> TxSlotRing {
         let obs = Obs::new(EventLog::new(1, 16), 0, 0);
-        TxSlotRing::new(Arc::clone(port), layout, cfg, Arc::new(TimeModel::zero()), obs)
+        TxSlotRing::new(Arc::clone(port), 1, layout, cfg, Arc::new(TimeModel::zero()), obs)
     }
 
     #[test]
@@ -746,11 +829,11 @@ mod tests {
         let tx = tx_ring(&a, layout, &cfg);
         tx.publish(Frame::put(0, 1, 3, 0, 7, TransferMode::Memcpy), Some(b"abc")).unwrap();
         let region = b.incoming().region();
-        assert!(matches!(read_slot(region, &layout, 0, false).unwrap(), SlotRead::Empty));
+        assert!(matches!(read_slot(region, &layout, 1, 0, false).unwrap(), SlotRead::Empty));
         assert_eq!(tx.staged(), 1);
         tx.flush().unwrap();
         assert_eq!(tx.staged(), 0);
-        let SlotRead::Frame(slot) = read_slot(region, &layout, 0, false).unwrap() else {
+        let SlotRead::Frame(slot) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected a frame after flush");
         };
         assert_eq!(slot.frame.aux, 7);
@@ -772,7 +855,7 @@ mod tests {
         let region = b.incoming().region();
         let mut auxes = vec![];
         for idx in 0..layout.ring_slots {
-            if let SlotRead::Frame(s) = read_slot(region, &layout, idx, false).unwrap() {
+            if let SlotRead::Frame(s) = read_slot(region, &layout, 1, idx, false).unwrap() {
                 auxes.push(s.frame.aux);
                 assert!(release_slot(region, &layout, idx, s.header).unwrap());
             }
@@ -780,7 +863,7 @@ mod tests {
         assert_eq!(auxes, vec![100, 101, 102]);
         // All consumed: the ring reads empty again.
         for idx in 0..layout.ring_slots {
-            assert!(matches!(read_slot(region, &layout, idx, false).unwrap(), SlotRead::Empty));
+            assert!(matches!(read_slot(region, &layout, 1, idx, false).unwrap(), SlotRead::Empty));
         }
     }
 
@@ -796,7 +879,7 @@ mod tests {
                 .unwrap();
             tx.flush().unwrap();
             let idx = round % layout.ring_slots;
-            let SlotRead::Frame(s) = read_slot(region, &layout, idx, false).unwrap() else {
+            let SlotRead::Frame(s) = read_slot(region, &layout, 1, idx, false).unwrap() else {
                 panic!("round {round}: expected frame in slot {idx}");
             };
             assert_eq!(s.frame.aux, round + 1);
@@ -822,13 +905,13 @@ mod tests {
         let err = tx.publish(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None).unwrap_err();
         assert_eq!(err, NtbError::LinkFailed { attempts: 3 });
         // Consume one slot; the publish now succeeds into it.
-        let SlotRead::Frame(s) = read_slot(region, &layout, 0, false).unwrap() else {
+        let SlotRead::Frame(s) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected slot 0 occupied");
         };
         assert!(release_slot(region, &layout, 0, s.header).unwrap());
         tx.publish(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None).unwrap();
         tx.flush().unwrap();
-        let SlotRead::Frame(s) = read_slot(region, &layout, 0, false).unwrap() else {
+        let SlotRead::Frame(s) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected reused slot 0");
         };
         assert_eq!(s.frame.aux, 9);
@@ -846,14 +929,49 @@ mod tests {
         tx.publish(Frame::put(0, 1, 64, 64, 2, TransferMode::Dma), Some(&p2)).unwrap();
         tx.flush().unwrap();
         let region = b.incoming().region();
-        let SlotRead::Frame(s0) = read_slot(region, &layout, 0, false).unwrap() else {
+        let SlotRead::Frame(s0) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("slot 0")
         };
-        let SlotRead::Frame(s1) = read_slot(region, &layout, 1, false).unwrap() else {
+        let SlotRead::Frame(s1) = read_slot(region, &layout, 1, 1, false).unwrap() else {
             panic!("slot 1")
         };
         assert_eq!(s0.payload.unwrap(), p1);
         assert_eq!(s1.payload.unwrap(), p2);
+    }
+
+    #[test]
+    fn oversized_payloads_take_their_area_one_at_a_time() {
+        let cfg = small_cfg();
+        let (a, b, layout) = ring_pair(&cfg);
+        let mut tx = tx_ring(&a, layout, &cfg);
+        tx.set_retry(Duration::from_millis(5), 2);
+        let region = b.incoming().region();
+        let big = vec![0x5A; 2000];
+        let put = |dest, aux| Frame::put(0, dest, 2000, 0, aux, TransferMode::Memcpy);
+        // To the neighbour: the direct area, flushed at once.
+        tx.publish(put(1, 1), Some(&big)).unwrap();
+        assert_eq!(tx.staged(), 0);
+        let SlotRead::Frame(first) = read_slot(region, &layout, 1, 0, false).unwrap() else {
+            panic!("expected slot 0 published");
+        };
+        assert_eq!(first.payload.as_deref(), Some(&big[..]));
+        // Routed onward: the bypass area, free although the direct one is
+        // not, and read back from there.
+        let onward = vec![0xA5; 2000];
+        tx.publish(put(2, 2), Some(&onward)).unwrap();
+        let SlotRead::Frame(routed) = read_slot(region, &layout, 1, 1, false).unwrap() else {
+            panic!("expected slot 1 published");
+        };
+        assert_eq!(routed.payload.as_deref(), Some(&onward[..]));
+        assert_eq!(region.read_vec(layout.area_offset(true), 2000).unwrap(), big);
+        // The direct area still holds slot 0's payload: the next one waits,
+        // bounded, until that slot is released.
+        assert_eq!(
+            tx.publish(put(1, 3), Some(&big)).unwrap_err(),
+            NtbError::LinkFailed { attempts: 3 }
+        );
+        assert!(release_slot(region, &layout, 0, first.header).unwrap());
+        tx.publish(put(1, 3), Some(&big)).unwrap();
     }
 
     #[test]
@@ -865,7 +983,7 @@ mod tests {
         tx.publish(f, Some(b"abc")).unwrap();
         tx.flush().unwrap();
         let region = b.incoming().region();
-        let SlotRead::Frame(slot) = read_slot(region, &layout, 0, false).unwrap() else {
+        let SlotRead::Frame(slot) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected a frame");
         };
         assert_eq!(slot.frame.deadline_us, 987_654);
@@ -888,7 +1006,7 @@ mod tests {
         drain_in_order(src, cursor, |d| {
             out.push(match d {
                 Drained::Frame(s) => Aux(s.frame.aux),
-                Drained::Rejected(idx) => Reject(idx),
+                Drained::Rejected { idx, .. } => Reject(idx),
                 Drained::Skipped { seq, idx } => Skip { seq, idx },
                 Drained::ReleaseMiss { idx, .. } => Miss(idx),
             })
@@ -906,7 +1024,13 @@ mod tests {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
-        let src = RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
+        let src = RegionSlots {
+            region: b.incoming().region(),
+            layout: &layout,
+            me: 1,
+            check_crc: false,
+            model: &TimeModel::zero(),
+        };
         let mut next = RxCursor::default();
         for aux in 1..=3 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
@@ -956,8 +1080,13 @@ mod tests {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
-        let inner =
-            RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
+        let inner = RegionSlots {
+            region: b.incoming().region(),
+            layout: &layout,
+            me: 1,
+            check_crc: false,
+            model: &TimeModel::zero(),
+        };
         let mut next = RxCursor::default();
         // Move the ring off slot 0 so the batch below also wraps.
         for aux in 1..=2 {
@@ -980,7 +1109,13 @@ mod tests {
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
         let region = b.incoming().region();
-        let src = RegionSlots { region, layout: &layout, check_crc: false };
+        let src = RegionSlots {
+            region,
+            layout: &layout,
+            me: 1,
+            check_crc: false,
+            model: &TimeModel::zero(),
+        };
         let mut next = RxCursor::default();
         for aux in 1..=2 {
             tx.publish(put(aux), Some(&[1; 4])).unwrap();
@@ -1004,12 +1139,18 @@ mod tests {
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
         let region = b.incoming().region();
-        let src = RegionSlots { region, layout: &layout, check_crc: false };
+        let src = RegionSlots {
+            region,
+            layout: &layout,
+            me: 1,
+            check_crc: false,
+            model: &TimeModel::zero(),
+        };
         let mut next = RxCursor::default();
         tx.publish(put(1), Some(&[1; 4])).unwrap();
         tx.flush().unwrap();
         // Seq 0's record is corrupt; nothing after it has landed yet.
-        let huge = (layout.ring_lane as u32 + 64).to_le_bytes();
+        let huge = (layout.direct_len.max(layout.bypass_len) as u32 + 64).to_le_bytes();
         region.write(layout.ring_slot_off(0) + BODY_OFF, &huge).unwrap();
         assert_eq!(drain(&src, &mut next), vec![Reject(0)]);
         // The next drain passes seq 0 over as rejected, not as a skip.
@@ -1056,8 +1197,13 @@ mod tests {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
-        let inner =
-            RegionSlots { region: b.incoming().region(), layout: &layout, check_crc: false };
+        let inner = RegionSlots {
+            region: b.incoming().region(),
+            layout: &layout,
+            me: 1,
+            check_crc: false,
+            model: &TimeModel::zero(),
+        };
         let mut next = RxCursor::default();
         tx.publish(put(1), Some(&[1; 4])).unwrap();
         tx.flush().unwrap();
@@ -1089,7 +1235,7 @@ mod tests {
             faults,
         )
         .unwrap();
-        let layout = WindowLayout::with_ring(
+        let layout = WindowLayout::new(
             cfg.direct_buf,
             cfg.bypass_buf,
             cfg.tx_slots,
@@ -1097,7 +1243,13 @@ mod tests {
         );
         let tx = tx_ring(&a, layout, &cfg);
         let check_crc = a.outgoing().faults().is_active();
-        let src = RegionSlots { region: b.incoming().region(), layout: &layout, check_crc };
+        let src = RegionSlots {
+            region: b.incoming().region(),
+            layout: &layout,
+            me: 1,
+            check_crc,
+            model: &TimeModel::zero(),
+        };
         let mut next = RxCursor::default();
         for aux in 1..=2 {
             tx.publish(Frame::put(0, 1, 64, 0, aux, TransferMode::Dma), Some(&[7; 64])).unwrap();
@@ -1122,9 +1274,9 @@ mod tests {
         let region = b.incoming().region();
         // Forge an absurd length in the record body (simulating in-flight
         // corruption that still decodes).
-        let huge = (layout.ring_lane as u32 + 64).to_le_bytes();
+        let huge = (layout.direct_len.max(layout.bypass_len) as u32 + 64).to_le_bytes();
         region.write(layout.ring_slot_off(0) + BODY_OFF, &huge).unwrap();
-        assert!(matches!(read_slot(region, &layout, 0, false).unwrap(), SlotRead::Corrupt(_)));
+        assert!(matches!(read_slot(region, &layout, 1, 0, false).unwrap(), SlotRead::Corrupt(_)));
     }
 
     #[test]
@@ -1138,6 +1290,6 @@ mod tests {
         // The clean-link sender left the CRC word zero, so a checked read
         // against real contents fails — stand-in for a flipped payload
         // byte on a faulty link.
-        assert!(matches!(read_slot(region, &layout, 0, true).unwrap(), SlotRead::Corrupt(_)));
+        assert!(matches!(read_slot(region, &layout, 1, 0, true).unwrap(), SlotRead::Corrupt(_)));
     }
 }

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
-    /// A frame left this host through a transmit mailbox.
+    /// A frame left this host through a transmit slot ring.
     FrameSent,
     /// A frame was decoded by a service thread.
     FrameHandled,

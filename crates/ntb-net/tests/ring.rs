@@ -5,9 +5,12 @@
 //! in place of the OpenSHMEM heap.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use ntb_net::{AmoOp, DeliveryTarget, NetConfig, RingNetwork, RouteDirection};
-use ntb_sim::{Region, Result, TransferMode};
+use ntb_net::{
+    AmoOp, DeliveryTarget, NetConfig, RetryPolicy, RingNetwork, RouteDirection, WindowLayout,
+};
+use ntb_sim::{FaultAction, FaultPlan, Region, Result, TransferMode};
 use parking_lot::Mutex;
 
 /// A flat 1 MiB symmetric space backed by a region, with a lock that
@@ -500,4 +503,48 @@ fn default_ring_depth_absorbs_a_burst_that_fills_eight_slots() {
     let (counted, logged) = full_ring_waits(NetConfig::paper(2).with_tx_ring(8, 8), depth);
     assert!(counted > 0, "an 8-slot ring must fill under a {depth}-put burst");
     assert_eq!(counted, logged as u64, "every full-ring wait is both counted and logged");
+}
+
+/// A put whose ring record fails its CRC is consumed without dispatch,
+/// but its sender already spent a credit on it: the receiver must grant
+/// that credit back. Rejecting more puts than the link's credit window
+/// holds leaves puts flowing; without the re-grant every rejected put
+/// (plus its retransmission) nets one credit lost, and the window runs
+/// dry.
+#[test]
+fn rejected_puts_return_their_credits() {
+    // A scripted fault that never fires arms the per-slot CRC on every
+    // link; the test corrupts the records itself.
+    let faults = FaultPlan::none().with_scripted(0, FaultAction::CorruptPayload, u64::MAX);
+    let retry = RetryPolicy { ack_timeout: Duration::from_millis(5), ..RetryPolicy::default() };
+    let cfg = NetConfig::fast(3).with_faults(faults).with_retry(retry);
+    let layout =
+        WindowLayout::new(cfg.direct_buf, cfg.bypass_buf, cfg.tx_slots, cfg.coalesce_payload_max);
+    let rounds = cfg.overload.credit_window + 8;
+    let (net, heaps) = build_with(cfg);
+    let node = net.node(0);
+    let rx = net.node(1).endpoint(RouteDirection::Left).port().incoming().region();
+    // Record words after the header: len, offset, aux, slot sequence,
+    // deadline, CRC.
+    let word_off = |idx: u32, word: u64| layout.ring_slot_off(idx) + 4 + 4 * word;
+    let word = |off: u64| u32::from_le_bytes(rx.read_vec(off, 4).unwrap().try_into().unwrap());
+    for round in 0..rounds {
+        let data = [round as u8; 64];
+        node.put_bytes_coalesced(1, 0, &data, TransferMode::Dma, true).unwrap();
+        // The staged record is the ring's newest written one (highest
+        // sequence, non-zero length word): its body is written, its
+        // header withheld until the flush. Break its CRC.
+        let newest = (0..layout.ring_slots)
+            .max_by_key(|&i| (word(word_off(i, 3)), word(word_off(i, 0)) != 0))
+            .unwrap();
+        let crc = word(word_off(newest, 5));
+        rx.write(word_off(newest, 5), &(!crc).to_le_bytes()).unwrap();
+        // The flush delivers the broken record; the retransmission lands.
+        node.quiet().unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert_eq!(heaps[1].region.read_vec(0, 64).unwrap(), data);
+    }
+    let rejects = net.node(1).stats().checksum_rejects.load(std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(rejects, rounds);
+    assert_no_errors(&net);
+    net.shutdown();
 }

@@ -8,8 +8,8 @@
 //! unmask.
 //!
 //! The paper's protocol dedicates four vectors (§III-B1):
-//! `DMAPUT`, `DMAGET`, `BARRIER_START`, `BARRIER_END`; those constants live
-//! in `ntb-net`, this module only models the register.
+//! `DMAPUT`, `DMAGET`, `BARRIER_START`, `BARRIER_END`; `ntb-net` defines
+//! the bits it uses, this module only models the register.
 
 use std::sync::Arc;
 use std::time::Duration;

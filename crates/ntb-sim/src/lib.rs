@@ -9,8 +9,8 @@
 //!   write into an outgoing window lands, after the translation configured in
 //!   the BAR registers, in the *peer host's* physical memory (paper Fig. 1).
 //! * **ScratchPad registers** ([`scratchpad`]) — eight 32-bit registers per
-//!   link, readable and writable from both sides, used as a mailbox for
-//!   transfer metadata.
+//!   link, readable and writable from both sides, used for the bring-up
+//!   exchange and the heartbeat.
 //! * **Doorbell registers** ([`doorbell`]) — sixteen interrupt bits per port
 //!   with set / clear / mask semantics; the peer rings them to raise an
 //!   interrupt.

@@ -16,8 +16,8 @@
 //! contract: *concurrent overlapping access to the same bytes without an
 //! intervening synchronization (doorbell handshake, barrier, lock) is a
 //! program error*. The protocol layers in `ntb-net`/`shmem-core` always
-//! bracket region traffic with acquire/release edges (scratchpad mailboxes
-//! and doorbells are `SeqCst` atomics), which is what makes the writes
+//! bracket region traffic with acquire/release edges (slot headers,
+//! scratchpads and doorbells are `SeqCst` atomics), which is what makes the writes
 //! visible to the peer thread in practice, exactly as the PCIe ordering
 //! rules make posted writes visible before the doorbell TLP.
 

@@ -84,9 +84,6 @@ pub enum EventKind {
     CapacityShrink,
 
     // --- ntb-net: protocol events -----------------------------------
-    /// A frame was published into the peer mailbox (`op_id` = frame aux,
-    /// `payload` = [frame kind code, dest]).
-    FrameTx,
     /// A frame was dispatched by the service loop (`op_id` = frame aux,
     /// `payload` = [frame kind code, src]).
     FrameRx,
@@ -265,7 +262,6 @@ impl EventKind {
             EventKind::NodeRestart => "node_restart",
             EventKind::PortSlow => "port_slow",
             EventKind::CapacityShrink => "capacity_shrink",
-            EventKind::FrameTx => "frame_tx",
             EventKind::FrameRx => "frame_rx",
             EventKind::FrameFwd => "frame_fwd",
             EventKind::CrcReject => "crc_reject",
@@ -862,7 +858,7 @@ mod tests {
         let log = EventLog::new(3, 64);
         log.enable();
         for i in 0..30u64 {
-            log.emit((i % 3) as u16, NO_LINK, EventKind::FrameTx, i, [i, 0]);
+            log.emit((i % 3) as u16, NO_LINK, EventKind::FrameRx, i, [i, 0]);
         }
         let all = log.merged();
         assert_eq!(all.len(), 30);
@@ -902,7 +898,7 @@ mod tests {
         log.enable();
         let obs = Obs::new(Arc::clone(&log), 1, 0);
         obs.emit(EventKind::DoorbellSet, 5, [1, 2]);
-        obs.with_link(9).emit(EventKind::FrameTx, 6, [0, 0]);
+        obs.with_link(9).emit(EventKind::FrameRx, 6, [0, 0]);
         obs.unlinked().emit(EventKind::QuietStart, 7, [0, 0]);
         obs.emit_link(3, EventKind::FrameFwd, 8, [0, 0]);
         let all = log.merged();
@@ -915,7 +911,7 @@ mod tests {
         // Off handles stay silent and cheap.
         let off = Obs::off();
         assert!(!off.is_enabled());
-        off.emit(EventKind::FrameTx, 0, [0, 0]);
+        off.emit(EventKind::FrameRx, 0, [0, 0]);
         assert_eq!(log.merged().len(), 4);
     }
 

@@ -5,8 +5,10 @@
 //! protocol uses them as a mailbox for transfer metadata (`SrcId`, `DestId`,
 //! symmetric-heap index, offset, size, send/receive flag) published just
 //! before a doorbell ring, and for the host-id / BAR-region exchange during
-//! `shmem_init`. The upper half of the bank carries the liveness
-//! heartbeat and gossiped membership view of the failure detector.
+//! `shmem_init`. `ntb-net` uses the lower half for that exchange only (its
+//! frames ride a slot ring in the memory window); the upper half carries
+//! the liveness heartbeat and gossiped membership view of the failure
+//! detector.
 //!
 //! Each access is a 32-bit non-posted PCIe transaction, so the model charges
 //! [`TimeModel::scratchpad_latency`] per register read or write.
@@ -19,7 +21,7 @@ use crate::timing::TimeModel;
 
 /// Number of scratchpad registers per link. The PEX 87xx exposes eight
 /// per port pair; the model doubles the bank so registers 0–7 stay the
-/// paper's mailbox/handshake block while 8–15 host the heartbeat and
+/// paper's handshake block while 8–15 host the heartbeat and
 /// membership-gossip block of the failure detector.
 pub const SCRATCHPAD_COUNT: usize = 16;
 

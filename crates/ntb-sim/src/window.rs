@@ -274,10 +274,36 @@ impl OutgoingWindow {
     /// the peer's window memory. Much slower than writes in `Memcpy` mode —
     /// every load round-trips the link.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8], mode: TransferMode) -> Result<()> {
-        self.admit(offset, buf.len() as u64)?;
+        self.read_charged(offset, buf.len() as u64, mode, |remote| remote.read(offset, buf))
+    }
+
+    /// Load one little-endian `u32` through the window as a single atomic
+    /// load (see [`Region::load_u32`]), charged as the non-posted read
+    /// [`read_bytes`](Self::read_bytes) pays for four bytes: a control
+    /// word the peer clears, such as a ring slot header, is seen whole.
+    pub fn read_u32(&self, offset: u64, mode: TransferMode) -> Result<u32> {
+        let mut word = 0;
+        self.read_charged(offset, 4, mode, |remote| {
+            word = remote.load_u32(offset)?;
+            Ok(())
+        })?;
+        Ok(word)
+    }
+
+    /// One non-posted read of `len` bytes at `offset`: admission, wire
+    /// time against our own writes, stats, then `read` of the peer's
+    /// window memory.
+    fn read_charged(
+        &self,
+        offset: u64,
+        len: u64,
+        mode: TransferMode,
+        read: impl FnOnce(&Region) -> Result<()>,
+    ) -> Result<()> {
+        self.admit(offset, len)?;
         let wire = match mode {
-            TransferMode::Dma => self.model.transfer_time(buf.len() as u64, TransferMode::Dma),
-            TransferMode::Memcpy => self.model.pio_read_time(buf.len() as u64),
+            TransferMode::Dma => self.model.transfer_time(len, TransferMode::Dma),
+            TransferMode::Memcpy => self.model.pio_read_time(len),
         };
         // Read completions travel opposite to our writes.
         let deadline = self.link.reserve(
@@ -286,8 +312,8 @@ impl OutgoingWindow {
             self.model.duplex_penalty,
             self.peer_activity.is_tx_busy(),
         );
-        self.remote.read(offset, buf)?;
-        self.stats.add_rx(buf.len() as u64);
+        read(&self.remote)?;
+        self.stats.add_rx(len);
         match mode {
             TransferMode::Dma => self.stats.add_dma_op(),
             TransferMode::Memcpy => self.stats.add_pio_op(),

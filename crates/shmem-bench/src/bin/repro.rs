@@ -8,8 +8,8 @@
 //! ring against the switch-emulating full mesh. `trace` runs a small
 //! traced workload and prints the event trace, the per-PE metrics report
 //! and the protocol-invariant checker's verdict. `transport` benchmarks
-//! the batched/coalesced transport hot path against the legacy
-//! per-message doorbell path and writes `BENCH_transport.json`.
+//! the batched/coalesced transport hot path against one doorbell per
+//! message on the same slot ring and writes `BENCH_transport.json`.
 //! `overload` sweeps incast offered load to 3× the calibrated saturation
 //! rate and writes `BENCH_overload.json` (goodput, tail latency and shed
 //! counts per load point). `scale` sweeps collective latency to 64

@@ -162,7 +162,7 @@ fn measure_pe0(
         for &size in &cfg.sizes {
             let data = vec![0xA5u8; size as usize];
             // --- Put: steady-state per-operation time over a pipelined
-            // burst (one warm-up op primes the mailbox), as the paper's
+            // burst (one warm-up op primes the ring), as the paper's
             // repeated-transfer measurement does.
             let opts = OpOptions::new().mode(pc.mode);
             ctx.put_slice_opts(sym, 0, &data, pc.partner, opts).expect("warm-up put");

@@ -10,7 +10,7 @@
 //!   size, same four configurations (Fig. 10).
 //!
 //! Beyond the paper, [`transport`] benchmarks the batched/coalesced
-//! transport hot path against the legacy per-message doorbell path and
+//! transport hot path against one doorbell per message and
 //! emits `BENCH_transport.json` for cross-PR tracking, and [`overload`]
 //! sweeps offered load past saturation to measure goodput retention
 //! under the flow-control/deadline/shedding machinery

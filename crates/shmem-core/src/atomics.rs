@@ -79,8 +79,9 @@ impl ShmemCtx {
 
     /// `shmem_TYPE_atomic_fetch_add` with explicit [`OpOptions`] — the
     /// deadline-capable AMO entry point ([`OpOptions::deadline`] is the
-    /// only option the AMO path consumes; AMOs always ride the control
-    /// mailbox, so mode/coalescing do not apply).
+    /// only option the AMO path consumes; an AMO request is one small
+    /// ring frame whose doorbell rings at once, so mode/coalescing do not
+    /// apply).
     pub fn atomic_fetch_add_opts<T: ShmemAtomicInt>(
         &self,
         sym: &TypedSym<T>,

@@ -69,7 +69,7 @@ impl ShmemConfig {
     ///
     /// ```
     /// use shmem_core::prelude::*;
-    /// let cfg = ShmemConfig::builder().hosts(3).coalescing(true).build();
+    /// let cfg = ShmemConfig::builder().hosts(3).tx_ring(64, 8).build();
     /// assert_eq!(cfg.hosts(), 3);
     /// ```
     pub fn builder() -> ShmemConfigBuilder {
@@ -178,12 +178,6 @@ impl ShmemConfig {
     /// functional run; overload benches and chaos cells shrink them.
     pub fn with_overload(mut self, overload: ntb_net::OverloadConfig) -> Self {
         self.net.overload = overload;
-        self
-    }
-
-    /// Enable or disable the transmit ring's doorbell coalescing.
-    pub fn with_coalescing(mut self, on: bool) -> Self {
-        self.net.coalesce = on;
         self
     }
 
@@ -332,12 +326,6 @@ impl ShmemConfigBuilder {
         self
     }
 
-    /// Enable or disable transmit-ring doorbell coalescing.
-    pub fn coalescing(mut self, on: bool) -> Self {
-        self.cfg.net.coalesce = on;
-        self
-    }
-
     /// Transmit-ring geometry: slots per link and the batch cap that
     /// forces a flush.
     pub fn tx_ring(mut self, slots: u32, batch: u32) -> Self {
@@ -408,13 +396,11 @@ mod tests {
             .hosts(5)
             .default_mode(TransferMode::Memcpy)
             .heap_chunk(8192)
-            .coalescing(true)
             .tx_ring(4, 2)
             .pio_crossover(512)
             .build();
         assert_eq!(c.hosts(), 5);
         assert_eq!(c.default_mode, TransferMode::Memcpy);
-        assert!(c.net.coalesce);
         assert_eq!(c.net.tx_slots, 4);
         assert_eq!(c.net.batch_cap(), 2);
         assert_eq!(c.net.pio_crossover, 512);
@@ -444,9 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_can_disable_coalescing() {
-        let c = ShmemConfig::builder().hosts(2).coalescing(false).build();
-        assert!(!c.net.coalesce);
+    fn builder_can_ring_one_doorbell_per_frame() {
+        let c = ShmemConfig::builder().hosts(2).tx_ring(64, 1).build();
+        assert_eq!(c.net.batch_cap(), 1);
         c.validate();
     }
 

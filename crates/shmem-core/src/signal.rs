@@ -11,14 +11,14 @@
 //! transmit ring hands frames on in the order they were published — also
 //! when a batch wraps past the ring's last slot or a header lands while
 //! the receiver is mid-scan (see `ntb_net::slots::drain_in_order`). The
-//! signal is published after the last data chunk, so it lands last. The
-//! guarantee needs both frames on one carrier: data too large for a ring
-//! slot travels by the scratchpad mailbox (and an additive signal is a
-//! mailbox AMO), which the ring does not order against, so then the data
-//! is completed with a `quiet` before the signal leaves. The test
-//! `signal_never_overtakes_its_data_on_two_hop_torus_routes`
-//! (`crates/shmem-core/tests/collectives.rs`) checks the guarantee on the
-//! forwarded routes of a 2x2 torus at paper timing.
+//! signal is published after the last data chunk, so it lands last. Every
+//! frame rides the ring — data too large for a slot's lane too, staged in
+//! a window area the slot record points at, and an additive signal's AMO
+//! request — so no `quiet` is needed between data and signal. The tests
+//! `signal_never_overtakes_its_data_on_two_hop_torus_routes` and
+//! `large_signalled_puts_need_no_quiet` (`crates/shmem-core/tests/collectives.rs`)
+//! check the guarantee on the forwarded routes of a 2x2 torus at paper
+//! timing.
 //!
 //! The guarantee covers frames that arrive. On a lossy link a data frame
 //! rejected as corrupt comes back only by end-to-end retransmission, and
@@ -91,22 +91,9 @@ impl ShmemCtx {
     ) -> Result<()> {
         self.check_pe(pe)?;
         let opts = OpOptions::new().mode(mode);
-        let net = self.node.config();
-        let on_ring = |bytes: usize| net.coalesce && bytes as u64 <= net.coalesce_payload_max;
-        let data_on_ring = on_ring(data.len() * T::WIDTH);
-        let sig_on_ring = op == SignalOp::Set && on_ring(S::WIDTH);
-        if data_on_ring && sig_on_ring {
-            // Both frames ride the transmit ring: stage the data without
-            // its doorbell, and the signal's flush publishes the two as
-            // one batch, in order.
-            self.put_slice_opts(sym, index, data, pe, opts.coalesce(true))?;
-        } else {
-            self.put_slice_opts(sym, index, data, pe, opts)?;
-            if data_on_ring != sig_on_ring {
-                // Different carriers are not ordered against each other.
-                self.quiet()?;
-            }
-        }
+        // Stage the data without its doorbell: the signal's flush
+        // publishes data and signal as one batch, in order.
+        self.put_slice_opts(sym, index, data, pe, opts.coalesce(true))?;
         match op {
             // An ordinary put of the signal word: same route as the data,
             // in order behind it.

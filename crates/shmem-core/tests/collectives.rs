@@ -1,7 +1,9 @@
 //! Ordering and allreduce contract tests: a signal never overtakes its
-//! data on forwarded routes, the barrier-free allreduce folds in
-//! ascending PE order, never mixes rounds and leaves nothing in flight,
-//! and the collectives built on it add no barrier of their own.
+//! data on forwarded routes (without a `quiet`, large data included),
+//! payloads staged in the window areas never overwrite each other, the
+//! barrier-free allreduce folds in ascending PE order, never mixes
+//! rounds and leaves nothing in flight, and the collectives built on it
+//! add no barrier of their own.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -77,6 +79,123 @@ fn signal_never_overtakes_its_data_on_two_hop_torus_routes() {
     })
     .unwrap();
     assert_eq!(stale, vec![0; 4], "a signal landed before its data (stale reads per PE)");
+}
+
+/// `put_with_signal` of 64 KiB, far more than a slot lane holds: the data
+/// is staged in the window's direct or bypass area and its slot record
+/// rides the ring ahead of the signal's, so the signal needs no `quiet`
+/// to stay behind its data. Senders and receivers as in the test above,
+/// two hops apart on `torus(2, 2)` at paper timing. Each round rewrites
+/// every word of the data; once the receiver sees signal `s`, every word
+/// must hold round `s` or later. The senders count their own
+/// `QuietStart` events across the calls.
+#[test]
+fn large_signalled_puts_need_no_quiet() {
+    const ROUNDS: u64 = 200;
+    const WORDS: usize = (64 << 10) / 8;
+    let mut cfg = torus(TimeModel::paper());
+    cfg.wait_timeout = Duration::from_secs(10);
+    let out = ShmemWorld::run(cfg, |ctx| {
+        let data: TypedSym<u64> = ctx.calloc_array(WORDS).unwrap();
+        let sig: TypedSym<u64> = ctx.calloc_array(1).unwrap();
+        let me = ctx.my_pe();
+        let log = Arc::clone(ctx.node().obs().log().expect("observed world"));
+        log.enable();
+        let quiets = || {
+            log.merged()
+                .iter()
+                .filter(|e| usize::from(e.pe) == me && e.kind == EventKind::QuietStart)
+                .count()
+        };
+        let (mut stale, mut quiets_in_calls) = (0u64, 0usize);
+        match me {
+            1 | 0 => {
+                let dest = if me == 1 { 2 } else { 3 };
+                let start = quiets();
+                for r in 1..=ROUNDS {
+                    ctx.put_with_signal(&data, 0, &vec![r; WORDS], &sig, 0, r, SignalOp::Set, dest)
+                        .unwrap();
+                }
+                quiets_in_calls = quiets() - start;
+                ctx.quiet().unwrap();
+            }
+            _ => {
+                let mut checked = 0u64;
+                while checked < ROUNDS {
+                    let Ok(seen) = ctx.wait_until(&sig, 0, CmpOp::Ge, checked + 1) else {
+                        stale += 1; // the signal went backwards and stalled
+                        break;
+                    };
+                    let words = ctx.read_local_slice(&data, 0, WORDS).unwrap();
+                    stale += words.iter().filter(|&&w| w < seen).count() as u64;
+                    checked = seen;
+                }
+            }
+        }
+        ctx.barrier_all().unwrap();
+        assert_eq!(log.dropped(), 0, "a truncated trace cannot count quiets");
+        (stale, quiets_in_calls)
+    })
+    .unwrap();
+    for (pe, &(stale, quiets)) in out.iter().enumerate() {
+        assert_eq!(stale, 0, "pe {pe}: a signal landed before its 64 KiB of data");
+        assert_eq!(quiets, 0, "pe {pe}: quiets inside {ROUNDS} put_with_signal calls");
+    }
+}
+
+/// Every PE streams nbi puts too large for a slot lane to every other PE
+/// on `torus(2, 2)` — its neighbours and the PE two hops away — with no
+/// `quiet` between them, interleaved with 64 KiB gets and AMOs, on a
+/// 4-slot ring that wraps many times. Each put is one payload staged in
+/// the next hop's direct or bypass area; each area holds one payload at
+/// a time, so a put or get response must never overwrite a payload its
+/// receiver has not copied out yet. Every byte must match.
+#[test]
+fn staged_area_payloads_never_collide() {
+    const ROUNDS: usize = 6;
+    const CHUNK: usize = 20_000;
+    const GET: usize = 64 << 10;
+    let cfg = ShmemConfig::fast_sim()
+        .with_hosts(4)
+        .with_topology(Topology::torus(2, 2))
+        .with_tx_ring(4, 4);
+    let pattern = |src: usize, dest: usize, round: usize| -> Vec<u8> {
+        let tag = (src * 31 + dest * 7 + round * 131) as u32;
+        (0..CHUNK as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8 ^ tag as u8).collect()
+    };
+    let source = |pe: usize| -> Vec<u8> { (0..GET).map(|i| (i * 13 + pe * 101) as u8).collect() };
+    ShmemWorld::run(cfg, move |ctx| {
+        let (me, n) = (ctx.my_pe(), ctx.num_pes());
+        let inbox: TypedSym<u8> = ctx.calloc_array(n * ROUNDS * CHUNK).unwrap();
+        let exposed: TypedSym<u8> = ctx.calloc_array(GET).unwrap();
+        let counter: TypedSym<u64> = ctx.calloc_array(1).unwrap();
+        ctx.write_local_slice(&exposed, 0, &source(me)).unwrap();
+        ctx.barrier_all().unwrap();
+        for round in 0..ROUNDS {
+            for hop in 1..n {
+                let dest = (me + hop) % n;
+                let at = (me * ROUNDS + round) * CHUNK;
+                let opts = OpOptions::nbi();
+                ctx.put_slice_opts(&inbox, at, &pattern(me, dest, round), dest, opts).unwrap();
+            }
+            let from = (me + 1 + round % (n - 1)) % n;
+            assert_eq!(ctx.get_slice(&exposed, 0, GET, from).unwrap(), source(from), "get {from}");
+            ctx.atomic_fetch_add(&counter, 0, 1, (me + 1 + (round + 1) % (n - 1)) % n).unwrap();
+        }
+        ctx.quiet().unwrap();
+        ctx.barrier_all().unwrap();
+        for src in (0..n).filter(|&src| src != me) {
+            for round in 0..ROUNDS {
+                let got =
+                    ctx.read_local_slice(&inbox, (src * ROUNDS + round) * CHUNK, CHUNK).unwrap();
+                assert!(got == pattern(src, me, round), "pe {me}: round {round} from pe {src}");
+            }
+        }
+        // Each PE adds to each other PE twice over the rounds.
+        assert_eq!(ctx.read_local(&counter, 0).unwrap(), ROUNDS as u64);
+        ctx.barrier_all().unwrap();
+    })
+    .unwrap();
 }
 
 /// Two-hop nbi bursts from PE 0 to PE 3 on `torus(2, 2)` at paper timing:

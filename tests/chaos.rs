@@ -183,7 +183,7 @@ fn run_chaos(family: Family, seed: u64) -> ChaosOutcome {
 fn run_chaos_mode(family: Family, seed: u64, coalesced: bool) -> ChaosOutcome {
     let mut cfg = NetConfig::fast(HOSTS).with_retry(chaos_retry()).with_faults(family.plan(seed));
     if coalesced {
-        cfg = cfg.with_coalescing(true).with_tx_ring(4, 4);
+        cfg = cfg.with_tx_ring(4, 4);
     }
     let net = RingNetwork::build(cfg).unwrap();
     net.obs_enable();
