@@ -1,8 +1,8 @@
 //! `ntb-lint` — workspace-native static analysis for the NTB/OpenSHMEM
 //! workspace.
 //!
-//! Nine rules, all keyed to the paper's ordered shared-state protocol
-//! (ScratchPad publish → doorbell → service-thread consume). Four are
+//! Ten rules, all keyed to the paper's ordered shared-state protocol
+//! (ScratchPad publish → doorbell → service-thread consume). Five are
 //! token-level hygiene rules, five are function-granular protocol-
 //! discipline rules built on the [`parse`] module:
 //!
@@ -39,6 +39,10 @@
 //!    ladder (`NtbError`/`ShmemError`) must co-occur with pending-entry
 //!    resolution in the same function, or carry a `// RESOLVES(..): why`
 //!    annotation.
+//! 9. **counter-via-emit** — the event counters (`LinkMetrics` fields,
+//!    [`manifest::COUNTER_FIELDS`]) are written only in
+//!    [`manifest::COUNTER_HOME`], by `Obs::emit`; no annotation waives a
+//!    direct `fetch_add`/`store` elsewhere.
 //!
 //! All rules skip `#[test]` / `#[cfg(test)]` regions. The pass is
 //! deliberately dependency-free (hand-rolled lexer, no `syn`): the
@@ -64,7 +68,7 @@ pub struct Finding {
     pub line: u32,
     /// Rule id: `safety`, `atomics`, `unwraps`, `locks`, `lockdep-sync`,
     /// `resolution`, `emit-before-publish`, `deadline-clip`,
-    /// `bounded-wait`, `typed-error`.
+    /// `bounded-wait`, `typed-error`, `counter-via-emit`.
     pub rule: &'static str,
     /// Human-readable description with the expected annotation.
     pub message: String,
@@ -108,6 +112,8 @@ pub struct ScanStats {
     pub loops_checked: usize,
     /// Failure-variant constructions checked by the typed-error rule.
     pub errors_checked: usize,
+    /// Event-counter field accesses checked by the counter-via-emit rule.
+    pub counter_sites: usize,
 }
 
 impl ScanStats {
@@ -121,6 +127,7 @@ impl ScanStats {
         self.waits_checked += other.waits_checked;
         self.loops_checked += other.loops_checked;
         self.errors_checked += other.errors_checked;
+        self.counter_sites += other.counter_sites;
     }
 }
 
@@ -130,7 +137,7 @@ impl std::fmt::Display for ScanStats {
             f,
             "{} files, {} functions; {} acquires / {} exits paired, {} resolution emits \
              publish-checked, {} waits deadline-checked, {} loops bound-checked, \
-             {} error constructions checked",
+             {} error constructions checked, {} counter accesses checked",
             self.files,
             self.functions,
             self.acquires,
@@ -138,7 +145,8 @@ impl std::fmt::Display for ScanStats {
             self.publish_emits,
             self.waits_checked,
             self.loops_checked,
-            self.errors_checked
+            self.errors_checked,
+            self.counter_sites
         )
     }
 }
@@ -350,6 +358,7 @@ pub fn scan_source_with_stats(file: &str, src: &str, mode: FileMode) -> (Vec<Fin
     rules::atomics::run(&ctx, &mut out);
     rules::unwraps::run(&ctx, mode, &mut out);
     rules::locks::run(&ctx, &mut out);
+    rules::counters::run(&ctx, &mut out, &mut stats);
     rules::resolution::run(&ctx, mode, &mut out, &mut stats);
     rules::publish::run(&ctx, mode, &mut out, &mut stats);
     rules::deadline::run(&ctx, mode, &mut out, &mut stats);

@@ -144,7 +144,7 @@ fn render_json(findings: &[Finding], stats: &ScanStats) -> String {
     s.push_str(&format!(
         "  \"stats\": {{\"files\": {}, \"functions\": {}, \"acquires\": {}, \
          \"exits_checked\": {}, \"publish_emits\": {}, \"waits_checked\": {}, \
-         \"loops_checked\": {}, \"errors_checked\": {}}},\n",
+         \"loops_checked\": {}, \"errors_checked\": {}, \"counter_sites\": {}}},\n",
         stats.files,
         stats.functions,
         stats.acquires,
@@ -152,7 +152,8 @@ fn render_json(findings: &[Finding], stats: &ScanStats) -> String {
         stats.publish_emits,
         stats.waits_checked,
         stats.loops_checked,
-        stats.errors_checked
+        stats.errors_checked,
+        stats.counter_sites
     ));
     s.push_str(&format!("  \"clean\": {}\n}}", findings.is_empty()));
     s

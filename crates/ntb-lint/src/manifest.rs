@@ -218,7 +218,6 @@ pub const LOCK_SITES: &[LockSite] = &[
     LockSite { file_suffix: "ntb-net/src/credit.rs", receiver: "state", class: "net-retry-budget" },
     LockSite { file_suffix: "ntb-net/src/network.rs", receiver: "chaos", class: "net-admin" },
     LockSite { file_suffix: "ntb-net/src/slots.rs", receiver: "state", class: "net-txring" },
-    LockSite { file_suffix: "ntb-net/src/trace.rs", receiver: "events", class: "obs" },
     LockSite {
         file_suffix: "ntb-net/src/lockdep.rs",
         receiver: "STATE",
@@ -501,11 +500,59 @@ pub const RULE_PRECEDENCE: &[&str] = &[
     "deadline-clip",
     "bounded-wait",
     "typed-error",
+    "counter-via-emit",
     "locks",
     "lockdep-sync",
     "safety",
     "atomics",
     "unwraps",
+];
+
+/// The event counters: every field of `ntb_sim::LinkMetrics`, in
+/// declaration order (rule `counter-via-emit`; the fixture suite checks
+/// the list against the struct).
+pub const COUNTER_FIELDS: &[&str] = &[
+    "frames_tx",
+    "frames_rx",
+    "retransmits",
+    "reroutes",
+    "crc_rejects",
+    "router_drops",
+    "deadline_sheds",
+    "overload_sheds",
+    "retry_sheds",
+    "slot_full_waits",
+    "forwards",
+    "puts_delivered",
+    "gets_served",
+    "acks_received",
+    "amos_served",
+    "duplicates_suppressed",
+    "probes_sent",
+    "link_down_events",
+    "slot_skips",
+    "slot_release_misses",
+];
+
+/// The one file allowed to write an event counter: `Obs::emit` there
+/// bumps the counter its event kind maps to.
+pub const COUNTER_HOME: &str = "ntb-sim/src/obs.rs";
+
+/// Atomic methods that write (rule `counter-via-emit`).
+pub const ATOMIC_WRITES: &[&str] = &[
+    "store",
+    "swap",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_max",
+    "fetch_min",
+    "fetch_and",
+    "fetch_or",
+    "fetch_xor",
+    "fetch_nand",
+    "fetch_update",
+    "compare_exchange",
+    "compare_exchange_weak",
 ];
 
 /// Precedence index of a rule id (lower = higher precedence; unknown last).

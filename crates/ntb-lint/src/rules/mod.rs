@@ -1,13 +1,15 @@
 //! The rule implementations, one module per rule family.
 //!
 //! Hygiene rules (token-level): [`safety`], [`atomics`], [`unwraps`],
-//! [`locks`]. Protocol-discipline rules (function-granular, built on
-//! [`crate::parse`]): [`resolution`] with its family member [`publish`]
-//! (`emit-before-publish`), [`deadline`], [`bounded`], [`typederr`].
+//! [`locks`], [`counters`] (`counter-via-emit`). Protocol-discipline
+//! rules (function-granular, built on [`crate::parse`]): [`resolution`]
+//! with its family member [`publish`] (`emit-before-publish`),
+//! [`deadline`], [`bounded`], [`typederr`].
 //! Shared scoping and annotation-grammar helpers live here.
 
 pub(crate) mod atomics;
 pub(crate) mod bounded;
+pub(crate) mod counters;
 pub(crate) mod deadline;
 pub(crate) mod locks;
 pub(crate) mod publish;

@@ -113,6 +113,29 @@ fn typederr_fixtures() {
     assert_flags("typederr_tampered.rs", "typed-error", 1);
 }
 
+#[test]
+fn counters_fixtures() {
+    assert_clean("counters_pass.rs");
+    assert_flags("counters_fail.rs", "counter-via-emit", 2);
+}
+
+/// The rule's field list names exactly the fields `LinkMetrics` declares,
+/// in order, so a counter added to the struct cannot escape the rule.
+#[test]
+fn counter_fields_match_link_metrics() {
+    let obs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../ntb-sim/src/obs.rs");
+    let src = std::fs::read_to_string(obs).expect("obs.rs readable");
+    let start = src.find("link_metrics!(").expect("LinkMetrics declaration");
+    let body = &src[start..start + src[start..].find("\n);").expect("end of declaration")];
+    let declared: Vec<&str> = body
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.starts_with("//") && l.ends_with(','))
+        .map(|l| l.trim_end_matches(','))
+        .collect();
+    assert_eq!(declared, ntb_lint::manifest::COUNTER_FIELDS);
+}
+
 /// The linter's reason to exist: the workspace it ships in stays clean —
 /// and demonstrably *looked at* the protocol surface while doing so.
 /// Walks the real crate tree (two levels up from this crate's manifest)
@@ -135,4 +158,5 @@ fn workspace_self_scan_is_clean_with_evidence() {
     assert!(stats.waits_checked >= 12, "deadline rule checked too few waits: {stats}");
     assert!(stats.loops_checked >= 15, "bounded rule checked too few loops: {stats}");
     assert!(stats.errors_checked >= 15, "typed-error rule checked too few sites: {stats}");
+    assert!(stats.counter_sites >= 10, "counter rule checked too few accesses: {stats}");
 }

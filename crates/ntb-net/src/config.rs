@@ -26,9 +26,11 @@ pub struct RetryPolicy {
     pub backoff_max: Duration,
     /// How often a `Down` link endpoint is probed for recovery.
     pub probe_interval: Duration,
-    /// How long a sender polls an occupied transmit-ring slot before
-    /// re-ringing the drain doorbell (recovers a dropped interrupt).
-    pub mailbox_timeout: Duration,
+    /// How long a sender waits on an occupied transmit-ring slot (or
+    /// payload area) before re-ringing the drain doorbell, which recovers
+    /// a dropped interrupt; after `max_retries` re-rings the publish
+    /// fails with `LinkFailed`.
+    pub slot_wait_timeout: Duration,
     /// Consecutive transient failures before a link endpoint is marked
     /// `Down` and traffic reroutes around it.
     pub failure_threshold: u32,
@@ -64,7 +66,7 @@ impl Default for RetryPolicy {
             backoff_base: Duration::from_millis(25),
             backoff_max: Duration::from_millis(400),
             probe_interval: Duration::from_millis(50),
-            mailbox_timeout: Duration::from_millis(100),
+            slot_wait_timeout: Duration::from_millis(100),
             failure_threshold: 3,
         }
     }

@@ -12,6 +12,10 @@
 //!   credit per staged frame and stops staging when none remain. Both
 //!   counters only grow, so a re-read of a stale grant is harmless and
 //!   conservation is checkable: `granted == consumed + available`.
+//!   The receiver grants back only frames that consumed a credit, so a
+//!   grant above `consumed + window` is corrupt (a flipped byte in the
+//!   credit word or in an ack's grant field); the gate caps it, and at
+//!   most one window of credits is ever available.
 //!   The credit word is one aligned 32-bit cell, written with one atomic
 //!   store through the window ([`write_credit_word`]) and read with one
 //!   atomic load ([`read_credit_word`]), so the sender never reads half
@@ -57,20 +61,25 @@ pub struct CreditGate {
     granted: AtomicU64,
     /// Total credits we have ever consumed.
     consumed: AtomicU64,
+    /// The credit window: the most credits ever available at once.
+    window: u64,
 }
 
 impl CreditGate {
-    /// A gate pre-loaded with `initial` credits (the configured credit
+    /// A gate pre-loaded with `window` credits (the configured credit
     /// window, granted implicitly at link bring-up).
-    pub fn new(initial: u64) -> Self {
-        CreditGate { granted: AtomicU64::new(initial), consumed: AtomicU64::new(0) }
+    pub fn new(window: u64) -> Self {
+        CreditGate { granted: AtomicU64::new(window), consumed: AtomicU64::new(0), window }
     }
 
     /// Absorb a cumulative grant advertisement from the peer. Stale or
-    /// reordered values (≤ the current grant) are ignored.
+    /// reordered values (≤ the current grant) are ignored, and a value
+    /// above `consumed + window`, which no receiver can have granted, is
+    /// capped there: a corrupted word cannot switch flow control off.
     pub fn advertise(&self, cumulative: u64) {
+        let bound = self.consumed_total() + self.window;
         // lint: relaxed-ok(monotonic max over a cumulative counter; the fetch_max resolves races)
-        self.granted.fetch_max(cumulative, Ordering::Relaxed);
+        self.granted.fetch_max(cumulative.min(bound), Ordering::Relaxed);
     }
 
     /// Credits currently available to spend.
@@ -237,18 +246,54 @@ mod tests {
         let gate = CreditGate::new(10);
         gate.advertise(4); // stale: below the bring-up window
         assert_eq!(gate.available(), 10);
+        assert!(gate.try_consume() && gate.try_consume());
         gate.advertise(12);
-        assert_eq!(gate.available(), 12);
+        assert_eq!(gate.available(), 10);
+        gate.advertise(11); // reordered behind 12
+        assert_eq!(gate.granted_total(), 12);
     }
 
     #[test]
     fn ledger_and_gate_stay_cumulative() {
         let ledger = CreditLedger::new(8);
         let gate = CreditGate::new(8);
+        for _ in 0..4 {
+            assert!(gate.try_consume());
+        }
         let wire = ledger.grant(4);
         gate.advertise(wire);
-        assert_eq!(gate.available(), 12);
+        assert_eq!(gate.available(), 8);
         assert_eq!(ledger.total(), 12);
+        assert_eq!(gate.granted_total(), 12);
+    }
+
+    /// A flipped byte in the credit word (or in an ack's piggybacked
+    /// grant) reads as a huge cumulative grant. The gate caps it at
+    /// `consumed + window`, so flow control stays on.
+    #[test]
+    fn forged_credit_word_cannot_exceed_the_window() {
+        use ntb_sim::Region;
+        const WINDOW: u64 = 8;
+        const OFF: u64 = 4;
+        let gate = CreditGate::new(WINDOW);
+        let ledger = CreditLedger::new(WINDOW);
+        for _ in 0..5 {
+            assert!(gate.try_consume());
+        }
+        let region = Region::anonymous(64);
+        // The receiver absorbed three of the five frames and granted them.
+        let total = ledger.grant(3);
+        region.write(OFF, &u32::try_from(total).unwrap().to_le_bytes()).unwrap();
+        gate.advertise(read_credit_word(&region, OFF).unwrap());
+        assert_eq!(gate.available(), 6);
+        for flipped in 0..4u64 {
+            let mut bytes = u32::try_from(total).unwrap().to_le_bytes();
+            bytes[flipped as usize] ^= 0xFF;
+            region.write(OFF, &bytes).unwrap();
+            gate.advertise(read_credit_word(&region, OFF).unwrap());
+            assert!(gate.available() <= WINDOW, "byte {flipped}: {} credits", gate.available());
+        }
+        assert_eq!(gate.granted_total(), gate.consumed_total() + gate.available());
     }
 
     /// Property: under random interleavings of grants and consumes,
@@ -265,7 +310,10 @@ mod tests {
             for _ in 0..rng.random_range(1..64u32) {
                 match rng.random_range(0..3u32) {
                     0 => {
-                        let wire = ledger.grant(rng.random_range(1..5u64));
+                        // The receiver grants back some of the frames that
+                        // consumed a credit and have not been granted yet.
+                        let owed = expected_consumed + initial - ledger.total();
+                        let wire = ledger.grant(rng.random_range(0..5u64).min(owed));
                         gate.advertise(wire);
                     }
                     1 => {
@@ -282,6 +330,7 @@ mod tests {
                 let consumed = gate.consumed_total();
                 assert!(consumed <= granted, "consumed {consumed} > granted {granted}");
                 assert_eq!(granted, consumed + gate.available(), "credit conservation violated");
+                assert!(gate.available() <= initial, "more than a window available");
             }
             assert_eq!(gate.consumed_total(), expected_consumed);
             assert_eq!(gate.granted_total(), ledger.total());
@@ -289,42 +338,54 @@ mod tests {
     }
 
     /// The same conservation property under genuine thread concurrency:
-    /// one granter, two consumers hammering the gate.
+    /// one granter returning every consumed credit, two consumers
+    /// hammering the gate.
     #[test]
     fn credit_conservation_under_threads() {
+        use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        let gate = Arc::new(CreditGate::new(0));
-        let ledger = Arc::new(CreditLedger::new(0));
+        const WINDOW: u64 = 4;
+        let gate = Arc::new(CreditGate::new(WINDOW));
+        let ledger = Arc::new(CreditLedger::new(WINDOW));
+        let done = Arc::new(AtomicBool::new(false));
         let granter = {
-            let (gate, ledger) = (Arc::clone(&gate), Arc::clone(&ledger));
-            std::thread::spawn(move || {
-                for _ in 0..500 {
-                    let wire = ledger.grant(2);
-                    gate.advertise(wire);
+            let (gate, ledger, done) = (Arc::clone(&gate), Arc::clone(&ledger), Arc::clone(&done));
+            std::thread::spawn(move || loop {
+                let finished = done.load(Ordering::SeqCst);
+                let owed = gate.consumed_total() + WINDOW - ledger.total();
+                if owed > 0 {
+                    gate.advertise(ledger.grant(owed));
+                } else if finished {
+                    return;
                 }
+                std::thread::yield_now();
             })
         };
         let consumers: Vec<_> = (0..2)
             .map(|_| {
                 let gate = Arc::clone(&gate);
                 std::thread::spawn(move || {
+                    // Bounded by the granter, which returns every
+                    // consumed credit.
                     let mut got = 0u64;
-                    for _ in 0..2000 {
+                    while got < 500 {
                         if gate.try_consume() {
                             got += 1;
                         }
-                        std::hint::spin_loop();
+                        assert!(gate.available() <= WINDOW);
+                        std::thread::yield_now();
                     }
                     got
                 })
             })
             .collect();
-        granter.join().unwrap();
         let consumed_by_threads: u64 = consumers.into_iter().map(|h| h.join().unwrap()).sum();
+        done.store(true, Ordering::SeqCst);
+        granter.join().unwrap();
         assert_eq!(gate.consumed_total(), consumed_by_threads);
-        assert!(gate.consumed_total() <= gate.granted_total());
         assert_eq!(gate.granted_total(), gate.consumed_total() + gate.available());
-        assert_eq!(gate.granted_total(), 1000);
+        assert_eq!(gate.granted_total(), ledger.total());
+        assert_eq!(gate.available(), WINDOW);
     }
 
     /// The credit word is written by the receiver while the sender reads

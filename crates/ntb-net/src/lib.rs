@@ -44,7 +44,6 @@ pub mod pending;
 pub mod service;
 pub mod slots;
 pub mod topology;
-pub mod trace;
 
 pub use checker::{check, check_log, CheckReport, Violation};
 pub use config::{NetConfig, OverloadConfig, RetryPolicy};
@@ -62,7 +61,6 @@ pub use pending::FillOutcome;
 pub use topology::{
     hop_count, route, RingTopology, RouteDirection, Shape, TopoGraph, Topology, MAX_TOPO_NODES,
 };
-pub use trace::{to_chrome_json, TraceKind, TraceRecord, Tracer};
 
 /// Doorbell bit assignments (paper §III-B1 defines the four interrupt
 /// sources; bit 15 is the model's shutdown signal for service threads).

@@ -21,7 +21,6 @@ use crate::config::NetConfig;
 use crate::handshake::exchange_link_info;
 use crate::node::NtbNode;
 use crate::topology::{Shape, TopoGraph};
-use crate::trace::{to_chrome_json, TraceRecord, Tracer};
 
 /// Worlds beyond this many hosts automatically switch the time model to
 /// coarse (sleeping) waits. The paper-scale worlds (≤ 5 hosts) and every
@@ -217,7 +216,6 @@ impl RingNetwork {
             model.coarse_waits = true;
         }
         let model = Arc::new(model);
-        let tracer = Arc::new(Tracer::default());
         let event_log = EventLog::new(n, DEFAULT_TRACE_CAPACITY);
         let mems: Vec<Arc<HostMemory>> =
             (0..n).map(|i| HostMemory::new(i, config.host_mem_capacity)).collect();
@@ -242,6 +240,11 @@ impl RingNetwork {
         // reproduces the historical "slot towards j is j, or j-1 past
         // self" numbering.
         let graph = Arc::new(TopoGraph::new(kind.shape(), n));
+        // One registry per PE, indexed by physical link; every layer's
+        // `Obs` handles of that PE count into it.
+        let num_links = graph.links().len();
+        let metrics: Vec<Arc<MetricsRegistry>> =
+            (0..n).map(|_| MetricsRegistry::new(num_links)).collect();
         let mut next_slot = vec![0usize; n];
         for &(i, j) in &graph.links() {
             let (slot_i, slot_j) = match kind.shape() {
@@ -263,15 +266,14 @@ impl RingNetwork {
                 &mems[j],
                 Arc::clone(&model),
                 next_injector(&mut injectors),
-                Obs::new(Arc::clone(&event_log), i, link_idx),
-                Obs::new(Arc::clone(&event_log), j, link_idx),
+                Obs::new(Arc::clone(&event_log), Arc::clone(&metrics[i]), i, link_idx as u16),
+                Obs::new(Arc::clone(&event_log), Arc::clone(&metrics[j]), j, link_idx as u16),
             )?;
             bring_up_link(&pi, i, &pj, j, &config)?;
             ports[i].push((j, link_idx, pi));
             ports[j].push((i, link_idx, pj));
         }
 
-        let num_links = injectors.len();
         // One shared time origin for the whole network: wire deadlines are
         // absolute microseconds since this instant, so every host decodes
         // them against the same clock.
@@ -288,9 +290,8 @@ impl RingNetwork {
                     Arc::clone(&model),
                     Arc::clone(&mems[i]),
                     Arc::new(AtomicBool::new(false)),
-                    Arc::clone(&tracer),
                     Arc::clone(&event_log),
-                    MetricsRegistry::new(num_links),
+                    Arc::clone(&metrics[i]),
                     host_ports,
                     epoch,
                 )
@@ -383,29 +384,6 @@ impl RingNetwork {
     /// The shared time model.
     pub fn model(&self) -> Arc<TimeModel> {
         Arc::clone(self.nodes[0].model())
-    }
-
-    /// Start recording protocol events on every host (one shared clock).
-    pub fn enable_tracing(&self) {
-        self.nodes[0].tracer().enable();
-    }
-
-    /// Stop recording protocol events.
-    pub fn disable_tracing(&self) {
-        self.nodes[0].tracer().disable();
-    }
-
-    /// Take the recorded events, sorted by timestamp.
-    pub fn take_trace(&self) -> Vec<TraceRecord> {
-        let mut events = self.nodes[0].tracer().take();
-        events.sort_by(|a, b| a.t_us.total_cmp(&b.t_us));
-        events
-    }
-
-    /// Take the recorded events as Chrome tracing JSON
-    /// (`chrome://tracing` / Perfetto).
-    pub fn take_trace_json(&self) -> String {
-        to_chrome_json(&self.take_trace())
     }
 
     /// The unified structured event log shared by every layer of this

@@ -10,14 +10,14 @@
 //! retransmission inevitably creates.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ntb_sim::{
-    EventKind, EventLog, HostMemory, LinkHealth, LinkHealthTracker, MetricsRegistry, NtbError,
-    NtbPort, Obs, PortStatsSnapshot, Region, Result, TimeModel, TransferMode,
+    EventKind, EventLog, HostMemory, LinkHealth, LinkHealthTracker, LinkMetrics, MetricsRegistry,
+    NtbError, NtbPort, Obs, PortStatsSnapshot, Region, Result, TimeModel, TransferMode, NO_LINK,
 };
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -32,69 +32,13 @@ use crate::membership::{self, rejoin_signature, Membership, MembershipView, REJO
 use crate::pending::{PendingOps, UnackedPuts};
 use crate::slots::TxSlotRing;
 use crate::topology::{RingTopology, RouteDirection, Shape, TopoGraph, Topology};
-use crate::trace::{TraceKind, Tracer};
 
-/// Counters of one node's protocol activity.
-#[derive(Debug, Default)]
-pub struct NodeStats {
-    /// Frames received and handled by the service threads.
-    pub frames_rx: AtomicU64,
-    /// Frames forwarded around the ring (this host was an intermediate).
-    pub forwards: AtomicU64,
-    /// Put chunks delivered into the local symmetric space.
-    pub puts_delivered: AtomicU64,
-    /// Get requests served from the local symmetric space.
-    pub gets_served: AtomicU64,
-    /// Put acknowledgements received back at this origin.
-    pub acks_received: AtomicU64,
-    /// Atomic operations executed at this host.
-    pub amos_served: AtomicU64,
-    /// Frames retransmitted after an acknowledgement timeout (puts by the
-    /// sweeper, get/AMO requests by the bounded requester wait).
-    pub retransmits: AtomicU64,
-    /// Inbound frames dropped because the payload CRC did not match.
-    pub checksum_rejects: AtomicU64,
-    /// Sends steered away from a `Down` endpoint (the long way around).
-    pub reroutes: AtomicU64,
-    /// Duplicate deliveries suppressed (retransmitted puts/AMOs already
-    /// applied, duplicated get-response chunks already deposited).
-    pub duplicates_suppressed: AtomicU64,
-    /// Probe writes issued to `Down` endpoints by the sweeper.
-    pub probes_sent: AtomicU64,
-    /// Endpoint transitions into the `Down` state.
-    pub link_down_events: AtomicU64,
-    /// Transmit-ring sequence numbers skipped by the in-order drain: a
-    /// header that never landed although a later one did, or a frame
-    /// that landed after its number was skipped (and is dropped). Zero on
-    /// a fault-free link.
-    pub slot_skips: AtomicU64,
-    /// Transmit-ring headers that changed between the receiver's read
-    /// and its compare-and-swap clear (the slot is left for the next
-    /// read). Zero on a fault-free link: only the sender writes a header,
-    /// and only into a slot the receiver has cleared.
-    pub slot_release_misses: AtomicU64,
-}
-
-impl NodeStats {
-    fn bump(counter: &AtomicU64) {
-        // lint: relaxed-ok(monotonic event counter; readers only need eventual totals)
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sum of all recovery-path counters — zero on a clean run.
-    pub fn recovery_total(&self) -> u64 {
-        // lint: relaxed-ok(monotonic counters summed for diagnostics; staleness is fine)
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ld(&self.retransmits)
-            + ld(&self.checksum_rejects)
-            + ld(&self.reroutes)
-            + ld(&self.duplicates_suppressed)
-            + ld(&self.probes_sent)
-            + ld(&self.link_down_events)
-            + ld(&self.slot_skips)
-            + ld(&self.slot_release_misses)
-    }
-}
+/// A snapshot of one node's protocol counters: the sum of every block of
+/// its [`MetricsRegistry`] (see [`NtbNode::stats`]). It is a
+/// [`LinkMetrics`] value, so its fields are atomics only so that readers
+/// written against the former node-wide counters keep compiling; nothing
+/// updates a snapshot.
+pub type NodeStats = LinkMetrics;
 
 /// How many recently-seen put ids (per node, across all origins) are
 /// remembered for duplicate suppression. Retransmission timeouts bound
@@ -255,14 +199,13 @@ pub struct NtbNode {
     pub(crate) sweeper_lock: Mutex<()>,
     /// Signalled by [`Self::stop`] to end the sweeper's tick early.
     pub(crate) sweeper_wake: Condvar,
-    pub(crate) stats: NodeStats,
     pub(crate) errors: Mutex<Vec<NtbError>>,
     pub(crate) mem: Arc<HostMemory>,
-    pub(crate) tracer: Arc<Tracer>,
     /// Node-scoped event handle (`link = NO_LINK`).
     pub(crate) obs: Obs,
     /// Per-PE metrics: op latency histograms plus counters indexed by
-    /// physical link. Always on.
+    /// physical link and a node block. Always on; only the `obs` handles
+    /// write the counters.
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// The network's shared time origin for wire deadlines: every host's
     /// `deadline_us` values are microseconds since this instant, so a
@@ -307,7 +250,6 @@ impl NtbNode {
         model: Arc<TimeModel>,
         mem: Arc<HostMemory>,
         shutdown: Arc<AtomicBool>,
-        tracer: Arc<Tracer>,
         event_log: Arc<EventLog>,
         metrics: Arc<MetricsRegistry>,
         ports: Vec<(usize, usize, Arc<NtbPort>)>,
@@ -320,25 +262,26 @@ impl NtbNode {
             config.tx_slots,
             config.coalesce_payload_max,
         );
-        let obs = Obs::new(Arc::clone(&event_log), me, 0).unlinked();
+        let obs = Obs::new(Arc::clone(&event_log), Arc::clone(&metrics), me, NO_LINK);
         let endpoints = ports
             .into_iter()
             .map(|(neighbor, link_idx, port)| {
+                let link_obs =
+                    Obs::new(Arc::clone(&event_log), Arc::clone(&metrics), me, link_idx as u16);
                 let mut txring = TxSlotRing::new(
                     Arc::clone(&port),
                     neighbor,
                     layout,
                     &config,
                     Arc::clone(&model),
-                    Obs::new(Arc::clone(&event_log), me, link_idx),
+                    link_obs.clone(),
                 );
                 txring.set_abort(Arc::clone(&shutdown));
-                txring.set_retry(config.retry.mailbox_timeout, config.retry.max_retries);
-                txring.set_metrics(Arc::clone(&metrics), link_idx);
+                txring.set_retry(config.retry.slot_wait_timeout, config.retry.max_retries);
                 LinkEndpoint {
                     neighbor,
                     link_idx,
-                    obs: Obs::new(Arc::clone(&event_log), me, link_idx),
+                    obs: link_obs,
                     port,
                     fwd: Arc::new(ForwardQueue::with_watermarks(
                         config.overload.forward_queue_cap,
@@ -374,10 +317,8 @@ impl NtbNode {
             threads: Mutex::new(Vec::new()),
             sweeper_lock: Mutex::new(()),
             sweeper_wake: Condvar::new(),
-            stats: NodeStats::default(),
             errors: Mutex::new(Vec::new()),
             mem,
-            tracer,
             obs,
             metrics,
             config,
@@ -479,8 +420,6 @@ impl NtbNode {
         {
             if let Some(alt) = self.detour_hop(dest, view, hop) {
                 let other = self.endpoint_to(alt);
-                NodeStats::bump(&self.stats.reroutes);
-                self.metrics.bump_link(preferred.link_idx, |l| &l.reroutes);
                 preferred.obs.emit(EventKind::Reroute, 0, [other.link_idx as u64, dest as u64]);
                 return other;
             }
@@ -571,24 +510,15 @@ impl NtbNode {
         std::mem::take(&mut *self.errors.lock())
     }
 
-    /// The shared protocol tracer (one clock for the whole network).
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// Record a protocol trace event at this host.
-    pub(crate) fn trace(&self, kind: TraceKind, src: usize, dest: usize, len: u32) {
-        self.tracer.record(self.topo.me, kind, src, dest, len);
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats
+    /// This node's protocol counters, summed over every block of its
+    /// metrics registry. An owned snapshot (see [`NodeStats`]).
+    pub fn stats(&self) -> NodeStats {
+        self.metrics.total()
     }
 
     /// This PE's metrics registry: latency histograms per op class plus
-    /// counters per physical link. Always on (a handful of relaxed
-    /// atomics per op).
+    /// counters per physical link and a node block. Always on (one
+    /// relaxed atomic add per counted event).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -639,7 +569,6 @@ impl NtbNode {
             Err(e) if e.is_transient() || matches!(e, NtbError::LinkFailed { .. }) => {
                 let was_down = ep.health.is_down();
                 if ep.health.record_failure() == LinkHealth::Down && !was_down {
-                    NodeStats::bump(&self.stats.link_down_events);
                     ep.obs.emit(EventKind::LinkDown, 0, [0, 0]);
                 }
             }
@@ -714,12 +643,10 @@ impl NtbNode {
                 true
             }
             PushOutcome::ShedOverload { occupancy, capacity } => {
-                self.metrics.bump_link(ep.link_idx, |l| &l.overload_sheds);
                 ep.obs.emit(EventKind::OverloadShed, op_id, [occupancy as u64, capacity as u64]);
                 false
             }
             PushOutcome::ShedExpired => {
-                self.metrics.bump_link(ep.link_idx, |l| &l.deadline_sheds);
                 ep.obs.emit(
                     EventKind::DeadlineShed,
                     op_id,
@@ -788,7 +715,6 @@ impl NtbNode {
                 }
                 let now = self.now_us();
                 if deadline_us != 0 && now > deadline_us {
-                    self.metrics.bump_link(ep.link_idx, |l| &l.deadline_sheds);
                     ep.obs.emit(
                         EventKind::DeadlineShed,
                         u64::from(put_id),
@@ -799,7 +725,6 @@ impl NtbNode {
                     return Err(NtbError::DeadlineExceeded);
                 }
                 if wait_start.elapsed() > self.config.retry.ack_timeout {
-                    self.metrics.bump_link(ep.link_idx, |l| &l.overload_sheds);
                     ep.obs.emit(EventKind::OverloadShed, u64::from(put_id), [0, 0]);
                     // RESOLVES(none): ditto — nothing to refund before consume.
                     return Err(NtbError::Overloaded { queue: "link credit window" });
@@ -837,7 +762,6 @@ impl NtbNode {
         heap_offset: u32,
         chunk: &[u8],
         mode: TransferMode,
-        retransmit: bool,
         defer_flush: bool,
         deadline_us: u32,
     ) -> Result<()> {
@@ -858,7 +782,6 @@ impl NtbNode {
         // "transmitted while expired" checker violation.
         let now = self.now_us();
         if deadline_us != 0 && now > deadline_us {
-            self.metrics.bump_link(ep.link_idx, |l| &l.deadline_sheds);
             ep.obs.emit(
                 EventKind::DeadlineShed,
                 u64::from(put_id),
@@ -869,7 +792,6 @@ impl NtbNode {
         self.acquire_credit(ep, put_id, deadline_us)?;
         let frame = Frame::put(self.topo.me, dest, chunk.len() as u32, heap_offset, put_id, mode)
             .with_deadline_us(deadline_us);
-        self.trace(TraceKind::FrameSent, self.topo.me, dest, chunk.len() as u32);
         let result = self.send_frame(ep, frame, Some(chunk), defer_flush);
         if result.is_err() {
             // The frame never left this host, so the peer will never see
@@ -895,10 +817,6 @@ impl NtbNode {
                     [u64::from(deadline_us), u64::from(now)],
                 );
             }
-            self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
-            if retransmit {
-                self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
-            }
         }
         result
     }
@@ -919,7 +837,7 @@ impl NtbNode {
         self.obs.emit(EventKind::PutIssue, u64::from(put_id), [dest as u64, chunk.len() as u64]);
         // Always staged-deferred on the ring path: `put_bytes` flushes
         // once per call (or leaves the batch for quiet / the batch cap).
-        match self.transmit_put(put_id, dest, offset, chunk, mode, false, true, deadline_us) {
+        match self.transmit_put(put_id, dest, offset, chunk, mode, true, deadline_us) {
             Ok(()) => Ok(()),
             // A transiently failed first transmission stays registered:
             // the retry sweeper owns it from here (retransmission,
@@ -1127,7 +1045,6 @@ impl NtbNode {
         for &(sub_off, sub_len) in &subs[..primed] {
             let req_id = self.pending.register(sub_len, src);
             self.obs.emit(EventKind::GetReqTx, u64::from(req_id), [heap_offset + sub_off, sub_len]);
-            self.trace(TraceKind::FrameSent, self.topo.me, src, 0);
             ids.push(req_id);
             if let Err(e) = self.send_get_req(
                 src,
@@ -1136,7 +1053,6 @@ impl NtbNode {
                 req_id,
                 mode,
                 deadline_us,
-                false,
                 true,
             ) {
                 // A transient failure leaves the entry pending; the
@@ -1173,7 +1089,6 @@ impl NtbNode {
                 &self.config.retry,
                 op_deadline,
                 |attempt| {
-                    NodeStats::bump(&self.stats.retransmits);
                     self.obs.emit(
                         EventKind::Retransmit,
                         u64::from(req_id),
@@ -1186,7 +1101,6 @@ impl NtbNode {
                         req_id,
                         mode,
                         deadline_us,
-                        true,
                         false,
                     )
                 },
@@ -1208,7 +1122,6 @@ impl NtbNode {
                             u64::from(id),
                             [heap_offset + n_off, n_len],
                         );
-                        self.trace(TraceKind::FrameSent, self.topo.me, src, 0);
                         ids.push(id);
                         next += 1;
                         if let Err(e) = self.send_get_req(
@@ -1218,7 +1131,6 @@ impl NtbNode {
                             id,
                             mode,
                             deadline_us,
-                            false,
                             false,
                         ) {
                             if !(e.is_transient() || matches!(e, NtbError::LinkFailed { .. })) {
@@ -1264,7 +1176,6 @@ impl NtbNode {
         req_id: u32,
         mode: TransferMode,
         deadline_us: u32,
-        retransmit: bool,
         defer_flush: bool,
     ) -> Result<()> {
         let now = self.now_us();
@@ -1280,18 +1191,12 @@ impl NtbNode {
                 .with_deadline_us(deadline_us);
         let result = self.send_frame(ep, frame, None, defer_flush);
         self.note_send_result(ep, &result);
-        if result.is_ok() {
-            self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
-            if deadline_us != 0 {
-                ep.obs.emit(
-                    EventKind::DeadlineTx,
-                    u64::from(req_id),
-                    [u64::from(deadline_us), u64::from(now)],
-                );
-            }
-            if retransmit {
-                self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
-            }
+        if result.is_ok() && deadline_us != 0 {
+            ep.obs.emit(
+                EventKind::DeadlineTx,
+                u64::from(req_id),
+                [u64::from(deadline_us), u64::from(now)],
+            );
         }
         result
     }
@@ -1334,7 +1239,6 @@ impl NtbNode {
                 // thread; nothing else waits on the id.
                 self.obs.emit(EventKind::GetChunkRx, u64::from(req_id), [0, len]);
                 self.obs.emit(EventKind::GetDone, u64::from(req_id), [heap_offset, len]);
-                self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
                 Ok(Some(buf))
             }
             // Out of the exposed mapping — an oversized heap offset the
@@ -1391,7 +1295,7 @@ impl NtbNode {
         payload[16] = width as u8;
         let frame = Frame::amo_req(self.topo.me, target, op, wire_offset, req_id)
             .with_deadline_us(deadline_us);
-        let send_req = |retransmit: bool| {
+        let send_req = || {
             let now = self.now_us();
             if deadline_us != 0 && now > deadline_us {
                 return Err(NtbError::DeadlineExceeded);
@@ -1400,22 +1304,16 @@ impl NtbNode {
             let ep = self.endpoint_for(target);
             let result = self.send_frame(ep, frame, Some(&payload), false);
             self.note_send_result(ep, &result);
-            if result.is_ok() {
-                self.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
-                if deadline_us != 0 {
-                    ep.obs.emit(
-                        EventKind::DeadlineTx,
-                        u64::from(req_id),
-                        [u64::from(deadline_us), u64::from(now)],
-                    );
-                }
-                if retransmit {
-                    self.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
-                }
+            if result.is_ok() && deadline_us != 0 {
+                ep.obs.emit(
+                    EventKind::DeadlineTx,
+                    u64::from(req_id),
+                    [u64::from(deadline_us), u64::from(now)],
+                );
             }
             result
         };
-        if let Err(e) = send_req(false) {
+        if let Err(e) = send_req() {
             if !(e.is_transient() || matches!(e, NtbError::LinkFailed { .. })) {
                 self.pending.abandon(req_id);
                 self.obs.emit(EventKind::AmoAbandon, u64::from(req_id), [0, 0]);
@@ -1432,9 +1330,8 @@ impl NtbNode {
             &self.config.retry,
             op_deadline,
             |attempt| {
-                NodeStats::bump(&self.stats.retransmits);
                 self.obs.emit(EventKind::Retransmit, u64::from(req_id), [u64::from(attempt), 0]);
-                send_req(true)
+                send_req()
             },
         );
         let buf = match waited {
@@ -1487,16 +1384,15 @@ impl NtbNode {
     /// is spent (down windows are timed, so recovery is the common case).
     pub fn send_barrier(&self, dir: RouteDirection, start: bool) -> Result<()> {
         let bit = if start { DB_BARRIER_START } else { DB_BARRIER_END };
-        let peer = self.endpoint(dir).neighbor;
-        self.trace(TraceKind::BarrierSignal, self.topo.me, peer, 0);
+        let ep = self.endpoint(dir);
         let policy = &self.config.retry;
         let mut attempt: u32 = 0;
         loop {
-            match self.endpoint(dir).port.ring_peer(bit) {
+            match ep.port.ring_peer(bit) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < policy.max_retries => {
                     attempt += 1;
-                    NodeStats::bump(&self.stats.retransmits);
+                    ep.obs.emit(EventKind::Retransmit, u64::from(bit), [u64::from(attempt), 0]);
                     // DEADLINE-CLIPPED: barrier doorbells carry no op deadline;
                     // the backoff is bounded by the retry budget above.
                     std::thread::sleep(policy.backoff(attempt - 1).max(Duration::from_millis(1)));
@@ -1608,61 +1504,6 @@ impl NtbNode {
         }
     }
 
-    /// Record a frame handled (service module helper).
-    pub(crate) fn count_frame(&self) {
-        NodeStats::bump(&self.stats.frames_rx);
-    }
-
-    /// Record a forward (service module helper).
-    pub(crate) fn count_forward(&self) {
-        NodeStats::bump(&self.stats.forwards);
-    }
-
-    /// Record a delivered put chunk.
-    pub(crate) fn count_put_delivered(&self) {
-        NodeStats::bump(&self.stats.puts_delivered);
-    }
-
-    /// Record a served get.
-    pub(crate) fn count_get_served(&self) {
-        NodeStats::bump(&self.stats.gets_served);
-    }
-
-    /// Record a received put ack.
-    pub(crate) fn count_ack(&self) {
-        NodeStats::bump(&self.stats.acks_received);
-    }
-
-    /// Record a served AMO.
-    pub(crate) fn count_amo(&self) {
-        NodeStats::bump(&self.stats.amos_served);
-    }
-
-    /// Record a retransmission.
-    pub(crate) fn count_retransmit(&self) {
-        NodeStats::bump(&self.stats.retransmits);
-    }
-
-    /// Record a checksum-rejected inbound frame.
-    pub(crate) fn count_checksum_reject(&self) {
-        NodeStats::bump(&self.stats.checksum_rejects);
-    }
-
-    /// Record a transmit-ring sequence number skipped by the drain.
-    pub(crate) fn count_slot_skip(&self) {
-        NodeStats::bump(&self.stats.slot_skips);
-    }
-
-    /// Record a transmit-ring header that changed before it was cleared.
-    pub(crate) fn count_slot_release_miss(&self) {
-        NodeStats::bump(&self.stats.slot_release_misses);
-    }
-
-    /// Record a suppressed duplicate delivery.
-    pub(crate) fn count_duplicate(&self) {
-        NodeStats::bump(&self.stats.duplicates_suppressed);
-    }
-
     /// Probe every `Down` endpoint with a one-byte write to the probe
     /// word of the peer's control slot; a successful write proves the
     /// path works again and snaps the endpoint back to `Up`.
@@ -1671,7 +1512,6 @@ impl NtbNode {
             if !ep.health.is_down() {
                 continue;
             }
-            NodeStats::bump(&self.stats.probes_sent);
             ep.obs.emit(EventKind::ProbeTx, 0, [0, 0]);
             if ep
                 .port
@@ -1879,15 +1719,6 @@ impl NtbNode {
         self.rejoining.store(false, Ordering::SeqCst);
         self.obs.emit(EventKind::NodeRestart, self.membership.epoch(), [self.topo.me as u64, 0]);
         Ok(())
-    }
-
-    /// Record a frame dropped by the forwarding path instead of being
-    /// sent on: `reason` 1 = out-of-range src/dest in the header, 2 =
-    /// destination PE is dead. Counted per link and emitted as a
-    /// `RouterDrop` event.
-    pub(crate) fn count_router_drop(&self, ep: &LinkEndpoint, op_id: u64, dest: u64, reason: u64) {
-        self.metrics.bump_link(ep.link_idx, |l| &l.router_drops);
-        ep.obs.emit(EventKind::RouterDrop, op_id, [dest, reason]);
     }
 }
 

@@ -39,7 +39,6 @@ use crate::membership::{self, rejoin_signature, BeatMonitor, BeatVerdict, REJOIN
 use crate::node::NtbNode;
 use crate::pending::FillOutcome;
 use crate::slots::{self, Drained, DrainedSlot};
-use crate::trace::TraceKind;
 
 /// How long the service loop sleeps between shutdown-flag checks when the
 /// doorbell stays silent. Doubles as the lost-doorbell recovery latency:
@@ -215,9 +214,6 @@ fn heartbeat_tick(node: &Arc<NtbNode>, idx: usize, st: &mut HeartbeatState, goss
 /// "Destination is my neighbor? / Bypass data via transfer buffer").
 /// Split horizon: never back out the arrival endpoint `idx`.
 fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option<Vec<u8>>) {
-    let ep = &node.endpoints[idx];
-    node.trace(TraceKind::Forwarded, frame.src, frame.dest, frame.len);
-    ep.obs.emit(EventKind::FrameFwd, u64::from(frame.aux), [frame.src as u64, frame.dest as u64]);
     let out = node.forward_endpoint(frame.dest, idx);
     // The bypass-buffer staging cost only applies to payloads that will
     // actually stage through the next hop's bypass area. A payload that
@@ -229,10 +225,11 @@ fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option
         _ => Duration::ZERO,
     };
     let (aux, deadline_us) = (u64::from(frame.aux), frame.deadline_us);
+    let ends = [frame.src as u64, frame.dest as u64];
     let now = node.now_us();
     let outcome = out.fwd.push(ForwardJob { frame, payload, think, attempts: 0 }, now);
     if node.note_push(out, outcome, aux, deadline_us, now) {
-        node.count_forward();
+        node.endpoints[idx].obs.emit(EventKind::FrameFwd, aux, ends);
     }
 }
 
@@ -257,8 +254,6 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize, cursor: &mut slots::RxCursor) {
             // a corrupted record's sequence number cannot be trusted to
             // pair with any publish); the sender's end-to-end
             // retransmission recovers the frame.
-            node.count_checksum_reject();
-            node.metrics.bump_link(ep.link_idx(), |l| &l.crc_rejects);
             ep.obs.emit(EventKind::CrcReject, 0, [sender, u64::from(slot)]);
             // A rejected put from the neighbour still consumed one of its
             // credits: grant it back, or every corrupted put would shrink
@@ -274,11 +269,9 @@ fn drain_ring(node: &Arc<NtbNode>, idx: usize, cursor: &mut slots::RxCursor) {
         Drained::Skipped { seq, idx: slot } => {
             // A lost header, not a checksum failure: counted apart so a
             // fault-free link shows it. Recovery is end to end.
-            node.count_slot_skip();
             ep.obs.emit(EventKind::SlotSkip, u64::from(seq), [sender, u64::from(slot)]);
         }
         Drained::ReleaseMiss { idx: slot, header } => {
-            node.count_slot_release_miss();
             ep.obs.emit(EventKind::SlotReleaseMiss, u64::from(header), [sender, u64::from(slot)]);
         }
         Drained::Frame(drained) => dispatch_slot(node, idx, drained),
@@ -302,13 +295,10 @@ fn dispatch_slot(node: &Arc<NtbNode>, idx: usize, drained: DrainedSlot) {
         // Out-of-world routing fields (possible on an unchecked link,
         // where no CRC arms): drop instead of panicking the router — but
         // *visibly*, as a counted router drop, not a silent discard.
-        node.count_router_drop(ep, u64::from(frame.aux), frame.dest as u64, 1);
+        ep.obs.emit(EventKind::RouterDrop, u64::from(frame.aux), [frame.dest as u64, 1]);
         return;
     }
-    node.count_frame();
-    node.trace(TraceKind::FrameHandled, frame.src, frame.dest, frame.len);
     ep.obs.emit(EventKind::FrameRx, u64::from(frame.aux), [frame.kind as u64, frame.src as u64]);
-    node.metrics.bump_link(ep.link_idx(), |l| &l.frames_rx);
     // First-hop credit bookkeeping (DESIGN.md §14): one arrived put from
     // the direct neighbour is exactly one credit its gate consumed — grant
     // it back. Acks from the direct neighbour may carry a piggybacked
@@ -324,7 +314,6 @@ fn dispatch_slot(node: &Arc<NtbNode>, idx: usize, drained: DrainedSlot) {
     // half the ring left to cross.
     let now = node.now_us();
     if frame.deadline_expired(now) {
-        node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
         ep.obs.emit(
             EventKind::DeadlineShed,
             u64::from(frame.aux),
@@ -364,15 +353,12 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             if fresh {
                 let data = payload.unwrap_or_default();
                 node.deliver()?.deliver_put(u64::from(frame.offset), &data)?;
-                node.count_put_delivered();
                 node.obs.emit(
                     EventKind::PutDeliver,
                     u64::from(frame.aux),
                     [frame.src as u64, u64::from(frame.offset)],
                 );
-                node.trace(TraceKind::PutDelivered, frame.src, frame.dest, frame.len);
             } else {
-                node.count_duplicate();
                 node.obs.emit(
                     EventKind::DupSuppressed,
                     u64::from(frame.aux),
@@ -413,15 +399,11 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             let known = node.unacked.ack_with(frame.aux, |known| {
                 if known {
                     node.obs.emit(EventKind::PutAcked, u64::from(frame.aux), [frame.src as u64, 0]);
-                    node.count_ack();
                 }
             });
-            if known {
-                node.trace(TraceKind::AckReceived, frame.src, frame.dest, 0);
-            } else {
+            if !known {
                 // The put was already retired by an earlier copy of this
                 // ack (retransmission raced the acknowledgement).
-                node.count_duplicate();
                 node.obs.emit(
                     EventKind::DupSuppressed,
                     u64::from(frame.aux),
@@ -433,8 +415,11 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             let mut data = vec![0u8; frame.len as usize];
             node.deliver()?.read_for_get(u64::from(frame.offset), &mut data)?;
             node.model().delay(node.model().local_copy_time(u64::from(frame.len)));
-            node.count_get_served();
-            node.trace(TraceKind::GetServed, frame.src, frame.dest, frame.len);
+            node.obs.emit(
+                EventKind::GetServe,
+                u64::from(frame.aux),
+                [frame.src as u64, data.len() as u64],
+            );
             if data.is_empty() {
                 // A zero-length get completes at the requester without a
                 // response (its pending entry was born complete).
@@ -476,28 +461,24 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             let data = payload.unwrap_or_default();
             // Emission goes through the fill observer so the chunk event
             // is logged before the woken requester can log completion.
-            let outcome =
-                node.pending.fill_with(frame.aux, u64::from(frame.offset), &data, |outcome| {
-                    match outcome {
-                        FillOutcome::Filled => {
-                            node.obs.emit(
-                                EventKind::GetChunkRx,
-                                u64::from(frame.aux),
-                                [u64::from(frame.offset), data.len() as u64],
-                            );
-                        }
-                        FillOutcome::Duplicate | FillOutcome::Stale => {
-                            node.obs.emit(
-                                EventKind::DupSuppressed,
-                                u64::from(frame.aux),
-                                [u64::from(frame.offset), 2],
-                            );
-                        }
+            node.pending.fill_with(frame.aux, u64::from(frame.offset), &data, |outcome| {
+                match outcome {
+                    FillOutcome::Filled => {
+                        node.obs.emit(
+                            EventKind::GetChunkRx,
+                            u64::from(frame.aux),
+                            [u64::from(frame.offset), data.len() as u64],
+                        );
                     }
-                })?;
-            if !matches!(outcome, FillOutcome::Filled) {
-                node.count_duplicate();
-            }
+                    FillOutcome::Duplicate | FillOutcome::Stale => {
+                        node.obs.emit(
+                            EventKind::DupSuppressed,
+                            u64::from(frame.aux),
+                            [u64::from(frame.offset), 2],
+                        );
+                    }
+                }
+            })?;
         }
         FrameKind::AmoReq => {
             // Idempotency: a retransmitted AMO request must not execute
@@ -508,7 +489,6 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             // net-dedup lock across the forward below.
             let cached = node.amo_cache.lock().lookup(frame.src, frame.aux);
             if let Some(old) = cached {
-                node.count_duplicate();
                 node.obs.emit(EventKind::AmoReplay, u64::from(frame.aux), [frame.src as u64, 0]);
                 let resp =
                     Frame::amo_resp(me, frame.src, frame.aux).with_deadline_us(frame.deadline_us);
@@ -550,9 +530,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
                 compare,
             )?;
             node.amo_cache.lock().insert(frame.src, frame.aux, old);
-            node.count_amo();
             node.obs.emit(EventKind::AmoApply, u64::from(frame.aux), [frame.src as u64, old]);
-            node.trace(TraceKind::AmoServed, frame.src, frame.dest, frame.len);
             let resp =
                 Frame::amo_resp(me, frame.src, frame.aux).with_deadline_us(frame.deadline_us);
             let out = node.endpoint_for(frame.src);
@@ -576,14 +554,13 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             // The resolution is logged under the entry lock, before the
             // woken requester can return the value (or its caller take
             // the trace).
-            let outcome = node.pending.fill_with(frame.aux, 0, &data[0..8], |outcome| {
-                if matches!(outcome, FillOutcome::Filled) {
-                    node.obs.emit(EventKind::AmoDone, u64::from(frame.aux), [frame.src as u64, 0]);
-                }
+            node.pending.fill_with(frame.aux, 0, &data[0..8], |outcome| {
+                let (kind, code) = match outcome {
+                    FillOutcome::Filled => (EventKind::AmoDone, 0),
+                    FillOutcome::Duplicate | FillOutcome::Stale => (EventKind::DupSuppressed, 3),
+                };
+                node.obs.emit(kind, u64::from(frame.aux), [frame.src as u64, code]);
             })?;
-            if !matches!(outcome, FillOutcome::Filled) {
-                node.count_duplicate();
-            }
         }
     }
     Ok(())
@@ -606,7 +583,11 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
         if !node.membership().is_live(job.frame.dest) {
             // The destination PE is confirmed dead — transmitting at it
             // only burns the retry budget of a frame nobody will ack.
-            node.count_router_drop(ep, u64::from(job.frame.aux), job.frame.dest as u64, 2);
+            ep.obs.emit(
+                EventKind::RouterDrop,
+                u64::from(job.frame.aux),
+                [job.frame.dest as u64, 2],
+            );
             continue;
         }
         node.model().delay(job.think);
@@ -615,7 +596,6 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
         // invariant 10 (no hop transmits an already-expired frame).
         let now = node.now_us();
         if job.frame.deadline_expired(now) {
-            node.metrics.bump_link(ep.link_idx, |l| &l.deadline_sheds);
             ep.obs.emit(
                 EventKind::DeadlineShed,
                 u64::from(job.frame.aux),
@@ -628,15 +608,12 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
         // shares one interrupt.
         let result = node.send_frame(ep, job.frame, job.payload.as_deref(), true);
         node.note_send_result(ep, &result);
-        if result.is_ok() {
-            node.metrics.bump_link(ep.link_idx, |l| &l.frames_tx);
-            if job.frame.deadline_us != 0 {
-                ep.obs.emit(
-                    EventKind::DeadlineTx,
-                    u64::from(job.frame.aux),
-                    [u64::from(job.frame.deadline_us), u64::from(now)],
-                );
-            }
+        if result.is_ok() && job.frame.deadline_us != 0 {
+            ep.obs.emit(
+                EventKind::DeadlineTx,
+                u64::from(job.frame.aux),
+                [u64::from(job.frame.deadline_us), u64::from(now)],
+            );
         }
         // Ring the coalesced doorbell once the queue goes momentarily
         // idle; while more jobs are waiting, the batch keeps growing (the
@@ -658,7 +635,6 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
                 // and counted, never silent — and the origin's end-to-end
                 // recovery (or the op's deadline) takes it from here.
                 if !ep.retry_budget.try_spend() {
-                    node.metrics.bump_link(ep.link_idx, |l| &l.retry_sheds);
                     ep.obs.emit(
                         EventKind::RetryShed,
                         u64::from(job.frame.aux),
@@ -668,8 +644,6 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
                 }
                 job.attempts += 1;
                 job.think = policy.backoff(job.attempts - 1).max(Duration::from_millis(1));
-                node.count_retransmit();
-                node.metrics.bump_link(ep.link_idx, |l| &l.retransmits);
                 ep.obs.emit(
                     EventKind::Retransmit,
                     u64::from(job.frame.aux),
@@ -726,8 +700,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             if put.deadline_us != 0 && now_us > put.deadline_us {
                 let ep = node.endpoint_for(put.dest);
                 node.unacked.fail_expired(id, || {
-                    node.metrics.bump_link(ep.link_idx(), |l| &l.deadline_sheds);
-                    node.obs.emit(
+                    ep.obs.emit(
                         EventKind::DeadlineShed,
                         u64::from(id),
                         [u64::from(put.deadline_us), u64::from(now_us)],
@@ -768,11 +741,9 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             // on a link whose budget never refills.
             let ep = node.endpoint_for(put.dest);
             if !ep.retry_budget.try_spend() {
-                node.metrics.bump_link(ep.link_idx(), |l| &l.retry_sheds);
                 ep.obs.emit(EventKind::RetryShed, u64::from(id), [u64::from(put.attempts), 0]);
                 continue;
             }
-            node.count_retransmit();
             node.obs.emit(EventKind::Retransmit, u64::from(id), [u64::from(put.attempts), 0]);
             // Retransmissions flush immediately: the chunk is already
             // overdue, so trading the doorbell batching for latency is
@@ -783,7 +754,6 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                 put.heap_offset,
                 &put.data,
                 put.mode,
-                true,
                 false,
                 put.deadline_us,
             );

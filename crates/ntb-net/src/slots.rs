@@ -75,7 +75,7 @@
 //! `CrcReject`, a passed-over header that never landed (or a frame that
 //! landed after its number was passed over) as `SlotSkip`, a header that
 //! changed between the read and the clear as `SlotReleaseMiss`, each
-//! with its own `NodeStats` counter. On a fault-free link the last two
+//! each counted in its own `LinkMetrics` field. On a fault-free link the last two
 //! stay at zero.
 
 use std::sync::atomic::AtomicBool;
@@ -83,8 +83,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ntb_sim::{
-    DmaRequest, EventKind, MetricsRegistry, NtbError, NtbPort, Obs, Region, Result, TimeModel,
-    TransferMode,
+    DmaRequest, EventKind, NtbError, NtbPort, Obs, Region, Result, TimeModel, TransferMode,
 };
 use parking_lot::{Mutex, MutexGuard};
 
@@ -140,8 +139,6 @@ pub struct TxSlotRing {
     batch_cap: u32,
     abort: Option<Arc<AtomicBool>>,
     retry: Option<(Duration, u32)>,
-    /// Registry and link index that count full-ring waits.
-    metrics: Option<(Arc<MetricsRegistry>, usize)>,
     state: Mutex<TxState>,
 }
 
@@ -166,7 +163,6 @@ impl TxSlotRing {
             batch_cap: cfg.batch_cap(),
             abort: None,
             retry: None,
-            metrics: None,
             state: Mutex::new(TxState::default()),
         }
     }
@@ -182,11 +178,6 @@ impl TxSlotRing {
     /// such rounds the publish fails with [`NtbError::LinkFailed`].
     pub fn set_retry(&mut self, timeout: Duration, max_rerings: u32) {
         self.retry = Some((timeout, max_rerings));
-    }
-
-    /// Count full-ring waits in `metrics` under link `link_idx`.
-    pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>, link_idx: usize) {
-        self.metrics = Some((metrics, link_idx));
     }
 
     /// Whether a payload of `len` bytes fits a slot's payload lane.
@@ -260,14 +251,11 @@ impl TxSlotRing {
         }
     }
 
-    /// A wait on a full ring: logged as one `SlotFullWait` for publish
-    /// `seq` and counted in the link's `slot_full_waits`.
+    /// A wait on a full ring: one `SlotFullWait` for publish `seq`
+    /// (counted in the link's `slot_full_waits`).
     fn note_full_wait(&self, idx: u32, seq: u32, waited: Duration) {
         let us = u64::try_from(waited.as_micros()).unwrap_or(u64::MAX);
         self.obs.emit(EventKind::SlotFullWait, u64::from(seq), [us, u64::from(idx)]);
-        if let Some((metrics, link_idx)) = &self.metrics {
-            metrics.bump_link(*link_idx, |l| &l.slot_full_waits);
-        }
     }
 
     /// Make area `area` (0 direct, 1 bypass) free for a new payload: wait
@@ -785,7 +773,7 @@ fn take_slot<S: SlotSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ntb_sim::{connect_ports, EventLog, HostMemory, PortConfig, TimeModel};
+    use ntb_sim::{connect_ports, EventLog, HostMemory, MetricsRegistry, PortConfig, TimeModel};
 
     fn ring_pair(cfg: &NetConfig) -> (Arc<NtbPort>, Arc<NtbPort>, WindowLayout) {
         let ma = HostMemory::new(0, 64 << 20);
@@ -818,7 +806,7 @@ mod tests {
     }
 
     fn tx_ring(port: &Arc<NtbPort>, layout: WindowLayout, cfg: &NetConfig) -> TxSlotRing {
-        let obs = Obs::new(EventLog::new(1, 16), 0, 0);
+        let obs = Obs::new(EventLog::new(1, 16), MetricsRegistry::new(1), 0, 0);
         TxSlotRing::new(Arc::clone(port), 1, layout, cfg, Arc::new(TimeModel::zero()), obs)
     }
 

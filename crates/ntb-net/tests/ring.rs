@@ -335,36 +335,52 @@ fn shutdown_is_clean_and_idempotent() {
 
 #[test]
 fn trace_records_protocol_events() {
+    use ntb_sim::EventKind;
     let (net, heaps) = build(4);
-    net.enable_tracing();
+    net.obs_enable();
     net.node(0).put_bytes(2, 0, &[7u8; 4096], TransferMode::Dma).unwrap();
     net.node(0).quiet().expect("quiet");
     heaps[1].region.write(0, &[3u8; 64]).unwrap();
     let _ = net.node(0).get_bytes(1, 0, 64, TransferMode::Dma).unwrap();
-    net.disable_tracing();
-    let events = net.take_trace();
-    use ntb_net::TraceKind;
-    let kinds: Vec<TraceKind> = events.iter().map(|e| e.kind).collect();
-    assert!(kinds.contains(&TraceKind::FrameSent), "{kinds:?}");
-    assert!(kinds.contains(&TraceKind::FrameHandled));
-    assert!(kinds.contains(&TraceKind::Forwarded), "2-hop put forwards");
-    assert!(kinds.contains(&TraceKind::PutDelivered));
-    assert!(kinds.contains(&TraceKind::AckReceived));
-    assert!(kinds.contains(&TraceKind::GetServed));
-    // Timestamps sorted, hosts in range.
-    assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
-    assert!(events.iter().all(|e| e.host < 4));
-    // The delivery of the put happened at host 2.
+    net.obs_disable();
+    let events = net.take_events();
+    let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+    for kind in [
+        EventKind::SlotPublish,
+        EventKind::FrameRx,
+        EventKind::FrameFwd,
+        EventKind::PutDeliver,
+        EventKind::PutAcked,
+        EventKind::GetServe,
+    ] {
+        assert!(kinds.contains(&kind), "trace lacks {}: {kinds:?}", kind.name());
+    }
+    // Globally ordered, PEs in range.
+    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    assert!(events.iter().all(|e| e.pe < 4));
+    // The put was forwarded by host 1 and delivered at host 2.
+    assert!(events.iter().any(|e| e.kind == EventKind::FrameFwd && e.pe == 1));
     assert!(events
         .iter()
-        .any(|e| e.kind == TraceKind::PutDelivered && e.host == 2 && e.len == 4096));
-    // JSON export is renderable and non-trivial.
-    let (net2, _h2) = build(2);
-    net2.enable_tracing();
-    net2.node(0).put_bytes(1, 0, &[1u8; 16], TransferMode::Dma).unwrap();
-    net2.node(0).quiet().expect("quiet");
-    let json = net2.take_trace_json();
-    assert!(json.starts_with('[') && json.contains("put_delivered"));
+        .any(|e| e.kind == EventKind::PutDeliver && e.pe == 2 && e.payload[0] == 0));
+    // The Chrome export gives each emitting PE its own track and is
+    // balanced JSON.
+    let json = ntb_sim::events_to_chrome_json(&events);
+    assert!(json.starts_with('[') && json.ends_with(']'));
+    assert!(json.contains("\"name\":\"put_deliver\""), "{json}");
+    for pe in 0..3 {
+        assert!(json.contains(&format!("\"pid\":{pe},")), "no track for pe {pe}");
+    }
+    assert!(!json.contains("\"pid\":4,"));
+    let depth = json.chars().try_fold(0i64, |d, c| {
+        let d = match c {
+            '[' | '{' => d + 1,
+            ']' | '}' => d - 1,
+            _ => d,
+        };
+        (d >= 0).then_some(d)
+    });
+    assert_eq!(depth, Some(0), "unbalanced Chrome JSON");
 }
 
 #[test]
@@ -372,7 +388,10 @@ fn trace_disabled_by_default() {
     let (net, _heaps) = build(2);
     net.node(0).put_bytes(1, 0, &[1u8; 16], TransferMode::Dma).unwrap();
     net.node(0).quiet().expect("quiet");
-    assert!(net.take_trace().is_empty());
+    assert!(net.take_events().is_empty());
+    // The counters are always on.
+    let delivered = net.node(1).stats().puts_delivered.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(delivered, 1);
 }
 
 /// Regression for the fault-timeline walker: two closely-spaced faults —
@@ -543,7 +562,7 @@ fn rejected_puts_return_their_credits() {
         node.quiet().unwrap_or_else(|e| panic!("round {round}: {e}"));
         assert_eq!(heaps[1].region.read_vec(0, 64).unwrap(), data);
     }
-    let rejects = net.node(1).stats().checksum_rejects.load(std::sync::atomic::Ordering::SeqCst);
+    let rejects = net.node(1).stats().crc_rejects.load(std::sync::atomic::Ordering::SeqCst);
     assert_eq!(rejects, rounds);
     assert_no_errors(&net);
     net.shutdown();

@@ -56,8 +56,8 @@ pub use fault::{
 pub use link::{LaneCount, LinkHealth, LinkHealthTracker, LinkSpec, PcieGen};
 pub use memory::{HostMemory, Region};
 pub use obs::{
-    events_to_json, render_events, EventKind, EventLog, LatencyHistogram, LinkMetrics,
-    MetricsRegistry, Obs, OpClass, TraceEvent, DEFAULT_TRACE_CAPACITY, NO_LINK,
+    events_to_chrome_json, events_to_json, render_events, EventKind, EventLog, LatencyHistogram,
+    LinkMetrics, MetricsRegistry, Obs, OpClass, TraceEvent, DEFAULT_TRACE_CAPACITY, NO_LINK,
 };
 pub use port::{
     connect_ports, connect_ports_observed, connect_ports_with_faults, NtbPort, PortConfig, PortId,

@@ -8,14 +8,19 @@
 //! atomic sequence number gives the merged trace a total order that the
 //! protocol invariant checker (`ntb_net::checker`) replays offline.
 //!
-//! Cost discipline: when tracing is off (the default), every emission
-//! site reduces to one relaxed atomic load — the same gating pattern the
-//! fault injector uses — so the layer can stay compiled in without
+//! One spine: every protocol event is recorded by one [`Obs::emit`],
+//! which bumps the event's counter in the PE's [`MetricsRegistry`] (see
+//! [`LinkMetrics::counter`] for the one event → counter mapping) and
+//! appends the event to the log while the log is enabled. No other code
+//! writes a counter, so a complete trace and the counters always agree.
+//!
+//! Cost discipline: when tracing is off (the default), an emission costs
+//! the counter's relaxed add (counted kinds only) plus one relaxed load
+//! of the log's enable flag, so the layer stays compiled in without
 //! shifting the latency figures.
 //!
-//! The [`MetricsRegistry`] half is always on: per-op-kind latency
-//! histograms (log2 buckets) and per-link counters, exportable as JSON
-//! and rendered by `shmem-bench` reports.
+//! The registry also keeps per-op-kind latency histograms (log2
+//! buckets); it exports as JSON and is rendered by `shmem-bench` reports.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -87,7 +92,8 @@ pub enum EventKind {
     /// A frame was dispatched by the service loop (`op_id` = frame aux,
     /// `payload` = [frame kind code, src]).
     FrameRx,
-    /// A terminating hop forwarded a frame onward (`op_id` = aux).
+    /// A hop that is not the frame's destination admitted it to the
+    /// onward forward queue (`op_id` = aux, `payload` = [src, dest]).
     FrameFwd,
     /// Payload checksum mismatch; frame dropped (`op_id` = aux).
     CrcReject,
@@ -108,13 +114,18 @@ pub enum EventKind {
     /// A PutAck frame arrived (`op_id` = put id). Duplicates appear
     /// here but not as `PutAcked`.
     AckRx,
-    /// The sweeper or a wait loop re-sent something (`op_id` = put/req
-    /// id, `payload[0]` = attempt number).
+    /// The sweeper, a wait loop or a forwarder re-sent something, or a
+    /// barrier doorbell was re-rung (`op_id` = put/req id or frame aux,
+    /// the doorbell bit for a barrier signal; `payload[0]` = attempt
+    /// number).
     Retransmit,
     /// Traffic steered away from a Down preferred endpoint (`link` =
     /// the Down link avoided, `payload` = [chosen link, dest]).
     Reroute,
-    /// A duplicate delivery/ack was suppressed (`op_id` = id).
+    /// A duplicate was suppressed (`op_id` = id, `payload[1]` = what:
+    /// 0 a put delivery, 1 an ack, 2 a get-response chunk with
+    /// `payload[0]` = its offset, 3 an AMO response; otherwise
+    /// `payload[0]` = the sending pe).
     DupSuppressed,
     /// A transmit-ring slot's header was written, publishing its frame
     /// to the receiver (`op_id` = slot sequence number, `payload` =
@@ -143,6 +154,9 @@ pub enum EventKind {
     /// A get request was issued (`op_id` = req id, `payload` =
     /// [offset, len]).
     GetReqTx,
+    /// The target served a get request from its symmetric space (`op_id`
+    /// = req id, `payload` = [origin pe, len]).
+    GetServe,
     /// A fresh get-response chunk filled part of the request (`op_id` =
     /// req id, `payload` = [chunk offset, chunk len]).
     GetChunkRx,
@@ -179,7 +193,8 @@ pub enum EventKind {
     MembershipUpdate,
     /// A router/forwarder dropped a frame — destined to a known-dead PE
     /// or carrying an out-of-range src/dest (`op_id` = frame aux,
-    /// `payload` = [dest, reason code]).
+    /// `payload` = [dest, reason]: 1 = out-of-range header field, 2 =
+    /// destination PE dead).
     RouterDrop,
     /// A forward job was admitted into a bounded queue (`op_id` = frame
     /// aux, `payload` = [occupancy after the push, capacity]). The
@@ -281,6 +296,7 @@ impl EventKind {
             EventKind::SlotFullWait => "slot_full_wait",
             EventKind::DoorbellCoalesce => "doorbell_coalesce",
             EventKind::GetReqTx => "get_req_tx",
+            EventKind::GetServe => "get_serve",
             EventKind::GetChunkRx => "get_chunk_rx",
             EventKind::GetDone => "get_done",
             EventKind::GetAbandon => "get_abandon",
@@ -519,13 +535,40 @@ pub fn events_to_json(events: &[TraceEvent]) -> String {
     out
 }
 
-/// A cheap, cloneable emission handle: an optional log plus the fixed
-/// (pe, link) coordinates of the component holding it. `Obs::off()` is
-/// the default everywhere, so standalone ports and tests pay only an
-/// `Option` check per site.
+/// Serialize a trace window in the Chrome trace-event format (a JSON
+/// array of instant events) for Perfetto or `chrome://tracing`: `pid` is
+/// the emitting PE, `tid` its link (-1 for node-scoped events), so each
+/// PE gets its own process track with one thread per link.
+pub fn events_to_chrome_json(events: &[TraceEvent]) -> String {
+    let mut out = String::from("[");
+    for (i, ev) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"seq\":{},\"op_id\":{},\"payload\":[{},{}]}}}}",
+            ev.kind.name(),
+            ev.t_us,
+            ev.pe,
+            if ev.link == NO_LINK { -1i64 } else { ev.link as i64 },
+            ev.seq,
+            ev.op_id,
+            ev.payload[0],
+            ev.payload[1],
+        );
+    }
+    out.push(']');
+    out
+}
+
+/// A cheap, cloneable emission handle: an optional log and metrics
+/// registry plus the fixed (pe, link) coordinates of the component
+/// holding it. `Obs::off()` is the default everywhere, so standalone
+/// ports and tests pay only an `Option` check per site.
 #[derive(Clone, Default)]
 pub struct Obs {
-    log: Option<Arc<EventLog>>,
+    sinks: Option<(Arc<EventLog>, Arc<MetricsRegistry>)>,
     pe: u16,
     link: u16,
 }
@@ -533,56 +576,45 @@ pub struct Obs {
 impl Obs {
     /// A handle that never records.
     pub fn off() -> Obs {
-        Obs { log: None, pe: 0, link: NO_LINK }
+        Obs { sinks: None, pe: 0, link: NO_LINK }
     }
 
-    /// A recording handle bound to `pe` and `link`.
-    pub fn new(log: Arc<EventLog>, pe: usize, link: usize) -> Obs {
-        Obs { log: Some(log), pe: pe as u16, link: link as u16 }
-    }
-
-    /// The same log bound to a different link.
-    pub fn with_link(&self, link: usize) -> Obs {
-        Obs { log: self.log.clone(), pe: self.pe, link: link as u16 }
-    }
-
-    /// The same log with no link scope.
-    pub fn unlinked(&self) -> Obs {
-        Obs { log: self.log.clone(), pe: self.pe, link: NO_LINK }
+    /// A handle bound to `pe` and `link` ([`NO_LINK`] for node-scoped
+    /// events): it records into `log` and counts into the block of
+    /// `metrics` for that link (the node block for [`NO_LINK`]).
+    pub fn new(log: Arc<EventLog>, metrics: Arc<MetricsRegistry>, pe: usize, link: u16) -> Obs {
+        Obs { sinks: Some((log, metrics)), pe: pe as u16, link }
     }
 
     /// The underlying log, if any.
     pub fn log(&self) -> Option<&Arc<EventLog>> {
-        self.log.as_ref()
+        self.sinks.as_ref().map(|(log, _)| log)
     }
 
     /// Whether an emission right now would be recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.log.as_ref().is_some_and(|l| l.is_enabled())
+        self.log().is_some_and(|l| l.is_enabled())
     }
 
-    /// Emit at this handle's (pe, link).
+    /// Record one event at this handle's (pe, link): bump its counter
+    /// (always) and append it to the log (while the log is enabled).
     #[inline]
     pub fn emit(&self, kind: EventKind, op_id: u64, payload: [u64; 2]) {
-        if let Some(log) = &self.log {
-            log.emit(self.pe, self.link, kind, op_id, payload);
+        let Some((log, metrics)) = &self.sinks else {
+            return;
+        };
+        if let Some(counter) = metrics.scope(self.link).and_then(|c| c.counter(kind)) {
+            bump(counter, 1);
         }
-    }
-
-    /// Emit at this handle's pe with an explicit link.
-    #[inline]
-    pub fn emit_link(&self, link: u16, kind: EventKind, op_id: u64, payload: [u64; 2]) {
-        if let Some(log) = &self.log {
-            log.emit(self.pe, link, kind, op_id, payload);
-        }
+        log.emit(self.pe, self.link, kind, op_id, payload);
     }
 }
 
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
-            .field("attached", &self.log.is_some())
+            .field("attached", &self.sinks.is_some())
             .field("pe", &self.pe)
             .field("link", &self.link)
             .finish()
@@ -739,59 +771,163 @@ impl OpClass {
     }
 }
 
-/// Per-link traffic counters.
-#[derive(Debug, Default)]
-pub struct LinkMetrics {
-    /// Frames published toward the peer.
-    pub frames_tx: AtomicU64,
-    /// Frames dispatched from the peer.
-    pub frames_rx: AtomicU64,
-    /// Retransmissions driven over this link.
-    pub retransmits: AtomicU64,
-    /// Times traffic was steered away from this (Down) link.
-    pub reroutes: AtomicU64,
-    /// Frames rejected by the CRC check on this link.
-    pub crc_rejects: AtomicU64,
-    /// Frames the router discarded: out-of-range src/dest, or destined
-    /// to a PE known to be dead.
-    pub router_drops: AtomicU64,
-    /// Work dropped at a hop because its deadline had already expired.
-    pub deadline_sheds: AtomicU64,
-    /// Work rejected at admission: bounded queue full or flow-control
-    /// credits exhausted.
-    pub overload_sheds: AtomicU64,
-    /// Retransmissions shed because the per-link retry budget ran dry.
-    pub retry_sheds: AtomicU64,
-    /// Publishes that found the transmit ring full and waited for the
-    /// receiver to free their slot.
-    pub slot_full_waits: AtomicU64,
+/// Declares [`LinkMetrics`] from one field list, so the struct, its
+/// name/value listing and its sum never drift apart.
+macro_rules! link_metrics {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// The event counters of one scope: a physical link of a PE, or
+        /// the PE's node block for node-scoped events. Each field is fed
+        /// only by [`Obs::emit`], through [`LinkMetrics::counter`]; the
+        /// fields are public so readers can load them.
+        #[derive(Debug, Default)]
+        pub struct LinkMetrics {
+            $($(#[$doc])* pub $field: AtomicU64,)*
+        }
+
+        impl LinkMetrics {
+            /// Every counter by name, in declaration (and JSON) order.
+            pub fn values(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), get(&self.$field)),)*]
+            }
+
+            /// Add `other`'s counts to these.
+            fn absorb(&self, other: &LinkMetrics) {
+                $(bump(&self.$field, get(&other.$field));)*
+            }
+        }
+    };
 }
 
+link_metrics!(
+    /// Frames published toward the peer (`SlotPublish`).
+    frames_tx,
+    /// Frames dispatched from the peer (`FrameRx`).
+    frames_rx,
+    /// Retransmissions and barrier doorbell re-rings (`Retransmit`).
+    retransmits,
+    /// Times traffic was steered away from this Down link (`Reroute`).
+    reroutes,
+    /// Frames rejected by the CRC check (`CrcReject`).
+    crc_rejects,
+    /// Frames the router discarded: out-of-range src/dest, or destined
+    /// to a PE known to be dead (`RouterDrop`).
+    router_drops,
+    /// Work dropped because its deadline had already expired
+    /// (`DeadlineShed`).
+    deadline_sheds,
+    /// Work rejected at admission: bounded queue full or flow-control
+    /// credits exhausted (`OverloadShed`).
+    overload_sheds,
+    /// Retransmissions shed because the per-link retry budget ran dry
+    /// (`RetryShed`).
+    retry_sheds,
+    /// Publishes that found the transmit ring full and waited for the
+    /// receiver to free their slot (`SlotFullWait`).
+    slot_full_waits,
+    /// Frames admitted for the next hop at an intermediate host
+    /// (`FrameFwd`).
+    forwards,
+    /// Put chunks delivered into the local symmetric space
+    /// (`PutDeliver`).
+    puts_delivered,
+    /// Get requests served from the local symmetric space (`GetServe`).
+    gets_served,
+    /// Puts retired by their acknowledgement at this origin (`PutAcked`).
+    acks_received,
+    /// Atomics applied at this host (`AmoApply`).
+    amos_served,
+    /// Duplicate deliveries, acks, get chunks and AMO requests or
+    /// responses suppressed (`DupSuppressed`, `AmoReplay`).
+    duplicates_suppressed,
+    /// Probe writes toward a Down endpoint (`ProbeTx`).
+    probes_sent,
+    /// Endpoint transitions into the Down state (`LinkDown`).
+    link_down_events,
+    /// Transmit-ring sequence numbers skipped by the in-order drain
+    /// (`SlotSkip`); zero on a fault-free link.
+    slot_skips,
+    /// Transmit-ring headers that changed between the receiver's read
+    /// and its clear (`SlotReleaseMiss`); zero on a fault-free link.
+    slot_release_misses,
+);
+
 impl LinkMetrics {
+    /// The counter `kind` feeds, if any. This match is the only place
+    /// that says which event kind feeds which counter.
+    pub fn counter(&self, kind: EventKind) -> Option<&AtomicU64> {
+        Some(match kind {
+            EventKind::SlotPublish => &self.frames_tx,
+            EventKind::FrameRx => &self.frames_rx,
+            EventKind::Retransmit => &self.retransmits,
+            EventKind::Reroute => &self.reroutes,
+            EventKind::CrcReject => &self.crc_rejects,
+            EventKind::RouterDrop => &self.router_drops,
+            EventKind::DeadlineShed => &self.deadline_sheds,
+            EventKind::OverloadShed => &self.overload_sheds,
+            EventKind::RetryShed => &self.retry_sheds,
+            EventKind::SlotFullWait => &self.slot_full_waits,
+            EventKind::FrameFwd => &self.forwards,
+            EventKind::PutDeliver => &self.puts_delivered,
+            EventKind::GetServe => &self.gets_served,
+            EventKind::PutAcked => &self.acks_received,
+            EventKind::AmoApply => &self.amos_served,
+            EventKind::DupSuppressed | EventKind::AmoReplay => &self.duplicates_suppressed,
+            EventKind::ProbeTx => &self.probes_sent,
+            EventKind::LinkDown => &self.link_down_events,
+            EventKind::SlotSkip => &self.slot_skips,
+            EventKind::SlotReleaseMiss => &self.slot_release_misses,
+            _ => return None,
+        })
+    }
+
+    /// The counts a trace implies: every event replayed through
+    /// [`Self::counter`]. Equals the live counters summed over PEs when
+    /// the trace covers the whole run and its log dropped nothing.
+    pub fn from_events(events: &[TraceEvent]) -> LinkMetrics {
+        let counts = LinkMetrics::default();
+        for ev in events {
+            if let Some(c) = counts.counter(ev.kind) {
+                bump(c, 1);
+            }
+        }
+        counts
+    }
+
+    /// Sum of the recovery-path counters: zero on a fault-free run,
+    /// nonzero once the retry machinery had to act.
+    pub fn recovery_total(&self) -> u64 {
+        [
+            &self.retransmits,
+            &self.crc_rejects,
+            &self.reroutes,
+            &self.duplicates_suppressed,
+            &self.probes_sent,
+            &self.link_down_events,
+            &self.slot_skips,
+            &self.slot_release_misses,
+            &self.router_drops,
+        ]
+        .into_iter()
+        .map(get)
+        .sum()
+    }
+
     fn to_json(&self) -> String {
-        format!(
-            "{{\"frames_tx\":{},\"frames_rx\":{},\"retransmits\":{},\"reroutes\":{},\"crc_rejects\":{},\"router_drops\":{},\"deadline_sheds\":{},\"overload_sheds\":{},\"retry_sheds\":{},\"slot_full_waits\":{}}}",
-            get(&self.frames_tx),
-            get(&self.frames_rx),
-            get(&self.retransmits),
-            get(&self.reroutes),
-            get(&self.crc_rejects),
-            get(&self.router_drops),
-            get(&self.deadline_sheds),
-            get(&self.overload_sheds),
-            get(&self.retry_sheds),
-            get(&self.slot_full_waits),
-        )
+        let fields: Vec<String> =
+            self.values().iter().map(|(name, v)| format!("\"{name}\":{v}")).collect();
+        format!("{{{}}}", fields.join(","))
     }
 }
 
-/// One PE's metrics: a latency histogram per [`OpClass`] and counters
-/// per link endpoint. Always on; recording is a handful of relaxed
-/// atomic adds.
+/// One PE's metrics: a latency histogram per [`OpClass`] and a
+/// [`LinkMetrics`] block per link endpoint plus one for node-scoped
+/// events. Always on; recording is a relaxed atomic add per counted
+/// event.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     ops: [LatencyHistogram; 5],
     links: Vec<LinkMetrics>,
+    node: LinkMetrics,
 }
 
 impl MetricsRegistry {
@@ -800,6 +936,7 @@ impl MetricsRegistry {
         Arc::new(MetricsRegistry {
             ops: std::array::from_fn(|_| LatencyHistogram::default()),
             links: (0..links).map(|_| LinkMetrics::default()).collect(),
+            node: LinkMetrics::default(),
         })
     }
 
@@ -823,21 +960,37 @@ impl MetricsRegistry {
         self.links.len()
     }
 
-    /// Bump a per-link counter, tolerant of out-of-range indices.
-    pub fn bump_link(&self, idx: usize, f: impl Fn(&LinkMetrics) -> &AtomicU64) {
-        if let Some(l) = self.links.get(idx) {
-            bump(f(l), 1);
+    /// The block an emission at `link` counts into.
+    fn scope(&self, link: u16) -> Option<&LinkMetrics> {
+        if link == NO_LINK {
+            Some(&self.node)
+        } else {
+            self.links.get(usize::from(link))
         }
     }
 
-    /// JSON object: `{"ops":{...},"links":[...]}`.
+    /// Owned sum of the node block and every link block.
+    pub fn total(&self) -> LinkMetrics {
+        let sum = LinkMetrics::default();
+        for block in self.links.iter().chain(std::iter::once(&self.node)) {
+            sum.absorb(block);
+        }
+        sum
+    }
+
+    /// JSON object: `{"ops":{...},"links":[...],"node":{...}}`.
     pub fn to_json(&self) -> String {
         let ops: Vec<String> = OpClass::ALL
             .iter()
             .map(|c| format!("\"{}\":{}", c.name(), self.op(*c).to_json()))
             .collect();
         let links: Vec<String> = self.links.iter().map(|l| l.to_json()).collect();
-        format!("{{\"ops\":{{{}}},\"links\":[{}]}}", ops.join(","), links.join(","))
+        format!(
+            "{{\"ops\":{{{}}},\"links\":[{}],\"node\":{}}}",
+            ops.join(","),
+            links.join(","),
+            self.node.to_json()
+        )
     }
 }
 
@@ -896,23 +1049,51 @@ mod tests {
     fn obs_handles_emit_at_their_coordinates() {
         let log = EventLog::new(2, 64);
         log.enable();
-        let obs = Obs::new(Arc::clone(&log), 1, 0);
+        let metrics = MetricsRegistry::new(4);
+        let obs = Obs::new(Arc::clone(&log), Arc::clone(&metrics), 1, 0);
         obs.emit(EventKind::DoorbellSet, 5, [1, 2]);
-        obs.with_link(9).emit(EventKind::FrameRx, 6, [0, 0]);
-        obs.unlinked().emit(EventKind::QuietStart, 7, [0, 0]);
-        obs.emit_link(3, EventKind::FrameFwd, 8, [0, 0]);
+        Obs::new(Arc::clone(&log), Arc::clone(&metrics), 1, 3).emit(EventKind::FrameFwd, 6, [0, 0]);
+        Obs::new(Arc::clone(&log), metrics, 1, NO_LINK).emit(EventKind::QuietStart, 7, [0, 0]);
         let all = log.merged();
-        assert_eq!(all.len(), 4);
+        assert_eq!(all.len(), 3);
         assert!(all.iter().all(|e| e.pe == 1));
         assert_eq!(all[0].link, 0);
-        assert_eq!(all[1].link, 9);
+        assert_eq!(all[1].link, 3);
         assert_eq!(all[2].link, NO_LINK);
-        assert_eq!(all[3].link, 3);
         // Off handles stay silent and cheap.
         let off = Obs::off();
         assert!(!off.is_enabled());
         off.emit(EventKind::FrameRx, 0, [0, 0]);
-        assert_eq!(log.merged().len(), 4);
+        assert_eq!(log.merged().len(), 3);
+    }
+
+    #[test]
+    fn emit_counts_into_its_scope_whether_or_not_the_log_records() {
+        let log = EventLog::new(1, 64);
+        let metrics = MetricsRegistry::new(2);
+        let link1 = Obs::new(Arc::clone(&log), Arc::clone(&metrics), 0, 1);
+        let node = Obs::new(Arc::clone(&log), Arc::clone(&metrics), 0, NO_LINK);
+        link1.emit(EventKind::FrameRx, 0, [0, 0]); // log disabled: counted only
+        log.enable();
+        link1.emit(EventKind::FrameRx, 1, [0, 0]);
+        link1.emit(EventKind::DoorbellSet, 2, [0, 0]); // uncounted kind
+        node.emit(EventKind::Retransmit, 3, [1, 0]);
+        node.emit(EventKind::AmoReplay, 4, [0, 0]);
+        node.emit(EventKind::DupSuppressed, 5, [0, 0]);
+        Obs::new(Arc::clone(&log), Arc::clone(&metrics), 0, 9).emit(EventKind::FrameRx, 6, [0, 0]);
+        let ld = |c: &AtomicU64| c.load(Ordering::SeqCst);
+        assert_eq!(ld(&metrics.link(1).unwrap().frames_rx), 2);
+        assert_eq!(ld(&metrics.link(0).unwrap().frames_rx), 0);
+        assert_eq!(ld(&metrics.node.retransmits), 1);
+        assert_eq!(ld(&metrics.node.duplicates_suppressed), 2);
+        let total = metrics.total();
+        assert_eq!(ld(&total.frames_rx), 2, "out-of-range link is logged but not counted");
+        assert_eq!(total.recovery_total(), 3);
+        // The trace missed the emission made while the log was off.
+        let replay = LinkMetrics::from_events(&log.merged());
+        assert_eq!(ld(&replay.frames_rx), 2);
+        assert_eq!(ld(&replay.retransmits), 1);
+        assert_eq!(ld(&replay.duplicates_suppressed), 2);
     }
 
     #[test]
@@ -958,19 +1139,34 @@ mod tests {
     }
 
     #[test]
+    fn chrome_export_has_one_track_per_pe() {
+        let log = EventLog::new(2, 16);
+        log.enable();
+        log.emit(0, 1, EventKind::SlotPublish, 4, [64, 0]);
+        log.emit(1, NO_LINK, EventKind::PutDeliver, 4, [0, 128]);
+        let json = events_to_chrome_json(&log.merged());
+        assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
+        assert!(json.contains("\"name\":\"slot_publish\""), "{json}");
+        assert!(json.contains("\"pid\":0,\"tid\":1"), "{json}");
+        assert!(json.contains("\"pid\":1,\"tid\":-1"), "{json}");
+        assert_eq!(events_to_chrome_json(&[]), "[]");
+    }
+
+    #[test]
     fn registry_json_shape() {
+        let log = EventLog::new(1, 16);
         let m = MetricsRegistry::new(2);
         m.record_op(OpClass::Put, 50);
-        m.bump_link(0, |l| &l.frames_tx);
-        m.bump_link(1, |l| &l.frames_rx);
-        m.bump_link(9, |l| &l.frames_tx); // out of range: ignored
-        m.bump_link(0, |l| &l.overload_sheds);
+        Obs::new(Arc::clone(&log), Arc::clone(&m), 0, 0).emit(EventKind::SlotPublish, 0, [0, 0]);
+        Obs::new(Arc::clone(&log), Arc::clone(&m), 0, 0).emit(EventKind::OverloadShed, 0, [0, 0]);
+        Obs::new(Arc::clone(&log), Arc::clone(&m), 0, 1).emit(EventKind::FrameRx, 0, [0, 0]);
         let json = m.to_json();
         assert!(json.contains("\"put\":{\"count\":1"), "{json}");
         assert!(json.contains("\"links\":[{\"frames_tx\":1"), "{json}");
         assert!(json.contains("\"deadline_sheds\":0"), "{json}");
         assert!(json.contains("\"overload_sheds\":1"), "{json}");
         assert!(json.contains("\"retry_sheds\":0"), "{json}");
+        assert!(json.contains("\"node\":{\"frames_tx\":0"), "{json}");
         assert_eq!(m.link(0).unwrap().frames_tx.load(Ordering::Relaxed), 1);
         assert_eq!(m.link_count(), 2);
     }

@@ -181,7 +181,12 @@ mod tests {
         let reg = MetricsRegistry::new(2);
         reg.record_op(OpClass::Put, 12);
         reg.record_op(OpClass::Put, 20);
-        reg.bump_link(1, |l| &l.frames_tx);
+        let log = ntb_sim::EventLog::new(1, 16);
+        ntb_sim::Obs::new(log, std::sync::Arc::clone(&reg), 0, 1).emit(
+            ntb_sim::EventKind::SlotPublish,
+            0,
+            [0, 0],
+        );
         let r = render_metrics_report("metrics", &[std::sync::Arc::clone(&reg)]);
         assert!(r.contains("pe 0 put"), "{r}");
         assert!(r.contains("count=2"), "{r}");

@@ -227,7 +227,7 @@ fn world_cfg(
         backoff_base: base.backoff_base.mul_f64(s),
         backoff_max: base.backoff_max.mul_f64(s),
         probe_interval: base.probe_interval.mul_f64(s),
-        mailbox_timeout: base.mailbox_timeout.mul_f64(s),
+        slot_wait_timeout: base.slot_wait_timeout.mul_f64(s),
         ..base
     };
     let mut cfg = ShmemConfig::fast_sim()

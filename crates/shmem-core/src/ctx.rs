@@ -644,8 +644,8 @@ impl ShmemCtx {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// This PE's metrics registry (op-latency histograms and per-link
-    /// counters), populated while structured tracing is enabled.
+    /// This PE's metrics registry: op-latency histograms, recorded while
+    /// structured tracing is enabled, and the event counters, always on.
     pub fn metrics(&self) -> &Arc<ntb_sim::MetricsRegistry> {
         self.node.metrics()
     }
@@ -674,19 +674,6 @@ impl ShmemCtx {
             bytes_tx += p.bytes_tx;
             bytes_rx += p.bytes_rx;
         }
-        let metrics = self.node.metrics();
-        let mut router_drops = 0;
-        let mut deadline_sheds = 0;
-        let mut overload_sheds = 0;
-        let mut retry_sheds = 0;
-        for i in 0..metrics.link_count() {
-            if let Some(l) = metrics.link(i) {
-                router_drops += ld(&l.router_drops);
-                deadline_sheds += ld(&l.deadline_sheds);
-                overload_sheds += ld(&l.overload_sheds);
-                retry_sheds += ld(&l.retry_sheds);
-            }
-        }
         PeStats {
             frames_rx: ld(&s.frames_rx),
             forwards: ld(&s.forwards),
@@ -695,17 +682,18 @@ impl ShmemCtx {
             acks_received: ld(&s.acks_received),
             amos_served: ld(&s.amos_served),
             retransmits: ld(&s.retransmits),
-            checksum_rejects: ld(&s.checksum_rejects),
+            checksum_rejects: ld(&s.crc_rejects),
             reroutes: ld(&s.reroutes),
             duplicates_suppressed: ld(&s.duplicates_suppressed),
             probes_sent: ld(&s.probes_sent),
             link_down_events: ld(&s.link_down_events),
             slot_skips: ld(&s.slot_skips),
             slot_release_misses: ld(&s.slot_release_misses),
-            router_drops,
-            deadline_sheds,
-            overload_sheds,
-            retry_sheds,
+            router_drops: ld(&s.router_drops),
+            deadline_sheds: ld(&s.deadline_sheds),
+            overload_sheds: ld(&s.overload_sheds),
+            retry_sheds: ld(&s.retry_sheds),
+            recovery_total: s.recovery_total(),
             bytes_tx,
             bytes_rx,
             heap_capacity: self.heap.capacity(),
@@ -760,6 +748,9 @@ pub struct PeStats {
     pub overload_sheds: u64,
     /// Retransmissions shed because a link's retry budget ran dry.
     pub retry_sheds: u64,
+    /// The node's recovery-path total (`LinkMetrics::recovery_total`):
+    /// zero on a fault-free run.
+    recovery_total: u64,
     /// Bytes transmitted through both NTB adapters.
     pub bytes_tx: u64,
     /// Bytes received through both NTB adapters.
@@ -810,15 +801,7 @@ impl PeStats {
     /// Sum of the recovery-path counters — zero on a clean (fault-free)
     /// run, nonzero once the retry machinery had to act.
     pub fn recovery_total(&self) -> u64 {
-        self.retransmits
-            + self.checksum_rejects
-            + self.reroutes
-            + self.duplicates_suppressed
-            + self.probes_sent
-            + self.link_down_events
-            + self.slot_skips
-            + self.slot_release_misses
-            + self.router_drops
+        self.recovery_total
     }
 }
 

@@ -354,7 +354,7 @@ fn allreduce_is_exact_when_blocks_are_lost_and_retransmitted() {
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        mailbox_timeout: Duration::from_millis(20),
+        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 3,
     };
     let cfg = torus(TimeModel::zero())

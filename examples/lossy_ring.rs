@@ -39,7 +39,7 @@ fn snappy_retry() -> RetryPolicy {
         backoff_base: Duration::from_millis(10),
         backoff_max: Duration::from_millis(80),
         probe_interval: Duration::from_millis(25),
-        mailbox_timeout: Duration::from_millis(25),
+        slot_wait_timeout: Duration::from_millis(25),
         failure_threshold: 2,
     }
 }

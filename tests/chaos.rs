@@ -10,7 +10,9 @@
 //! exactly once, AMOs applied exactly once, get chunks tiling their
 //! request, no transmit on a down link. A violation writes the
 //! rendered trace window to `target/trace-dumps/<label>.txt` before
-//! panicking, so the offending interleaving can be read offline.
+//! panicking, so the offending interleaving can be read offline. The
+//! same trace must also account for every counter: each one, summed
+//! over the PEs, equals the count of the events that feed it.
 //!
 //! The seed matrix at the bottom sweeps ≥8 seeds through each fault
 //! family (doorbell-drop, payload-corruption, link-flap); the two
@@ -29,7 +31,9 @@ use std::time::Duration;
 use shmem_ntb::net::{
     check, AmoOp, DeliveryTarget, HeartbeatConfig, NetConfig, RetryPolicy, RingNetwork, Topology,
 };
-use shmem_ntb::sim::{render_events, FaultPlan, Region, TraceEvent, TransferMode};
+use shmem_ntb::sim::{
+    render_events, EventKind, FaultPlan, LinkMetrics, Region, TraceEvent, TransferMode,
+};
 
 const HOSTS: usize = 3;
 const ROUNDS: usize = 6;
@@ -149,7 +153,7 @@ fn chaos_retry() -> RetryPolicy {
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        mailbox_timeout: Duration::from_millis(20),
+        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 3,
     }
 }
@@ -170,6 +174,9 @@ struct ChaosOutcome {
     events: Vec<TraceEvent>,
     /// Events lost to ring-buffer wrap (must be 0 for certification).
     dropped: u64,
+    /// Every counter by name, summed over the PEs once the network
+    /// stopped.
+    counters: Vec<(&'static str, u64)>,
 }
 
 fn run_chaos(family: Family, seed: u64) -> ChaosOutcome {
@@ -245,6 +252,15 @@ fn run_chaos_mode(family: Family, seed: u64, coalesced: bool) -> ChaosOutcome {
     }
     let mut counter = [0u8; 8];
     heaps[0].region.read(COUNTER_OFF, &mut counter).unwrap();
+    // Stop every thread before reading the counters and the trace, so no
+    // emission is caught between its count and its log append.
+    net.shutdown();
+    let mut counters = LinkMetrics::default().values();
+    for node in net.nodes() {
+        for (sum, (_, v)) in counters.iter_mut().zip(node.stats().values()) {
+            sum.1 += v;
+        }
+    }
     let fault_totals = net.fault_stats_total();
     let recovered = (0..HOSTS).map(|i| net.node(i).stats().recovery_total()).sum();
     let dropped = net.event_log().dropped();
@@ -256,6 +272,7 @@ fn run_chaos_mode(family: Family, seed: u64, coalesced: bool) -> ChaosOutcome {
         recovered,
         events: net.take_events(),
         dropped,
+        counters,
     }
 }
 
@@ -264,6 +281,11 @@ fn run_chaos_mode(family: Family, seed: u64, coalesced: bool) -> ChaosOutcome {
 /// panic with the artifact path.
 fn certify_trace(label: &str, outcome: &ChaosOutcome) {
     assert_eq!(outcome.dropped, 0, "{label}: trace ring buffer wrapped; raise the capacity");
+    assert_eq!(
+        outcome.counters,
+        LinkMetrics::from_events(&outcome.events).values(),
+        "{label}: counters disagree with the trace"
+    );
     let report = check(&outcome.events, HOSTS);
     if report.is_clean() {
         return;
@@ -380,6 +402,26 @@ fn chaos_seed_a_is_byte_exact_and_reproducible() {
 #[test]
 fn chaos_seed_b_is_byte_exact_and_reproducible() {
     assert_chaos_seed(42);
+}
+
+/// One observability spine under faults: the counters, summed over the
+/// PEs, equal the counts their events imply in the merged trace (checked
+/// in [`certify_trace`]), and the recovery mechanisms that make the
+/// comparison worth having all fired in this run.
+#[test]
+fn counters_agree_with_trace_under_faults() {
+    let outcome = run_chaos(Family::Mixed, 0x5EED_00B5);
+    certify_trace("counters-vs-trace", &outcome);
+    for kind in [
+        EventKind::CrcReject,
+        EventKind::Retransmit,
+        EventKind::DupSuppressed,
+        EventKind::FrameRx,
+        EventKind::SlotPublish,
+    ] {
+        let n = outcome.events.iter().filter(|e| e.kind == kind).count();
+        assert!(n > 0, "the run must exercise {}", kind.name());
+    }
 }
 
 /// The seed matrix: 8 seeds through each of the three focused fault

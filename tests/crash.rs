@@ -63,7 +63,7 @@ fn retry() -> RetryPolicy {
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        mailbox_timeout: Duration::from_millis(20),
+        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 3,
     }
 }

@@ -254,7 +254,7 @@ fn lossy_retry() -> RetryPolicy {
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        mailbox_timeout: Duration::from_millis(20),
+        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 2,
     }
 }
@@ -301,7 +301,7 @@ fn corrupted_payload_is_rejected_and_redelivered() {
     let corrupted: u64 = net.fault_stats().iter().map(|s| s.payloads_corrupted).sum();
     assert_eq!(corrupted, 1, "exactly the scripted payload write was corrupted");
     assert!(
-        net.node(1).stats().checksum_rejects.load(Ordering::Relaxed) >= 1,
+        net.node(1).stats().crc_rejects.load(Ordering::Relaxed) >= 1,
         "receiver must have rejected the corrupted frame"
     );
     assert!(

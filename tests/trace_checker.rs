@@ -77,7 +77,7 @@ fn lossy_retry() -> RetryPolicy {
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        mailbox_timeout: Duration::from_millis(20),
+        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 2,
     }
 }
@@ -199,7 +199,7 @@ fn suppressed_acks_are_caught_by_the_checker() {
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        mailbox_timeout: Duration::from_millis(20),
+        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 1000,
     };
     let cfg = NetConfig::fast(HOSTS).with_retry(patient).with_faults(plan);
