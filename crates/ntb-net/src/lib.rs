@@ -58,9 +58,7 @@ pub use membership::{BeatMonitor, BeatVerdict, HeartbeatConfig, Membership, Memb
 pub use network::RingNetwork;
 pub use node::{NodeStats, NtbNode};
 pub use pending::FillOutcome;
-pub use topology::{
-    hop_count, route, RingTopology, RouteDirection, Shape, TopoGraph, Topology, MAX_TOPO_NODES,
-};
+pub use topology::{Adapter, RouteDirection, Shape, TopoGraph, Topology, MAX_TOPO_NODES};
 
 /// Doorbell bit assignments (paper §III-B1 defines the four interrupt
 /// sources; bit 15 is the model's shutdown signal for service threads).

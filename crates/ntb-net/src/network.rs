@@ -1,10 +1,11 @@
-//! Building the ring: cabling N hosts' adapters into a switchless network.
+//! Building the network: cabling N hosts' adapters as [`TopoGraph`] lays
+//! them out.
 //!
-//! Host *i*'s **right** adapter (slot 1) is connected to host *(i+1) mod
-//! N*'s **left** adapter (slot 0), exactly like the paper's testbed cables
-//! its PEX adapters (Fig. 7(d)). A two-host ring has two independent
-//! links (both adapter pairs are cabled); a single "host" has none and
-//! supports only local operation.
+//! On the ring, host *i*'s **right** adapter (slot 1) is connected to host
+//! *(i+1) mod N*'s **left** adapter (slot 0), exactly like the paper's
+//! testbed cables its PEX adapters (Fig. 7(d)). A two-host ring has two
+//! independent links (both adapter pairs are cabled); a single "host" has
+//! none and supports only local operation.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,7 +21,7 @@ use parking_lot::Mutex;
 use crate::config::NetConfig;
 use crate::handshake::exchange_link_info;
 use crate::node::NtbNode;
-use crate::topology::{Shape, TopoGraph};
+use crate::topology::TopoGraph;
 
 /// Worlds beyond this many hosts automatically switch the time model to
 /// coarse (sleeping) waits. The paper-scale worlds (≤ 5 hosts) and every
@@ -220,43 +221,25 @@ impl RingNetwork {
         let mems: Vec<Arc<HostMemory>> =
             (0..n).map(|i| HostMemory::new(i, config.host_mem_capacity)).collect();
 
-        // Per-host adapter lists: (neighbor, physical link index, port).
         // Each physical link gets its own fault injector derived from the
         // network-wide plan and the link's cabling-order index (an empty
         // plan is inert); the link index also keys the event trace and
-        // per-link metrics.
-        let mut ports: Vec<Vec<(usize, usize, Arc<NtbPort>)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        let mut injectors: Vec<Arc<FaultInjector>> = Vec::new();
-        let next_injector = |injectors: &mut Vec<Arc<FaultInjector>>| {
-            let inj = FaultInjector::new(config.faults.clone(), injectors.len());
-            injectors.push(Arc::clone(&inj));
-            inj
-        };
-        // Cable the shape's links in the graph's deterministic order. The
-        // ring keeps the paper's convention (host i's right adapter, slot
-        // 1, to host i+1's left adapter, slot 0); other shapes hand each
-        // host its adapter slots in cabling order, which for the clique
-        // reproduces the historical "slot towards j is j, or j-1 past
-        // self" numbering.
+        // per-link metrics. The graph fixes the cabling: which hosts each
+        // link joins and the adapter slot at each end.
         let graph = Arc::new(TopoGraph::new(kind.shape(), n));
         // One registry per PE, indexed by physical link; every layer's
         // `Obs` handles of that PE count into it.
-        let num_links = graph.links().len();
         let metrics: Vec<Arc<MetricsRegistry>> =
-            (0..n).map(|_| MetricsRegistry::new(num_links)).collect();
-        let mut next_slot = vec![0usize; n];
-        for &(i, j) in &graph.links() {
-            let (slot_i, slot_j) = match kind.shape() {
-                Shape::Ring => (1, 0),
-                _ => {
-                    let (si, sj) = (next_slot[i], next_slot[j]);
-                    next_slot[i] += 1;
-                    next_slot[j] += 1;
-                    (si, sj)
-                }
-            };
-            let link_idx = injectors.len();
+            (0..n).map(|_| MetricsRegistry::new(graph.links().len())).collect();
+        // `ports[host]` follows `graph.adapters(host)`: both list a host's
+        // cable ends in cabling order.
+        let mut ports: Vec<Vec<Arc<NtbPort>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut injectors: Vec<Arc<FaultInjector>> = Vec::new();
+        for (link, &(i, j)) in graph.links().iter().enumerate() {
+            let slot_i = graph.adapters(i)[ports[i].len()].slot;
+            let slot_j = graph.adapters(j)[ports[j].len()].slot;
+            let injector = FaultInjector::new(config.faults.clone(), link);
+            injectors.push(Arc::clone(&injector));
             let cfg_i = PortConfig::new(i, slot_i).with_window_size(config.window_size);
             let cfg_j = PortConfig::new(j, slot_j).with_window_size(config.window_size);
             let (pi, pj) = connect_ports_observed(
@@ -265,13 +248,13 @@ impl RingNetwork {
                 &mems[i],
                 &mems[j],
                 Arc::clone(&model),
-                next_injector(&mut injectors),
-                Obs::new(Arc::clone(&event_log), Arc::clone(&metrics[i]), i, link_idx as u16),
-                Obs::new(Arc::clone(&event_log), Arc::clone(&metrics[j]), j, link_idx as u16),
+                injector,
+                Obs::new(Arc::clone(&event_log), Arc::clone(&metrics[i]), i, link as u16),
+                Obs::new(Arc::clone(&event_log), Arc::clone(&metrics[j]), j, link as u16),
             )?;
             bring_up_link(&pi, i, &pj, j, &config)?;
-            ports[i].push((j, link_idx, pi));
-            ports[j].push((i, link_idx, pj));
+            ports[i].push(pi);
+            ports[j].push(pj);
         }
 
         // One shared time origin for the whole network: wire deadlines are
@@ -285,7 +268,6 @@ impl RingNetwork {
                 NtbNode::new(
                     i,
                     config.clone(),
-                    kind,
                     Arc::clone(&graph),
                     Arc::clone(&model),
                     Arc::clone(&mems[i]),

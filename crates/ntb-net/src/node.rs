@@ -5,8 +5,9 @@
 //! [`UnackedPuts`] until its positive acknowledgement returns, a per-node
 //! retry sweeper retransmits overdue chunks with exponential backoff and
 //! probes `Down` links back to life, per-endpoint
-//! [`LinkHealthTracker`]s steer traffic the long way around the ring
-//! while a link is down, and receivers suppress the duplicate deliveries
+//! [`LinkHealthTracker`]s steer traffic onto a detour while a link is
+//! down (another cable to the same host first, else the long way
+//! around), and receivers suppress the duplicate deliveries
 //! retransmission inevitably creates.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -31,7 +32,7 @@ use crate::layout::WindowLayout;
 use crate::membership::{self, rejoin_signature, Membership, MembershipView, REJOIN_FLAG};
 use crate::pending::{PendingOps, UnackedPuts};
 use crate::slots::TxSlotRing;
-use crate::topology::{RingTopology, RouteDirection, Shape, TopoGraph, Topology};
+use crate::topology::{Adapter, RouteDirection, TopoGraph};
 
 /// A snapshot of one node's protocol counters: the sum of every block of
 /// its [`MetricsRegistry`] (see [`NtbNode::stats`]). It is a
@@ -169,17 +170,17 @@ impl LinkEndpoint {
 
 /// A host in the switchless NTB interconnect (ring or mesh).
 pub struct NtbNode {
-    pub(crate) topo: RingTopology,
-    pub(crate) kind: Topology,
-    /// Shape-generic routing tables shared by every host: adjacency, BFS
-    /// distances and deterministic next hops, identical at the origin and
-    /// every forwarding hop.
+    /// This host's id.
+    pub(crate) me: usize,
+    /// The cabling and routing tables shared by every host: adapters, BFS
+    /// distances and the next-hop adapter table, identical at the origin
+    /// and every forwarding hop.
     pub(crate) graph: Arc<TopoGraph>,
     pub(crate) model: Arc<TimeModel>,
     pub(crate) config: NetConfig,
     pub(crate) layout: WindowLayout,
-    /// One endpoint per cabled adapter. Ring: two (left, right).
-    /// Mesh: one per other host.
+    /// One endpoint per cabled adapter, indexed like
+    /// `graph.adapters(me)`. Ring: two. Clique: one per other host.
     pub(crate) endpoints: Vec<LinkEndpoint>,
     pub(crate) delivery: RwLock<Option<Arc<dyn DeliveryTarget>>>,
     pub(crate) pending: PendingOps,
@@ -239,23 +240,22 @@ fn deadline_failure(e: NtbError, deadline_us: u32, now_us: u32) -> NtbError {
 }
 
 impl NtbNode {
-    /// Assemble a node from its cabled ports (one `(neighbor, port)` pair
-    /// per adapter; empty only on a single-host network).
+    /// Assemble a node from its cabled ports, one per adapter of
+    /// `graph.adapters(me)` and in that order (empty only on a single-host
+    /// network).
     #[allow(clippy::too_many_arguments)] // internal constructor, one call site
     pub(crate) fn new(
         me: usize,
         config: NetConfig,
-        kind: Topology,
         graph: Arc<TopoGraph>,
         model: Arc<TimeModel>,
         mem: Arc<HostMemory>,
         shutdown: Arc<AtomicBool>,
         event_log: Arc<EventLog>,
         metrics: Arc<MetricsRegistry>,
-        ports: Vec<(usize, usize, Arc<NtbPort>)>,
+        ports: Vec<Arc<NtbPort>>,
         epoch: Instant,
     ) -> Arc<NtbNode> {
-        let topo = RingTopology::new(me, config.hosts);
         let layout = WindowLayout::new(
             config.direct_buf,
             config.bypass_buf,
@@ -263,9 +263,11 @@ impl NtbNode {
             config.coalesce_payload_max,
         );
         let obs = Obs::new(Arc::clone(&event_log), Arc::clone(&metrics), me, NO_LINK);
-        let endpoints = ports
-            .into_iter()
-            .map(|(neighbor, link_idx, port)| {
+        let endpoints = graph
+            .adapters(me)
+            .iter()
+            .zip(ports)
+            .map(|(&Adapter { neighbor, link: link_idx, .. }, port)| {
                 let link_obs =
                     Obs::new(Arc::clone(&event_log), Arc::clone(&metrics), me, link_idx as u16);
                 let mut txring = TxSlotRing::new(
@@ -300,8 +302,7 @@ impl NtbNode {
             })
             .collect();
         Arc::new(NtbNode {
-            topo,
-            kind,
+            me,
             graph,
             model,
             layout,
@@ -328,17 +329,12 @@ impl NtbNode {
 
     /// This host's id.
     pub fn host_id(&self) -> usize {
-        self.topo.me
+        self.me
     }
 
-    /// Hosts in the ring.
+    /// Hosts in the network.
     pub fn num_hosts(&self) -> usize {
-        self.topo.n
-    }
-
-    /// Ring topology view from this host.
-    pub fn topology(&self) -> RingTopology {
-        self.topo
+        self.graph.num_nodes()
     }
 
     /// The shared timing model.
@@ -357,112 +353,68 @@ impl NtbNode {
         &self.mem
     }
 
-    /// The interconnect shape.
-    pub fn topology_kind(&self) -> Topology {
-        self.kind
-    }
-
-    /// The endpoint cabled to `neighbor`.
+    /// The ring-neighbour endpoint `dir` selects: the right (slot 1 on
+    /// the ring) or the left (slot 0) adapter; on a 2-host ring, the two
+    /// parallel cables. The barrier sweeps and the link benchmarks
+    /// address adapters this way.
     ///
     /// # Panics
-    /// Panics when no adapter is cabled to `neighbor` — callers route via
-    /// the topology tables built at bring-up, so a miss is a routing bug,
-    /// not a runtime condition.
-    pub fn endpoint_to(&self, neighbor: usize) -> &LinkEndpoint {
-        self.endpoints
-            .iter()
-            .find(|e| e.neighbor == neighbor)
-            // lint: unwrap-ok(topology invariant: routing tables only name cabled neighbors)
-            .expect("no adapter cabled to that host")
-    }
-
-    /// The endpoint facing `dir` on the ring (the barrier sweeps and the
-    /// link benchmarks address adapters by ring direction). On a clique
-    /// the ring neighbours still exist, so this resolves there too.
-    ///
-    /// # Panics
-    /// Panics on a single-host network, which has no links, and on a
-    /// torus host whose ring neighbour is not cabled (row boundaries) —
-    /// ring-direction callers are ring/clique-only by construction.
+    /// Panics when the shape has no ring-neighbour adapters (a single
+    /// host, a torus; see [`TopoGraph::ring_adapter`]).
     pub fn endpoint(&self, dir: RouteDirection) -> &LinkEndpoint {
-        assert!(!self.endpoints.is_empty(), "single-host network has no links");
-        let neighbor = match dir {
-            RouteDirection::Left => self.topo.left(),
-            RouteDirection::Right => self.topo.right(),
-        };
-        self.endpoint_to(neighbor)
+        let idx = self
+            .graph
+            .ring_adapter(self.me, dir)
+            // lint: unwrap-ok(callers address ring directions only on shapes that cable them)
+            .expect("no ring-neighbour adapters on this shape");
+        &self.endpoints[idx]
     }
 
-    /// The endpoint a message to `dest` leaves through: the first hop of
-    /// the deterministic shortest path on a forwarding shape (ring,
-    /// torus), the dedicated link on a clique. A `Down` preferred
-    /// endpoint — or a preferred path blocked by an intermediate PE the
-    /// failure detector declared dead — is routed around via the best
-    /// detour over the live subgraph, as long as one exists through a
-    /// healthy adapter.
-    pub(crate) fn endpoint_for(&self, dest: usize) -> &LinkEndpoint {
-        let view = self.membership.view();
-        self.endpoint_for_view(dest, &view)
-    }
-
-    /// [`Self::endpoint_for`] against an already-snapshotted (or pinned)
-    /// membership view — the transmit path holds a read pin and must not
-    /// re-enter the membership lock.
-    pub(crate) fn endpoint_for_view(&self, dest: usize, view: &MembershipView) -> &LinkEndpoint {
-        if self.kind.shape() == Shape::Clique {
-            return self.endpoint_to(dest);
+    /// The endpoint a frame for `dest` leaves through: the one routing
+    /// decision, keyed by adapter index. Normally the graph's next-hop
+    /// adapter; when that is `Down`, or its static path crosses a PE the
+    /// detector declared dead (whose links still negotiate), the best
+    /// live detour through a healthy adapter, another cable to the same
+    /// next host first, recorded as a `Reroute`. Split horizon: a frame
+    /// never leaves on the adapter it `arrived` on (it could orbit once
+    /// rerouting reverses a route); with no live detour it takes any
+    /// other. `view` is a membership view the caller holds (the transmit
+    /// path pins one).
+    pub(crate) fn egress(
+        &self,
+        dest: usize,
+        arrived: Option<usize>,
+        view: &MembershipView,
+    ) -> &LinkEndpoint {
+        let preferred = self.graph.next_adapter(self.me, dest);
+        let ep = &self.endpoints[preferred];
+        let blocked = ep.health.is_down()
+            || !self.graph.static_path_clear(ep.neighbor, dest, |pe| view.is_live(pe));
+        let back = arrived == Some(preferred);
+        if !blocked && !back {
+            return ep;
         }
-        let hop = self.graph.next_hop(self.topo.me, dest);
-        let preferred = self.endpoint_to(hop);
-        if self.endpoints.len() > 1
-            && (preferred.health.is_down()
-                || !self.graph.static_path_clear(hop, dest, |pe| view.is_live(pe)))
-        {
-            if let Some(alt) = self.detour_hop(dest, view, hop) {
-                let other = self.endpoint_to(alt);
-                preferred.obs.emit(EventKind::Reroute, 0, [other.link_idx as u64, dest as u64]);
-                return other;
+        let usable =
+            |a: usize| a != preferred && Some(a) != arrived && !self.endpoints[a].health.is_down();
+        match self.graph.next_adapter_live(self.me, dest, usable, |pe| view.is_live(pe)) {
+            Some(a) => {
+                let other = &self.endpoints[a];
+                if blocked {
+                    ep.obs.emit(EventKind::Reroute, 0, [other.link_idx as u64, dest as u64]);
+                }
+                other
             }
+            // No live detour: a frame headed back takes any other adapter;
+            // a blocked route keeps its own (the send fails and recovery
+            // retries).
+            None if back => self
+                .endpoints
+                .iter()
+                .enumerate()
+                .find(|&(i, _)| i != preferred)
+                .map_or(ep, |(_, e)| e),
+            None => ep,
         }
-        preferred
-    }
-
-    /// The best alternative first hop towards `dest` over the live
-    /// subgraph, skipping `exclude` and any neighbour whose adapter is
-    /// `Down`. The membership view matters because the link-health
-    /// trackers cannot see a dead intermediate host: the links adjacent
-    /// to it still negotiate electrically — only its service threads are
-    /// gone, so a frame parked in its bypass buffer would never move
-    /// again.
-    fn detour_hop(&self, dest: usize, view: &MembershipView, exclude: usize) -> Option<usize> {
-        self.graph.next_hop_live(
-            self.topo.me,
-            dest,
-            |hop| hop != exclude && !self.endpoint_to(hop).health.is_down(),
-            |pe| view.is_live(pe),
-        )
-    }
-
-    /// The endpoint a *forwarded* frame leaves through. Split horizon: a
-    /// frame never goes back out the endpoint it arrived on (`arrived`),
-    /// which would orbit the interconnect forever once rerouting reverses
-    /// a route mid-flight. When the preferred route points back, the best
-    /// live detour wins; with none, any other endpoint.
-    pub(crate) fn forward_endpoint(&self, dest: usize, arrived: usize) -> &LinkEndpoint {
-        let preferred = self.endpoint_for(dest);
-        if std::ptr::eq(preferred, &self.endpoints[arrived]) {
-            let view = self.membership.view();
-            let back = self.endpoints[arrived].neighbor;
-            if let Some(alt) = self.detour_hop(dest, &view, back) {
-                return self.endpoint_to(alt);
-            }
-            if let Some(other) =
-                self.endpoints.iter().enumerate().find(|(i, _)| *i != arrived).map(|(_, e)| e)
-            {
-                return other;
-            }
-        }
-        preferred
     }
 
     /// Install the delivery target (the symmetric heap). Called by
@@ -573,23 +525,6 @@ impl NtbNode {
                 }
             }
             Err(_) => {}
-        }
-    }
-
-    /// Publish `frame` (+ `payload`) on `ep`'s transmit ring and, unless
-    /// `defer_flush`, ring its doorbell at once.
-    pub(crate) fn send_frame(
-        &self,
-        ep: &LinkEndpoint,
-        frame: Frame,
-        payload: Option<&[u8]>,
-        defer_flush: bool,
-    ) -> Result<()> {
-        ep.txring.publish(frame, payload)?;
-        if defer_flush {
-            Ok(())
-        } else {
-            ep.txring.flush()
         }
     }
 
@@ -738,8 +673,9 @@ impl NtbNode {
         ep.obs.emit(
             // RESOLVES(CreditConsume): resolved out-of-function — the peer's
             // next CreditGrant re-extends the window, and `transmit_put`
-            // refunds on transmit failure (checker invariant 9 audits the
-            // consumed/granted conservation pair end-to-end).
+            // refunds a frame that failed before any of its header was
+            // written (checker invariant 9 audits the consumed/granted
+            // conservation pair end-to-end).
             EventKind::CreditConsume,
             u64::from(put_id),
             [ep.credit.consumed_total(), ep.credit.granted_total()],
@@ -776,7 +712,7 @@ impl NtbNode {
         if !view.is_live(dest) {
             return Err(NtbError::PeFailed { pe: dest, epoch: view.epoch });
         }
-        let ep = self.endpoint_for_view(dest, &view);
+        let ep = self.egress(dest, None, &view);
         // Admission decision time: sampled *before* the send so a slow
         // transmission cannot turn an admitted frame into a spurious
         // "transmitted while expired" checker violation.
@@ -790,14 +726,16 @@ impl NtbNode {
             return Err(NtbError::DeadlineExceeded);
         }
         self.acquire_credit(ep, put_id, deadline_us)?;
-        let frame = Frame::put(self.topo.me, dest, chunk.len() as u32, heap_offset, put_id, mode)
+        let frame = Frame::put(self.me, dest, chunk.len() as u32, heap_offset, put_id, mode)
             .with_deadline_us(deadline_us);
-        let result = self.send_frame(ep, frame, Some(chunk), defer_flush);
-        if result.is_err() {
-            // The frame never left this host, so the peer will never see
-            // (or re-grant) its credit — return it.
-            ep.credit.refund();
-        }
+        let result = ep.txring.send(frame, Some(chunk), !defer_flush).map_err(|f| {
+            if !f.landed {
+                // No header was written: the peer never sees (or re-grants)
+                // the credit. A landed frame is granted back by the peer.
+                ep.credit.refund();
+            }
+            f.error
+        });
         self.note_send_result(ep, &result);
         // `PutChunkTx` is emitted only on success and only *after* the
         // health tracker saw the result: a send that succeeds on a
@@ -937,8 +875,8 @@ impl NtbNode {
         defer_doorbell: bool,
         deadline_us: u32,
     ) -> Result<()> {
-        assert_ne!(dest, self.topo.me, "local puts are handled by the SHMEM layer");
-        assert!(dest < self.topo.n, "destination host out of range");
+        assert_ne!(dest, self.me, "local puts are handled by the SHMEM layer");
+        assert!(dest < self.num_hosts(), "destination host out of range");
         self.check_alive(dest)?;
         let chunk_size = self.config.put_chunk() as usize;
         let mut off = 0usize;
@@ -1014,8 +952,8 @@ impl NtbNode {
         deadline_us: u32,
         window: usize,
     ) -> Result<Vec<u8>> {
-        assert_ne!(src, self.topo.me, "local gets are handled by the SHMEM layer");
-        assert!(src < self.topo.n, "source host out of range");
+        assert_ne!(src, self.me, "local gets are handled by the SHMEM layer");
+        assert!(src < self.num_hosts(), "source host out of range");
         self.check_alive(src)?;
         if let Some(buf) = self.try_aperture_get(src, heap_offset, len, deadline_us)? {
             return Ok(buf);
@@ -1185,11 +1123,11 @@ impl NtbNode {
             return Err(NtbError::DeadlineExceeded);
         }
         self.check_alive(src)?;
-        let ep = self.endpoint_for(src);
+        let ep = self.egress(src, None, &self.membership.view());
         let frame =
-            Frame::get_req(self.topo.me, src, len31(sub_len)?, offset32(abs_offset)?, req_id, mode)
+            Frame::get_req(self.me, src, len31(sub_len)?, offset32(abs_offset)?, req_id, mode)
                 .with_deadline_us(deadline_us);
-        let result = self.send_frame(ep, frame, None, defer_flush);
+        let result = ep.txring.send(frame, None, !defer_flush).map_err(|f| f.error);
         self.note_send_result(ep, &result);
         if result.is_ok() && deadline_us != 0 {
             ep.obs.emit(
@@ -1219,9 +1157,10 @@ impl NtbNode {
         }
         // Only a direct neighbour's heap is aperture-mapped; multi-hop
         // gets always take the protocol path.
-        let Some(ep) = self.endpoints.iter().find(|ep| ep.neighbor == src) else {
+        if self.graph.hops(self.me, src) != 1 {
             return Ok(None);
-        };
+        }
+        let ep = &self.endpoints[self.graph.next_adapter(self.me, src)];
         if deadline_us != 0 && self.now_us() > deadline_us {
             // RESOLVES(none): pre-flight check — the PIO fast path has not
             // registered anything yet; the caller falls back or fails typed.
@@ -1280,7 +1219,7 @@ impl NtbNode {
         compare: u64,
         deadline_us: u32,
     ) -> Result<u64> {
-        assert_ne!(target, self.topo.me, "local atomics are handled by the SHMEM layer");
+        assert_ne!(target, self.me, "local atomics are handled by the SHMEM layer");
         assert!(matches!(width, 1 | 2 | 4 | 8), "AMO width must be 1/2/4/8");
         self.check_alive(target)?;
         // Validate the wire offset *before* registering the pending entry:
@@ -1293,16 +1232,16 @@ impl NtbNode {
         payload[0..8].copy_from_slice(&operand.to_le_bytes());
         payload[8..16].copy_from_slice(&compare.to_le_bytes());
         payload[16] = width as u8;
-        let frame = Frame::amo_req(self.topo.me, target, op, wire_offset, req_id)
-            .with_deadline_us(deadline_us);
+        let frame =
+            Frame::amo_req(self.me, target, op, wire_offset, req_id).with_deadline_us(deadline_us);
         let send_req = || {
             let now = self.now_us();
             if deadline_us != 0 && now > deadline_us {
                 return Err(NtbError::DeadlineExceeded);
             }
             self.check_alive(target)?;
-            let ep = self.endpoint_for(target);
-            let result = self.send_frame(ep, frame, Some(&payload), false);
+            let ep = self.egress(target, None, &self.membership.view());
+            let result = ep.txring.send(frame, Some(&payload), true).map_err(|f| f.error);
             self.note_send_result(ep, &result);
             if result.is_ok() && deadline_us != 0 {
                 ep.obs.emit(
@@ -1452,7 +1391,7 @@ impl NtbNode {
             let node = Arc::clone(self);
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("ntb-svc-h{}-to{}", self.topo.me, peer))
+                    .name(format!("ntb-svc-h{}-to{}", self.me, peer))
                     .spawn(move || crate::service::service_loop(&node, idx))
                     // lint: unwrap-ok(spawn fails only on resource exhaustion at bring-up)
                     .expect("spawn service thread"),
@@ -1460,7 +1399,7 @@ impl NtbNode {
             let node = Arc::clone(self);
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("ntb-fwd-h{}-to{}", self.topo.me, peer))
+                    .name(format!("ntb-fwd-h{}-to{}", self.me, peer))
                     .spawn(move || crate::service::forwarder_loop(&node, idx))
                     // lint: unwrap-ok(spawn fails only on resource exhaustion at bring-up)
                     .expect("spawn forwarder thread"),
@@ -1470,7 +1409,7 @@ impl NtbNode {
             let node = Arc::clone(self);
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("ntb-rty-h{}", self.topo.me))
+                    .name(format!("ntb-rty-h{}", self.me))
                     .spawn(move || crate::service::retry_sweeper_loop(&node))
                     // lint: unwrap-ok(spawn fails only on resource exhaustion at bring-up)
                     .expect("spawn retry sweeper thread"),
@@ -1590,8 +1529,8 @@ impl NtbNode {
             return false;
         };
         self.emit_membership_update(new);
-        for pe in 0..self.topo.n.min(32) {
-            if pe == self.topo.me {
+        for pe in 0..self.num_hosts().min(32) {
+            if pe == self.me {
                 continue;
             }
             let was = old.is_live(pe);
@@ -1636,7 +1575,7 @@ impl NtbNode {
     /// transactions fail with `NodeDead`, queued DMA aborts) and the
     /// service threads park until [`Self::restart`].
     pub fn crash(&self) {
-        self.obs.emit(EventKind::NodeCrash, 0, [self.topo.me as u64, 0]);
+        self.obs.emit(EventKind::NodeCrash, 0, [self.me as u64, 0]);
         for ep in &self.endpoints {
             ep.port.kill();
         }
@@ -1646,7 +1585,7 @@ impl NtbNode {
     /// protocol, exactly like a hung-but-not-crashed machine) until
     /// [`Self::thaw`].
     pub fn freeze(&self) {
-        self.obs.emit(EventKind::NodeFreeze, 0, [self.topo.me as u64, 0]);
+        self.obs.emit(EventKind::NodeFreeze, 0, [self.me as u64, 0]);
         for ep in &self.endpoints {
             ep.port.freeze();
         }
@@ -1658,7 +1597,7 @@ impl NtbNode {
         for ep in &self.endpoints {
             ep.port.thaw();
         }
-        self.obs.emit(EventKind::NodeThaw, 0, [self.topo.me as u64, 0]);
+        self.obs.emit(EventKind::NodeThaw, 0, [self.me as u64, 0]);
     }
 
     /// Bring a crashed node back into the ring: revive its ports, void
@@ -1685,10 +1624,10 @@ impl NtbNode {
             // No detector, no membership protocol: a revive is all there
             // is to do.
             self.rejoining.store(false, Ordering::SeqCst);
-            self.obs.emit(EventKind::NodeRestart, 0, [self.topo.me as u64, 0]);
+            self.obs.emit(EventKind::NodeRestart, 0, [self.me as u64, 0]);
             return Ok(());
         }
-        let sig = REJOIN_FLAG | rejoin_signature(self.topo.me, self.topo.n);
+        let sig = REJOIN_FLAG | rejoin_signature(self.me, self.num_hosts());
         let deadline = Instant::now() + timeout;
         let view = 'wait: loop {
             for ep in &self.endpoints {
@@ -1697,7 +1636,7 @@ impl NtbNode {
             }
             for ep in &self.endpoints {
                 if let Ok(Some((_, view))) = membership::read_peer_block(&ep.port) {
-                    if view.epoch > 0 && view.is_live(self.topo.me) {
+                    if view.epoch > 0 && view.is_live(self.me) {
                         break 'wait view;
                     }
                 }
@@ -1717,13 +1656,94 @@ impl NtbNode {
             let _ = membership::write_beat(&ep.port, 1);
         }
         self.rejoining.store(false, Ordering::SeqCst);
-        self.obs.emit(EventKind::NodeRestart, self.membership.epoch(), [self.topo.me as u64, 0]);
+        self.obs.emit(EventKind::NodeRestart, self.membership.epoch(), [self.me as u64, 0]);
         Ok(())
     }
 }
 
 impl std::fmt::Debug for NtbNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NtbNode").field("host", &self.topo.me).field("hosts", &self.topo.n).finish()
+        f.debug_struct("NtbNode").field("host", &self.me).field("hosts", &self.num_hosts()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AmoOp, DeliveryTarget, RingNetwork};
+
+    /// Accepts every put and serves zeros; the credit path is under test.
+    struct Sink;
+
+    impl DeliveryTarget for Sink {
+        fn deliver_put(&self, _offset: u64, _data: &[u8]) -> Result<()> {
+            Ok(())
+        }
+
+        fn read_for_get(&self, _offset: u64, out: &mut [u8]) -> Result<()> {
+            out.fill(0);
+            Ok(())
+        }
+
+        fn deliver_atomic(&self, _: AmoOp, _: u64, _: usize, _: u64, _: u64) -> Result<u64> {
+            Ok(0)
+        }
+    }
+
+    /// A retransmission (`transmit_put` without deferral) whose doorbell
+    /// ring fails after its slot header was written still lands: the
+    /// receiver consumes it and grants its credit back, so the sender
+    /// must not refund it. The gate then equals the receiver's ledger
+    /// exactly, with nothing left for the corrupt-grant cap to clip.
+    #[test]
+    fn doorbell_failure_after_publish_keeps_the_credit_consumed() {
+        // PIO writes crawl at 50 B/s, so the header write's modelled wire
+        // time (80 ms) leaves a wide gap between the header landing and
+        // the doorbell ring; the heartbeat is off so slow beats cannot
+        // look like a death.
+        let model = TimeModel { pio_write_bandwidth: 50.0, ..TimeModel::paper() };
+        let cfg = NetConfig::fast(2)
+            .with_model(model)
+            .with_heartbeat(crate::membership::HeartbeatConfig::disabled());
+        let net = RingNetwork::build(cfg).unwrap();
+        let (a, b) = (net.node(0), net.node(1));
+        b.set_delivery(Arc::new(Sink));
+        let tx = &a.endpoints[a.graph.next_adapter(0, 1)];
+        let rx = &b.endpoints[b.graph.next_adapter(1, 0)];
+        assert_eq!(tx.link_idx, rx.link_idx);
+        let window = tx.credit.granted_total();
+        let slot0 = b.layout.ring_slot_off(0);
+        let sent = std::thread::scope(|s| {
+            let sender =
+                s.spawn(|| a.transmit_put(7, 1, 0, &[0x5A], TransferMode::Memcpy, false, 0));
+            // Kill the sender's port once the header is in the receiver's
+            // ring (or already drained from it), before the doorbell.
+            let landed = || {
+                rx.port.incoming().region().load_u32(slot0).is_ok_and(|h| h != 0)
+                    || b.metrics().total().frames_rx.load(Ordering::Relaxed) > 0
+            };
+            while !landed() {
+                assert!(!sender.is_finished(), "the send finished before its header landed");
+                std::hint::spin_loop();
+            }
+            tx.port.kill();
+            sender.join().unwrap()
+        });
+        assert_eq!(sent, Err(NtbError::NodeDead), "the doorbell ring must fail");
+        tx.port.revive();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rx.ledger.total() < window + 1 {
+            assert!(Instant::now() < deadline, "the receiver never consumed the frame");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The credit word carries the grant back; a refunded credit would
+        // leave the cap (`consumed + window`) below it.
+        while tx.credit.granted_total() < rx.ledger.total() && Instant::now() < deadline {
+            a.refresh_credits(tx);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(tx.credit.consumed_total(), 1, "a landed frame keeps its credit");
+        assert_eq!(tx.credit.granted_total(), rx.ledger.total(), "the cap clipped the grant");
+        net.shutdown();
     }
 }

@@ -210,25 +210,41 @@ fn heartbeat_tick(node: &Arc<NtbNode>, idx: usize, st: &mut HeartbeatState, goss
     }
 }
 
+/// Queue `frame` on the forwarder of the adapter it leaves through
+/// ([`NtbNode::egress`]; `arrived` is the adapter a forwarded frame came
+/// in on). Returns whether the queue admitted it.
+fn enqueue(
+    node: &NtbNode,
+    frame: Frame,
+    payload: Option<Vec<u8>>,
+    think: Duration,
+    arrived: Option<usize>,
+) -> bool {
+    let (aux, deadline_us) = (u64::from(frame.aux), frame.deadline_us);
+    let out = node.egress(frame.dest, arrived, &node.membership().view());
+    let now = node.now_us();
+    let outcome = out.fwd.push(ForwardJob { frame, payload, think, attempts: 0 }, now);
+    node.note_push(out, outcome, aux, deadline_us, now)
+}
+
 /// Hand a non-terminating frame to the onward forwarder (paper Fig. 5:
 /// "Destination is my neighbor? / Bypass data via transfer buffer").
 /// Split horizon: never back out the arrival endpoint `idx`.
 fn forward_onward(node: &Arc<NtbNode>, idx: usize, frame: Frame, payload: Option<Vec<u8>>) {
-    let out = node.forward_endpoint(frame.dest, idx);
     // The bypass-buffer staging cost only applies to payloads that will
     // actually stage through the next hop's bypass area. A payload that
-    // fits the outgoing slot lane is re-published straight into the
-    // ring; its real costs — slot PIO writes, the coalesced doorbell, the
-    // next hop's interrupt — are charged by the ring machinery itself.
+    // fits a slot lane (the same on every adapter) is re-published
+    // straight into the ring; its real costs — slot PIO writes, the
+    // coalesced doorbell, the next hop's interrupt — are charged by the
+    // ring machinery itself.
     let think = match &payload {
-        Some(data) if !out.txring.fits(data.len()) => node.model().bypass_forward_delay,
+        Some(data) if data.len() as u64 > node.layout.ring_lane => {
+            node.model().bypass_forward_delay
+        }
         _ => Duration::ZERO,
     };
-    let (aux, deadline_us) = (u64::from(frame.aux), frame.deadline_us);
-    let ends = [frame.src as u64, frame.dest as u64];
-    let now = node.now_us();
-    let outcome = out.fwd.push(ForwardJob { frame, payload, think, attempts: 0 }, now);
-    if node.note_push(out, outcome, aux, deadline_us, now) {
+    let (aux, ends) = (u64::from(frame.aux), [frame.src as u64, frame.dest as u64]);
+    if enqueue(node, frame, payload, think, Some(idx)) {
         node.endpoints[idx].obs.emit(EventKind::FrameFwd, aux, ends);
     }
 }
@@ -369,7 +385,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             // unless the fault plan deliberately breaks the ack protocol
             // (the knob exists so the invariant checker can be shown a
             // genuinely ack-less put in negative tests).
-            let out = node.endpoint_for(frame.src);
+            let out = node.egress(frame.src, None, &node.membership().view());
             if !out.port().outgoing().faults().should_drop_ack(out.port().outgoing().direction()) {
                 // The ack inherits the put's deadline: an op that missed
                 // its time budget must not look complete at the origin.
@@ -432,28 +448,14 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
                 let resp =
                     Frame::get_resp(me, frame.src, n as u32, off as u32, frame.aux, frame.mode)
                         .with_deadline_us(frame.deadline_us);
-                let out = node.endpoint_for(frame.src);
-                let now = node.now_us();
                 // The per-request service think is paid once, on the
                 // first response chunk; the rest of the stream is pure
                 // descriptor work. This is what makes the pipelined get
                 // path amortize the responder: a window of sub-requests
                 // charges one think per sub-request, not per chunk.
-                let think = if off == 0 {
-                    node.model().get_response_service_delay
-                } else {
-                    std::time::Duration::ZERO
-                };
-                let outcome = out.fwd.push(
-                    ForwardJob {
-                        frame: resp,
-                        payload: Some(data[off..off + n].to_vec()),
-                        think,
-                        attempts: 0,
-                    },
-                    now,
-                );
-                let _ = node.note_push(out, outcome, u64::from(frame.aux), frame.deadline_us, now);
+                let think =
+                    if off == 0 { node.model().get_response_service_delay } else { Duration::ZERO };
+                enqueue(node, resp, Some(data[off..off + n].to_vec()), think, None);
                 off += n;
             }
         }
@@ -492,18 +494,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
                 node.obs.emit(EventKind::AmoReplay, u64::from(frame.aux), [frame.src as u64, 0]);
                 let resp =
                     Frame::amo_resp(me, frame.src, frame.aux).with_deadline_us(frame.deadline_us);
-                let out = node.endpoint_for(frame.src);
-                let now = node.now_us();
-                let outcome = out.fwd.push(
-                    ForwardJob {
-                        frame: resp,
-                        payload: Some(old.to_le_bytes().to_vec()),
-                        think: Duration::ZERO,
-                        attempts: 0,
-                    },
-                    now,
-                );
-                let _ = node.note_push(out, outcome, u64::from(frame.aux), frame.deadline_us, now);
+                enqueue(node, resp, Some(old.to_le_bytes().to_vec()), Duration::ZERO, None);
                 return Ok(());
             }
             let p = payload.unwrap_or_default();
@@ -533,18 +524,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             node.obs.emit(EventKind::AmoApply, u64::from(frame.aux), [frame.src as u64, old]);
             let resp =
                 Frame::amo_resp(me, frame.src, frame.aux).with_deadline_us(frame.deadline_us);
-            let out = node.endpoint_for(frame.src);
-            let now = node.now_us();
-            let outcome = out.fwd.push(
-                ForwardJob {
-                    frame: resp,
-                    payload: Some(old.to_le_bytes().to_vec()),
-                    think: Duration::ZERO,
-                    attempts: 0,
-                },
-                now,
-            );
-            let _ = node.note_push(out, outcome, u64::from(frame.aux), frame.deadline_us, now);
+            enqueue(node, resp, Some(old.to_le_bytes().to_vec()), Duration::ZERO, None);
         }
         FrameKind::AmoResp => {
             let data = payload.unwrap_or_default();
@@ -606,7 +586,7 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
         // Every job rides the ring: back-to-back jobs batch behind one
         // doorbell, so a round of routed frames crossing the same link
         // shares one interrupt.
-        let result = node.send_frame(ep, job.frame, job.payload.as_deref(), true);
+        let result = ep.txring.send(job.frame, job.payload.as_deref(), false).map_err(|f| f.error);
         node.note_send_result(ep, &result);
         if result.is_ok() && job.frame.deadline_us != 0 {
             ep.obs.emit(
@@ -653,7 +633,7 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
                 // prefers — the health tracker may have failed this one
                 // over in the meantime.
                 let (aux, deadline_us) = (u64::from(job.frame.aux), job.frame.deadline_us);
-                let out = node.endpoint_for(job.frame.dest);
+                let out = node.egress(job.frame.dest, None, &node.membership().view());
                 let renow = node.now_us();
                 let outcome = out.fwd.push(job, renow);
                 let _ = node.note_push(out, outcome, aux, deadline_us, renow);
@@ -698,7 +678,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             // caller set a time budget and it was missed.
             let now_us = node.now_us();
             if put.deadline_us != 0 && now_us > put.deadline_us {
-                let ep = node.endpoint_for(put.dest);
+                let ep = node.egress(put.dest, None, &node.membership().view());
                 node.unacked.fail_expired(id, || {
                     ep.obs.emit(
                         EventKind::DeadlineShed,
@@ -739,7 +719,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             // transmission is shed, but the attempt above still counted —
             // abandonment stays bounded and quiet still terminates even
             // on a link whose budget never refills.
-            let ep = node.endpoint_for(put.dest);
+            let ep = node.egress(put.dest, None, &node.membership().view());
             if !ep.retry_budget.try_spend() {
                 ep.obs.emit(EventKind::RetryShed, u64::from(id), [u64::from(put.attempts), 0]);
                 continue;

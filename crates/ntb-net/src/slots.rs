@@ -126,6 +126,15 @@ struct TxState {
     areas: [Option<u32>; 2],
 }
 
+/// A failed [`TxSlotRing::send`]: the error, and whether the frame's
+/// header still landed in the peer's ring (the error came after it, such
+/// as a refused doorbell ring), so the receiver consumes the frame anyway.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SendFailure {
+    pub error: NtbError,
+    pub landed: bool,
+}
+
 /// The transmit side of one link direction's slot ring.
 pub struct TxSlotRing {
     port: Arc<NtbPort>,
@@ -285,32 +294,40 @@ impl TxSlotRing {
         Ok(st)
     }
 
-    /// Stage `frame` (+ payload) into the next free ring slot without
-    /// ringing a doorbell. The payload and record body are written now
-    /// (large payloads join the batch's DMA chain); the header word is
-    /// withheld until [`flush`](Self::flush) publishes the batch.
+    /// Stage `frame` (+ payload) into the next free ring slot and, with
+    /// `flush`, publish the batch at once; without it the header word is
+    /// withheld until [`flush`](Self::flush). The payload and record body
+    /// are written now (large payloads join the batch's DMA chain).
     /// Auto-flushes first when the batch cap is reached. A payload too
     /// big for the lane is staged in the direct or bypass area, once
     /// the area's previous payload is consumed, and flushed at once. The
     /// slot's sequence number is committed only once every write
-    /// succeeded, so a failed publish leaves no gap in the sequence.
-    pub fn publish(&self, mut frame: Frame, payload: Option<&[u8]>) -> Result<()> {
+    /// succeeded, so a failed publish leaves no gap in the sequence. The
+    /// ring lock is held through the flush, so a failure knows whether
+    /// this frame's header landed.
+    pub fn send(
+        &self,
+        mut frame: Frame,
+        payload: Option<&[u8]>,
+        flush: bool,
+    ) -> std::result::Result<(), SendFailure> {
+        let unsent = |error| SendFailure { error, landed: false };
         let data = payload.unwrap_or(&[]);
         crate::lockdep_track!(&crate::lockdep::NET_TXRING);
         let mut st = self.state.lock();
         // The payload area, if any: 0 direct, 1 bypass.
         let area = (!self.fits(data.len())).then(|| usize::from(frame.dest != self.neighbor));
         if let Some(area) = area {
-            st = self.claim_area(st, area)?;
+            st = self.claim_area(st, area).map_err(unsent)?;
         }
         // After the claim, which may have let other frames in: the batch
         // never holds as many records as the ring has slots.
         if st.staged.len() as u32 >= self.batch_cap {
-            self.flush_locked(&mut st)?;
+            self.flush_locked(&mut st).map_err(unsent)?;
         }
         let seq = st.slot_seq;
         let idx = seq % self.layout.ring_slots;
-        if let Some(waited) = self.wait_slot_free(idx, true)? {
+        if let Some(waited) = self.wait_slot_free(idx, true).map_err(unsent)? {
             self.note_full_wait(idx, seq, waited);
         }
         frame.seq = seq as u16;
@@ -324,10 +341,10 @@ impl TxSlotRing {
             if frame.mode == TransferMode::Memcpy || data.len() as u64 <= self.pio_crossover {
                 // Zero-copy PIO fast path: below the crossover a CPU
                 // store beats paying DMA setup (paper Fig. 9).
-                self.port.pio_write(dst, data)?;
+                self.port.pio_write(dst, data).map_err(unsent)?;
             } else {
                 let staging = Region::anonymous(data.len() as u64);
-                staging.write(0, data)?;
+                staging.write(0, data).map_err(unsent)?;
                 self.model.delay(self.model.local_copy_time(data.len() as u64));
                 dma = Some(DmaRequest {
                     src: staging,
@@ -357,7 +374,7 @@ impl TxSlotRing {
         }
         // Through the port's vitals gate: a frozen host's publish stalls
         // here, before any of its record lands.
-        self.port.pio_write(self.layout.ring_slot_off(idx) + BODY_OFF, &body)?;
+        self.port.pio_write(self.layout.ring_slot_off(idx) + BODY_OFF, &body).map_err(unsent)?;
         // Commit: from here on the slot belongs to the batch.
         st.dma_reqs.extend(dma);
         st.slot_seq = seq.wrapping_add(1);
@@ -366,7 +383,14 @@ impl TxSlotRing {
             // An area holds one payload, so nothing can batch behind this
             // one: publish it at once.
             st.areas[area] = Some(seq);
-            self.flush_locked(&mut st)?;
+        }
+        if flush || area.is_some() {
+            // A failed flush rolls the sequence back to its first unwritten
+            // header: this one landed iff the sequence still runs past it.
+            self.flush_locked(&mut st).map_err(|error| SendFailure {
+                error,
+                landed: st.slot_seq.wrapping_sub(seq).wrapping_sub(1) < self.layout.ring_slots,
+            })?;
         }
         Ok(())
     }
@@ -815,7 +839,7 @@ mod tests {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
-        tx.publish(Frame::put(0, 1, 3, 0, 7, TransferMode::Memcpy), Some(b"abc")).unwrap();
+        tx.send(Frame::put(0, 1, 3, 0, 7, TransferMode::Memcpy), Some(b"abc"), false).unwrap();
         let region = b.incoming().region();
         assert!(matches!(read_slot(region, &layout, 1, 0, false).unwrap(), SlotRead::Empty));
         assert_eq!(tx.staged(), 1);
@@ -836,7 +860,7 @@ mod tests {
         let tx = tx_ring(&a, layout, &cfg);
         for i in 0..3u32 {
             let body = vec![i as u8 + 1; 8];
-            tx.publish(Frame::put(0, 1, 8, i * 8, 100 + i, TransferMode::Memcpy), Some(&body))
+            tx.send(Frame::put(0, 1, 8, i * 8, 100 + i, TransferMode::Memcpy), Some(&body), false)
                 .unwrap();
         }
         tx.flush().unwrap();
@@ -863,8 +887,12 @@ mod tests {
         let region = b.incoming().region();
         // Two full wraps of the 4-slot ring; consume as we go.
         for round in 0..8u32 {
-            tx.publish(Frame::put(0, 1, 4, 0, round + 1, TransferMode::Memcpy), Some(&[9u8; 4]))
-                .unwrap();
+            tx.send(
+                Frame::put(0, 1, 4, 0, round + 1, TransferMode::Memcpy),
+                Some(&[9u8; 4]),
+                false,
+            )
+            .unwrap();
             tx.flush().unwrap();
             let idx = round % layout.ring_slots;
             let SlotRead::Frame(s) = read_slot(region, &layout, 1, idx, false).unwrap() else {
@@ -885,19 +913,20 @@ mod tests {
         let region = b.incoming().region();
         // Fill every slot without consuming any.
         for i in 0..4u32 {
-            tx.publish(Frame::put(0, 1, 0, 0, i + 1, TransferMode::Memcpy), None).unwrap();
+            tx.send(Frame::put(0, 1, 0, 0, i + 1, TransferMode::Memcpy), None, false).unwrap();
         }
         tx.flush().unwrap();
         // Slot 0 is still occupied: the fifth publish must fail in
         // bounded time, not hang.
-        let err = tx.publish(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None).unwrap_err();
-        assert_eq!(err, NtbError::LinkFailed { attempts: 3 });
+        let err =
+            tx.send(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None, false).unwrap_err();
+        assert_eq!(err.error, NtbError::LinkFailed { attempts: 3 });
         // Consume one slot; the publish now succeeds into it.
         let SlotRead::Frame(s) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected slot 0 occupied");
         };
         assert!(release_slot(region, &layout, 0, s.header).unwrap());
-        tx.publish(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None).unwrap();
+        tx.send(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None, false).unwrap();
         tx.flush().unwrap();
         let SlotRead::Frame(s) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected reused slot 0");
@@ -913,8 +942,8 @@ mod tests {
         let tx = tx_ring(&a, layout, &cfg);
         let p1 = vec![0xAA; 64];
         let p2 = vec![0xBB; 64];
-        tx.publish(Frame::put(0, 1, 64, 0, 1, TransferMode::Dma), Some(&p1)).unwrap();
-        tx.publish(Frame::put(0, 1, 64, 64, 2, TransferMode::Dma), Some(&p2)).unwrap();
+        tx.send(Frame::put(0, 1, 64, 0, 1, TransferMode::Dma), Some(&p1), false).unwrap();
+        tx.send(Frame::put(0, 1, 64, 64, 2, TransferMode::Dma), Some(&p2), false).unwrap();
         tx.flush().unwrap();
         let region = b.incoming().region();
         let SlotRead::Frame(s0) = read_slot(region, &layout, 1, 0, false).unwrap() else {
@@ -937,7 +966,7 @@ mod tests {
         let big = vec![0x5A; 2000];
         let put = |dest, aux| Frame::put(0, dest, 2000, 0, aux, TransferMode::Memcpy);
         // To the neighbour: the direct area, flushed at once.
-        tx.publish(put(1, 1), Some(&big)).unwrap();
+        tx.send(put(1, 1), Some(&big), false).unwrap();
         assert_eq!(tx.staged(), 0);
         let SlotRead::Frame(first) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected slot 0 published");
@@ -946,7 +975,7 @@ mod tests {
         // Routed onward: the bypass area, free although the direct one is
         // not, and read back from there.
         let onward = vec![0xA5; 2000];
-        tx.publish(put(2, 2), Some(&onward)).unwrap();
+        tx.send(put(2, 2), Some(&onward), false).unwrap();
         let SlotRead::Frame(routed) = read_slot(region, &layout, 1, 1, false).unwrap() else {
             panic!("expected slot 1 published");
         };
@@ -955,11 +984,11 @@ mod tests {
         // The direct area still holds slot 0's payload: the next one waits,
         // bounded, until that slot is released.
         assert_eq!(
-            tx.publish(put(1, 3), Some(&big)).unwrap_err(),
+            tx.send(put(1, 3), Some(&big), false).unwrap_err().error,
             NtbError::LinkFailed { attempts: 3 }
         );
         assert!(release_slot(region, &layout, 0, first.header).unwrap());
-        tx.publish(put(1, 3), Some(&big)).unwrap();
+        tx.send(put(1, 3), Some(&big), false).unwrap();
     }
 
     #[test]
@@ -968,7 +997,7 @@ mod tests {
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
         let f = Frame::put(0, 1, 3, 0, 7, TransferMode::Memcpy).with_deadline_us(987_654);
-        tx.publish(f, Some(b"abc")).unwrap();
+        tx.send(f, Some(b"abc"), false).unwrap();
         tx.flush().unwrap();
         let region = b.incoming().region();
         let SlotRead::Frame(slot) = read_slot(region, &layout, 1, 0, false).unwrap() else {
@@ -1021,14 +1050,14 @@ mod tests {
         };
         let mut next = RxCursor::default();
         for aux in 1..=3 {
-            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+            tx.send(put(aux), Some(&[1; 4]), false).unwrap();
         }
         tx.flush().unwrap();
         assert_eq!(drain(&src, &mut next), vec![Aux(1), Aux(2), Aux(3)]);
         // The next batch occupies slots 3, 0, 1, 2: it wraps past the
         // ring's last slot, and slot order is no longer publish order.
         for aux in 4..=7 {
-            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+            tx.send(put(aux), Some(&[1; 4]), false).unwrap();
         }
         tx.flush().unwrap();
         assert_eq!(drain(&src, &mut next), vec![Aux(4), Aux(5), Aux(6), Aux(7)]);
@@ -1078,14 +1107,14 @@ mod tests {
         let mut next = RxCursor::default();
         // Move the ring off slot 0 so the batch below also wraps.
         for aux in 1..=2 {
-            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+            tx.send(put(aux), Some(&[1; 4]), false).unwrap();
         }
         tx.flush().unwrap();
         assert_eq!(drain(&inner, &mut next), vec![Aux(1), Aux(2)]);
         // Stage seqs 2..=4 (slots 2, 3, 0); the receiver reads slot 2
         // empty, then all three headers land before it reaches slot 3.
         for aux in 3..=5 {
-            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+            tx.send(put(aux), Some(&[1; 4]), false).unwrap();
         }
         let src = FlushOnRead { inner, tx: &tx, trigger: 2, fired: Default::default() };
         assert_eq!(drain(&src, &mut next), vec![Aux(3), Aux(4), Aux(5)]);
@@ -1106,7 +1135,7 @@ mod tests {
         };
         let mut next = RxCursor::default();
         for aux in 1..=2 {
-            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+            tx.send(put(aux), Some(&[1; 4]), false).unwrap();
         }
         tx.flush().unwrap();
         // A fault zeroes slot 0's header: seq 0 will never be seen, and
@@ -1115,7 +1144,7 @@ mod tests {
         region.write(layout.ring_slot_off(0), &0u32.to_le_bytes()).unwrap();
         assert_eq!(drain(&src, &mut next), vec![Skip { seq: 0, idx: 0 }, Aux(2)]);
         for aux in 3..=6 {
-            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+            tx.send(put(aux), Some(&[1; 4]), false).unwrap();
         }
         tx.flush().unwrap();
         assert_eq!(drain(&src, &mut next), vec![Aux(3), Aux(4), Aux(5), Aux(6)]);
@@ -1135,7 +1164,7 @@ mod tests {
             model: &TimeModel::zero(),
         };
         let mut next = RxCursor::default();
-        tx.publish(put(1), Some(&[1; 4])).unwrap();
+        tx.send(put(1), Some(&[1; 4]), false).unwrap();
         tx.flush().unwrap();
         // Seq 0's record is corrupt; nothing after it has landed yet.
         let huge = (layout.direct_len.max(layout.bypass_len) as u32 + 64).to_le_bytes();
@@ -1143,7 +1172,7 @@ mod tests {
         assert_eq!(drain(&src, &mut next), vec![Reject(0)]);
         // The next drain passes seq 0 over as rejected, not as a skip.
         for aux in 2..=3 {
-            tx.publish(put(aux), Some(&[1; 4])).unwrap();
+            tx.send(put(aux), Some(&[1; 4]), false).unwrap();
         }
         tx.flush().unwrap();
         assert_eq!(drain(&src, &mut next), vec![Aux(2), Aux(3)]);
@@ -1193,7 +1222,7 @@ mod tests {
             model: &TimeModel::zero(),
         };
         let mut next = RxCursor::default();
-        tx.publish(put(1), Some(&[1; 4])).unwrap();
+        tx.send(put(1), Some(&[1; 4]), false).unwrap();
         tx.flush().unwrap();
         let src = RewriteOnRead { inner, idx: 0, fired: Default::default() };
         // The clear misses: reported, nothing delivered, nothing skipped.
@@ -1240,13 +1269,14 @@ mod tests {
         };
         let mut next = RxCursor::default();
         for aux in 1..=2 {
-            tx.publish(Frame::put(0, 1, 64, 0, aux, TransferMode::Dma), Some(&[7; 64])).unwrap();
+            tx.send(Frame::put(0, 1, 64, 0, aux, TransferMode::Dma), Some(&[7; 64]), false)
+                .unwrap();
         }
         assert!(tx.flush().is_err(), "the scripted DMA failure fails the flush");
         assert!(drain(&src, &mut next).is_empty(), "no header of the failed batch landed");
         // The next publish reuses seq 0, so the receiver never waits on
         // a sequence number that will not be published.
-        tx.publish(Frame::put(0, 1, 64, 0, 3, TransferMode::Dma), Some(&[7; 64])).unwrap();
+        tx.send(Frame::put(0, 1, 64, 0, 3, TransferMode::Dma), Some(&[7; 64]), false).unwrap();
         tx.flush().unwrap();
         assert_eq!(drain(&src, &mut next), vec![Aux(3)]);
         assert_eq!(next.next, 1);
@@ -1257,7 +1287,8 @@ mod tests {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
-        tx.publish(Frame::put(0, 1, 4, 0, 1, TransferMode::Memcpy), Some(&[1, 2, 3, 4])).unwrap();
+        tx.send(Frame::put(0, 1, 4, 0, 1, TransferMode::Memcpy), Some(&[1, 2, 3, 4]), false)
+            .unwrap();
         tx.flush().unwrap();
         let region = b.incoming().region();
         // Forge an absurd length in the record body (simulating in-flight
@@ -1272,7 +1303,8 @@ mod tests {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
         let tx = tx_ring(&a, layout, &cfg);
-        tx.publish(Frame::put(0, 1, 4, 0, 1, TransferMode::Memcpy), Some(&[1, 2, 3, 4])).unwrap();
+        tx.send(Frame::put(0, 1, 4, 0, 1, TransferMode::Memcpy), Some(&[1, 2, 3, 4]), false)
+            .unwrap();
         tx.flush().unwrap();
         let region = b.incoming().region();
         // The clean-link sender left the CRC word zero, so a checked read

@@ -1,18 +1,20 @@
-//! Interconnect topology: shapes, neighbours, shortest routes, hop counts.
+//! Interconnect topology: shapes, cables, adapters and routes.
 //!
 //! The paper's switchless interconnect is a ring: host *i*'s right adapter
 //! is cabled to host *i+1*'s left adapter (mod N). A transfer to a
 //! non-neighbour is forwarded hop by hop through intermediate hosts'
-//! bypass buffers, so route choice determines both latency and which links
-//! carry the traffic.
+//! bypass buffers, so the adapter a frame leaves on is the routing
+//! decision: it fixes both latency and which links carry the traffic.
 //!
 //! Past the paper's 5 hosts the ring's linear diameter becomes the scaling
 //! wall, so the same per-link machinery can now be cabled into other
 //! [`Shape`]s: a 2D torus (diameter `rows/2 + cols/2`, constant degree 4)
 //! and a fully-cabled clique (diameter 1, degree N−1, adapter-limited to
-//! small N). The [`TopoGraph`] answers `neighbors` / `next_hop` / `hops`
-//! for any shape from a precomputed BFS distance matrix, and can recompute
-//! next hops over the live subgraph to route around dead hosts.
+//! small N). [`TopoGraph`] is built once at bring-up and is the one
+//! routing model for every shape: each host's [`Adapter`]s, a next-hop
+//! table of adapter indices, the ring-neighbour adapters where they exist,
+//! and a live-subgraph search that routes around down adapters and dead
+//! hosts.
 
 /// Maximum hosts any topology supports; matches the frame format's
 /// 6-bit PE id space (`frame::MAX_HOSTS + 1`).
@@ -40,17 +42,6 @@ pub enum Shape {
     /// conventional switched alternative the paper positions itself
     /// against, and is adapter-limited to small host counts.
     Clique,
-}
-
-impl Shape {
-    /// Human-readable label for bench output and traces.
-    pub fn label(&self) -> String {
-        match self {
-            Shape::Ring => "ring".to_string(),
-            Shape::Torus { rows, cols } => format!("torus{rows}x{cols}"),
-            Shape::Clique => "clique".to_string(),
-        }
-    }
 }
 
 /// How the hosts are interconnected: a [`Shape`] plus the host count the
@@ -111,139 +102,67 @@ impl Topology {
     /// Host count declared at construction, if any. A torus always knows
     /// its size; the default ring never does.
     pub fn declared_hosts(&self) -> Option<usize> {
-        match self.shape {
-            Shape::Torus { rows, cols } => Some(rows * cols),
-            _ => self.declared,
-        }
+        self.declared
     }
 
     /// Human-readable label for bench output and traces.
     pub fn label(&self) -> String {
-        self.shape.label()
+        match self.shape {
+            Shape::Ring => "ring".to_string(),
+            Shape::Torus { rows, cols } => format!("torus{rows}x{cols}"),
+            Shape::Clique => "clique".to_string(),
+        }
     }
 }
 
-/// Which way around the ring a transfer leaves a host.
+/// One of a host's two ring-neighbour adapters, where host *i* is cabled
+/// to hosts *i±1* (see [`TopoGraph::ring_adapter`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteDirection {
-    /// Towards host `(me + 1) % n`.
+    /// The right adapter (slot 1 on the ring), cabled to host `(me + 1) % n`.
     Right,
-    /// Towards host `(me + n - 1) % n`.
+    /// The left adapter (slot 0 on the ring), cabled to host `(me + n - 1) % n`.
     Left,
 }
 
-impl RouteDirection {
-    /// The opposite way around.
-    pub fn opposite(self) -> RouteDirection {
-        match self {
-            RouteDirection::Right => RouteDirection::Left,
-            RouteDirection::Left => RouteDirection::Right,
-        }
-    }
-}
-
-/// Shortest-path direction from `me` to `dest` on a ring of `n` hosts.
-/// Ties (exactly opposite host on an even ring) go right, which keeps the
-/// choice deterministic.
-///
-/// # Panics
-/// Panics if `me == dest` (no route needed) or either id is out of range.
-pub fn route(me: usize, dest: usize, n: usize) -> RouteDirection {
-    assert!(n >= 2, "routing needs at least two hosts");
-    assert!(me < n && dest < n, "host ids must be < n");
-    assert_ne!(me, dest, "no route from a host to itself");
-    let rightward = (dest + n - me) % n;
-    if rightward <= n - rightward {
-        RouteDirection::Right
-    } else {
-        RouteDirection::Left
-    }
-}
-
-/// Number of link hops on the shortest path between `me` and `dest` on a
-/// ring of `n` hosts.
-pub fn hop_count(me: usize, dest: usize, n: usize) -> usize {
-    assert!(n >= 1, "empty ring");
-    assert!(me < n && dest < n, "host ids must be < n");
-    let rightward = (dest + n - me) % n;
-    rightward.min(n - rightward)
-}
-
-/// A ring of `n` hosts seen from one member. Still used by the ring-sweep
-/// barrier doorbells and the left/right adapter bookkeeping; shape-generic
-/// routing lives in [`TopoGraph`].
+/// One NTB adapter of a host, as cabled at bring-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingTopology {
-    /// This host's id.
-    pub me: usize,
-    /// Total hosts in the ring.
-    pub n: usize,
+pub struct Adapter {
+    /// The host on the other end of the cable.
+    pub neighbor: usize,
+    /// The adapter slot on this host.
+    pub slot: usize,
+    /// Physical link index in cabling order (shared by both ends).
+    pub link: usize,
 }
 
-impl RingTopology {
-    /// Construct; panics if `me >= n`.
-    pub fn new(me: usize, n: usize) -> Self {
-        assert!(n >= 1 && me < n, "invalid topology (me={me}, n={n})");
-        RingTopology { me, n }
-    }
-
-    /// Right neighbour's id.
-    pub fn right(&self) -> usize {
-        (self.me + 1) % self.n
-    }
-
-    /// Left neighbour's id.
-    pub fn left(&self) -> usize {
-        (self.me + self.n - 1) % self.n
-    }
-
-    /// Whether `dest` is directly cabled to this host.
-    pub fn is_neighbor(&self, dest: usize) -> bool {
-        self.n >= 2 && (dest == self.left() || dest == self.right())
-    }
-
-    /// Shortest direction towards `dest`.
-    pub fn route_to(&self, dest: usize) -> RouteDirection {
-        route(self.me, dest, self.n)
-    }
-
-    /// Hop count to `dest`.
-    pub fn hops_to(&self, dest: usize) -> usize {
-        hop_count(self.me, dest, self.n)
-    }
-
-    /// The next host on the shortest path to `dest`.
-    pub fn next_hop(&self, dest: usize) -> usize {
-        match self.route_to(dest) {
-            RouteDirection::Right => self.right(),
-            RouteDirection::Left => self.left(),
-        }
-    }
-}
-
-/// Sentinel for "unreachable" in the distance matrices.
+/// Sentinel for "unreachable" in the distance matrices (and "no adapter"
+/// in the next-hop table).
 const UNREACHED: u8 = u8::MAX;
 
-/// The whole interconnect as a graph: deduplicated adjacency lists, a BFS
-/// all-pairs distance matrix and a precomputed next-hop table.
+/// The whole interconnect, built once at bring-up and identically by every
+/// host from `(shape, n)`: cables, adapters, BFS distances, a next-hop
+/// table of adapter indices and the ring-neighbour adapters. The only
+/// place that knows the cabling and the routes.
 ///
-/// Every host builds the same graph from `(shape, n)`, so the origin of a
-/// transfer and every forwarding hop agree on the route: `next_hop` picks,
-/// among the neighbours that strictly shrink the remaining distance, the
-/// one with the smallest clockwise offset `(nb + n - me) % n`. On an even
-/// ring that reproduces the paper's "ties go right" rule, and the strict
-/// distance decrease makes loops and two-hop ping-pongs impossible by
-/// construction.
+/// The next hop is the adapter whose neighbour strictly shrinks the
+/// distance, ties to the smallest clockwise offset `(nb + n - me) % n`
+/// (the paper's "ties go right" on an even ring), then the lowest link.
+/// The strict decrease rules out loops and ping-pongs by construction.
 #[derive(Debug, Clone)]
 pub struct TopoGraph {
     n: usize,
-    shape: Shape,
-    adj: Vec<Vec<usize>>,
+    /// Every cable in build order, as `(i, j)` host pairs.
+    links: Vec<(usize, usize)>,
+    /// `adapters[me]`, in cabling order.
+    adapters: Vec<Vec<Adapter>>,
     /// `dist[me * n + dest]`, hops on the shortest path.
     dist: Vec<u8>,
-    /// `next[me * n + dest]`, first hop of the shortest path
-    /// (`next[me*n+me] == me`).
+    /// `next[me * n + dest]`, the adapter index of the first hop.
     next: Vec<u8>,
+    /// `ring[me] = [left, right]` adapter indices; empty unless every host
+    /// is cabled to both of its ring neighbours.
+    ring: Vec<[usize; 2]>,
 }
 
 impl TopoGraph {
@@ -260,26 +179,50 @@ impl TopoGraph {
         if let Shape::Torus { rows, cols } = shape {
             assert_eq!(rows * cols, n, "torus {rows}x{cols} does not cover {n} hosts");
         }
-        let adj = build_adjacency(shape, n);
+        let links = cables(shape, n);
+        let mut adapters: Vec<Vec<Adapter>> = vec![Vec::new(); n];
+        for (link, &(i, j)) in links.iter().enumerate() {
+            // The ring's right adapter (slot 1) meets the next host's left
+            // adapter (slot 0); other shapes number slots in cabling order
+            // (for the clique: the slot towards j is j, or j-1 past self).
+            let (slot_i, slot_j) = match shape {
+                Shape::Ring => (1, 0),
+                _ => (adapters[i].len(), adapters[j].len()),
+            };
+            adapters[i].push(Adapter { neighbor: j, slot: slot_i, link });
+            adapters[j].push(Adapter { neighbor: i, slot: slot_j, link });
+        }
         let mut dist = vec![UNREACHED; n * n];
         for src in 0..n {
-            bfs(&adj, src, |_| true, &mut dist[src * n..(src + 1) * n]);
+            bfs(&adapters, src, |_| true, &mut dist[src * n..(src + 1) * n]);
         }
         let mut next = vec![UNREACHED; n * n];
         for me in 0..n {
-            for dest in 0..n {
-                if me == dest {
-                    next[me * n + dest] = me as u8;
-                    continue;
-                }
+            for dest in (0..n).filter(|&dest| dest != me) {
                 let d = &dist[dest * n..(dest + 1) * n];
-                let hop = best_hop(&adj[me], me, n, |nb| d[nb]);
-                // lint: unwrap-ok(every shape built here is connected, so a
-                // neighbour on a shortest path always exists)
+                let hop = best_adapter(&adapters[me], me, n, |_, nb| d[nb]);
+                // lint: unwrap-ok(every shape built here is connected, so an
+                // adapter on a shortest path always exists)
                 next[me * n + dest] = hop.unwrap() as u8;
             }
         }
-        TopoGraph { n, shape, adj, dist, next }
+        // The right adapter is the cable laid from this host to i+1, the
+        // left one the cable laid from i-1 to this host (on a 2-host ring,
+        // the two parallel cables); with one cable per pair, that one.
+        let ring_adapter = |me: usize, nb: usize, laid_from_me: bool| {
+            let to_nb = adapters[me].iter().enumerate().filter(|(_, a)| a.neighbor == nb);
+            to_nb.min_by_key(|(_, a)| (links[a.link].0 == me) != laid_from_me).map(|(idx, _)| idx)
+        };
+        let ring = (0..n)
+            .map(|me| {
+                Some([
+                    ring_adapter(me, (me + n - 1) % n, false)?,
+                    ring_adapter(me, (me + 1) % n, true)?,
+                ])
+            })
+            .collect::<Option<_>>()
+            .unwrap_or_default();
+        TopoGraph { n, links, adapters, dist, next, ring }
     }
 
     /// Number of hosts.
@@ -287,14 +230,18 @@ impl TopoGraph {
         self.n
     }
 
-    /// The cabling pattern.
-    pub fn shape(&self) -> Shape {
-        self.shape
+    /// Host `me`'s adapters in cabling order; an adapter index is a
+    /// position in this list.
+    pub fn adapters(&self, me: usize) -> &[Adapter] {
+        &self.adapters[me]
     }
 
-    /// Hosts directly cabled to `me`, ascending, deduplicated.
-    pub fn neighbors(&self, me: usize) -> &[usize] {
-        &self.adj[me]
+    /// Every cable as `(i, j)` host pairs; the position is the physical
+    /// link index. The ring keeps the paper's `i → (i+1) % n` order (two
+    /// parallel cables for a 2-host ring); other shapes list each adjacent
+    /// pair once, ascending.
+    pub fn links(&self) -> &[(usize, usize)] {
+        &self.links
     }
 
     /// Hops on the shortest path from `me` to `dest` (0 for `me == dest`).
@@ -302,56 +249,57 @@ impl TopoGraph {
         self.dist[me * self.n + dest] as usize
     }
 
-    /// Longest shortest path in the graph.
-    pub fn diameter(&self) -> usize {
-        self.dist.iter().map(|&d| d as usize).max().unwrap_or(0)
+    /// Adapter index of the first hop of the shortest path from `me` to
+    /// `dest`, identical at the origin and at every forwarding hop.
+    ///
+    /// # Panics
+    /// Panics when `me == dest`: a frame for this host needs no adapter.
+    pub fn next_adapter(&self, me: usize, dest: usize) -> usize {
+        assert_ne!(me, dest, "no route from a host to itself");
+        usize::from(self.next[me * self.n + dest])
     }
 
-    /// First hop of the deterministic shortest path from `me` to `dest`
-    /// (`me` itself when `me == dest`). Identical at the origin and at
-    /// every forwarding hop.
+    /// The host the shortest path from `me` to `dest` visits first (`me`
+    /// itself when `me == dest`).
     pub fn next_hop(&self, me: usize, dest: usize) -> usize {
-        self.next[me * self.n + dest] as usize
+        if me == dest {
+            return me;
+        }
+        self.adapters[me][self.next_adapter(me, dest)].neighbor
     }
 
-    /// First hop of the shortest path from `me` to `dest` through live
-    /// hosts only, restricted to first hops `first_hop_ok` accepts (split
-    /// horizon, down adapters). `dest` itself is always treated as
-    /// reachable — whether it is alive is the caller's concern. `None`
-    /// when no such path exists.
-    pub fn next_hop_live(
+    /// Adapter index of the first hop of the shortest path from `me` to
+    /// `dest` through live hosts only, over the adapters `adapter_ok`
+    /// accepts. `dest` itself is always treated as reachable (its
+    /// liveness is the caller's concern). Ties break as in
+    /// [`Self::next_adapter`], so an excluded adapter falls back first to
+    /// another cable to the same next host. `None` when no path exists.
+    pub fn next_adapter_live(
         &self,
         me: usize,
         dest: usize,
-        mut first_hop_ok: impl FnMut(usize) -> bool,
+        mut adapter_ok: impl FnMut(usize) -> bool,
         mut is_live: impl FnMut(usize) -> bool,
     ) -> Option<usize> {
         if me == dest {
-            return Some(me);
+            return None;
         }
-        // BFS from dest over the live subgraph gives each candidate first
-        // hop its remaining live distance; n <= 64 keeps this on the stack.
-        // `me` is excluded so no candidate's path doubles back through the
-        // origin.
+        // BFS from dest over the live subgraph, without `me` so no path
+        // doubles back through the origin; n <= 64 keeps it on the stack.
         let mut dist = [UNREACHED; MAX_TOPO_NODES];
-        bfs(
-            &self.adj,
-            dest,
-            |node| node != me && (node == dest || is_live(node)),
-            &mut dist[..self.n],
-        );
-        best_hop(&self.adj[me], me, self.n, |nb| {
-            if !first_hop_ok(nb) || (nb != dest && !is_live(nb)) {
-                UNREACHED
-            } else {
+        let admit = |node: usize| node != me && (node == dest || is_live(node));
+        bfs(&self.adapters, dest, admit, &mut dist[..self.n]);
+        best_adapter(&self.adapters[me], me, self.n, |idx, nb| {
+            if adapter_ok(idx) {
                 dist[nb]
+            } else {
+                UNREACHED
             }
         })
     }
 
-    /// Whether the deterministic static route from `from` to `dest` passes
-    /// only through live intermediate hosts (`from` included, `dest`
-    /// excluded — the destination's liveness is the caller's concern).
+    /// Whether the static route from `from` to `dest` passes only through
+    /// live hosts (`from` included, `dest` excluded).
     pub fn static_path_clear(
         &self,
         from: usize,
@@ -368,83 +316,56 @@ impl TopoGraph {
         true
     }
 
-    /// Every cable in deterministic build order, as `(i, j)` host pairs.
-    /// The ring keeps the paper's `i → (i+1) % n` order (two parallel
-    /// cables for a 2-host ring); other shapes list each unordered
-    /// adjacent pair once, ascending.
-    pub fn links(&self) -> Vec<(usize, usize)> {
-        match self.shape {
-            Shape::Ring if self.n >= 2 => (0..self.n).map(|i| (i, (i + 1) % self.n)).collect(),
-            Shape::Ring => Vec::new(),
-            _ => {
-                let mut links = Vec::new();
-                for i in 0..self.n {
-                    for &j in &self.adj[i] {
-                        if i < j {
-                            links.push((i, j));
-                        }
-                    }
-                }
-                links
-            }
-        }
+    /// Adapter index of host `me`'s ring neighbour in direction `dir`, or
+    /// `None` when the shape does not cable every host to both of its ring
+    /// neighbours (a torus). Host *i*'s right adapter and host *i+1*'s left
+    /// adapter are the two ends of one cable.
+    pub fn ring_adapter(&self, me: usize, dir: RouteDirection) -> Option<usize> {
+        let [left, right] = *self.ring.get(me)?;
+        Some(if dir == RouteDirection::Left { left } else { right })
     }
 }
 
-/// Deduplicated, ascending adjacency lists for `n` hosts cabled as
-/// `shape`. Degenerate dimensions collapse cleanly: a 1×k or k×1 torus is
-/// a ring, a 2-wide dimension does not cable the same neighbour twice.
-fn build_adjacency(shape: Shape, n: usize) -> Vec<Vec<usize>> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    match shape {
-        Shape::Ring => {
-            if n >= 2 {
-                for (i, list) in adj.iter_mut().enumerate() {
-                    list.push((i + 1) % n);
-                    list.push((i + n - 1) % n);
-                }
-            }
-        }
-        Shape::Torus { rows, cols } => {
-            for r in 0..rows {
-                for c in 0..cols {
-                    let id = r * cols + c;
-                    adj[id].extend([
-                        r * cols + (c + 1) % cols,
-                        r * cols + (c + cols - 1) % cols,
-                        ((r + 1) % rows) * cols + c,
-                        ((r + rows - 1) % rows) * cols + c,
-                    ]);
-                }
-            }
-        }
-        Shape::Clique => {
-            for (i, list) in adj.iter_mut().enumerate() {
-                list.extend((0..n).filter(|&j| j != i));
-            }
-        }
-    }
-    for (i, list) in adj.iter_mut().enumerate() {
-        list.sort_unstable();
-        list.dedup();
-        list.retain(|&j| j != i);
-    }
-    adj
+/// The cables of `n` hosts laid out as `shape`, in link-index order (see
+/// [`TopoGraph::links`]); a 1- or 2-wide torus dimension cables no pair
+/// twice.
+fn cables(shape: Shape, n: usize) -> Vec<(usize, usize)> {
+    let mut pairs: Vec<(usize, usize)> = match shape {
+        Shape::Ring if n >= 2 => return (0..n).map(|i| (i, (i + 1) % n)).collect(),
+        Shape::Ring => return Vec::new(),
+        // Each host's right and down neighbours cover every torus cable.
+        Shape::Torus { rows, cols } => (0..n)
+            .flat_map(|id| {
+                let (r, c) = (id / cols, id % cols);
+                [r * cols + (c + 1) % cols, (r + 1) % rows * cols + c]
+                    .map(|nb| (id.min(nb), id.max(nb)))
+            })
+            .filter(|&(i, j)| i != j)
+            .collect(),
+        Shape::Clique => (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect(),
+    };
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 /// Fill `out[node]` with BFS hop counts from `src` over the nodes
 /// `admit` accepts (`src` is always admitted).
-fn bfs(adj: &[Vec<usize>], src: usize, mut admit: impl FnMut(usize) -> bool, out: &mut [u8]) {
+fn bfs(
+    adapters: &[Vec<Adapter>],
+    src: usize,
+    mut admit: impl FnMut(usize) -> bool,
+    out: &mut [u8],
+) {
     out.fill(UNREACHED);
     out[src] = 0;
     let mut queue = [0usize; MAX_TOPO_NODES];
-    let (mut head, mut tail) = (0, 0);
-    queue[tail] = src;
-    tail += 1;
+    let (mut head, mut tail) = (0, 1);
+    queue[0] = src;
     while head < tail {
         let node = queue[head];
         head += 1;
-        for &nb in &adj[node] {
+        for nb in adapters[node].iter().map(|a| a.neighbor) {
             if out[nb] == UNREACHED && admit(nb) {
                 out[nb] = out[node] + 1;
                 queue[tail] = nb;
@@ -454,111 +375,147 @@ fn bfs(adj: &[Vec<usize>], src: usize, mut admit: impl FnMut(usize) -> bool, out
     }
 }
 
-/// Among `neighbors` of `me`, the one minimizing `(remaining distance,
-/// clockwise offset from me)`; `None` if none is reachable. The clockwise
-/// tie-break reproduces the even-ring "ties go right" rule on every shape
-/// and at every hop.
-fn best_hop(
-    neighbors: &[usize],
+/// Among `me`'s `adapters`, the index minimizing `(remaining distance of
+/// its neighbour, clockwise offset from me, index)`, skipping unreachable
+/// ones; `remaining` gets the adapter index and its neighbour.
+fn best_adapter(
+    adapters: &[Adapter],
     me: usize,
     n: usize,
-    mut remaining: impl FnMut(usize) -> u8,
+    mut remaining: impl FnMut(usize, usize) -> u8,
 ) -> Option<usize> {
-    neighbors
+    adapters
         .iter()
-        .copied()
-        .map(|nb| (remaining(nb), (nb + n - me) % n, nb))
+        .enumerate()
+        .map(|(idx, a)| (remaining(idx, a.neighbor), (a.neighbor + n - me) % n, idx))
         .filter(|&(d, _, _)| d != UNREACHED)
         .min()
-        .map(|(_, _, nb)| nb)
+        .map(|(_, _, idx)| idx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn neighbors_on_three_ring() {
-        let t = RingTopology::new(0, 3);
-        assert_eq!(t.right(), 1);
-        assert_eq!(t.left(), 2);
-        assert!(t.is_neighbor(1));
-        assert!(t.is_neighbor(2));
-        assert!(!t.is_neighbor(0));
+    /// Hosts cabled to `me`, ascending, deduplicated.
+    fn neighbors(g: &TopoGraph, me: usize) -> Vec<usize> {
+        let mut hosts: Vec<usize> = g.adapters(me).iter().map(|a| a.neighbor).collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        hosts
+    }
+
+    /// Longest shortest path.
+    fn diameter(g: &TopoGraph) -> usize {
+        let n = g.num_nodes();
+        (0..n * n).map(|k| g.hops(k / n, k % n)).max().unwrap_or(0)
+    }
+
+    /// The closed-form ring rule, kept only as an oracle: the next host
+    /// from `me` towards `dest` (ties go right) and the hop count.
+    fn ring_oracle(me: usize, dest: usize, n: usize) -> (usize, usize) {
+        let rightward = (dest + n - me) % n;
+        let next = if rightward <= n - rightward { (me + 1) % n } else { (me + n - 1) % n };
+        (next, rightward.min(n - rightward))
+    }
+
+    /// Closed-form hop count of every shape, independent of the BFS.
+    fn oracle_hops(shape: Shape, n: usize, a: usize, b: usize) -> usize {
+        let wrap = |x: usize, y: usize, m: usize| {
+            let d = (y + m - x) % m;
+            d.min(m - d)
+        };
+        match shape {
+            Shape::Ring => ring_oracle(a, b, n).1,
+            Shape::Torus { cols, rows } => {
+                wrap(a / cols, b / cols, rows) + wrap(a % cols, b % cols, cols)
+            }
+            Shape::Clique => usize::from(a != b),
+        }
+    }
+
+    /// The physical link a fault-free route from `me` to `dest` left on
+    /// before routes were adapter indices: the next host by shortest
+    /// distance, ties to the smallest clockwise offset, then the lowest
+    /// link index cabled to that host (the ring's cables run
+    /// `i → (i+1) % n`; other shapes cable each adjacent pair once,
+    /// ascending).
+    fn parent_link(shape: Shape, n: usize, me: usize, dest: usize) -> usize {
+        let hops = |a, b| oracle_hops(shape, n, a, b);
+        let next = (0..n)
+            .filter(|&nb| nb != me && hops(me, nb) == 1)
+            .min_by_key(|&nb| (hops(nb, dest), (nb + n - me) % n))
+            .expect("a neighbour");
+        let cables: Vec<(usize, usize)> = match shape {
+            Shape::Ring => (0..n).map(|i| (i, (i + 1) % n)).collect(),
+            _ => (0..n)
+                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .filter(|&(i, j)| hops(i, j) == 1)
+                .collect(),
+        };
+        cables
+            .iter()
+            .position(|&(i, j)| (i, j) == (me, next) || (i, j) == (next, me))
+            .expect("a cable to the next host")
     }
 
     #[test]
-    fn two_ring_everyone_is_neighbor() {
-        let t = RingTopology::new(1, 2);
-        assert_eq!(t.right(), 0);
-        assert_eq!(t.left(), 0);
-        assert!(t.is_neighbor(0));
+    fn neighbors_on_three_ring() {
+        let g = TopoGraph::new(Shape::Ring, 3);
+        assert_eq!(neighbors(&g, 0), &[1, 2]);
+        let right = g.ring_adapter(0, RouteDirection::Right).expect("ring adapters");
+        let left = g.ring_adapter(0, RouteDirection::Left).expect("ring adapters");
+        assert_eq!(g.adapters(0)[right], Adapter { neighbor: 1, slot: 1, link: 0 });
+        assert_eq!(g.adapters(0)[left], Adapter { neighbor: 2, slot: 0, link: 2 });
+    }
+
+    #[test]
+    fn two_ring_has_two_parallel_cables() {
+        let g = TopoGraph::new(Shape::Ring, 2);
+        assert_eq!(neighbors(&g, 1), &[0]);
+        assert_eq!(
+            g.adapters(1),
+            &[Adapter { neighbor: 0, slot: 0, link: 0 }, Adapter { neighbor: 0, slot: 1, link: 1 }]
+        );
+        for me in 0..2 {
+            let right = g.ring_adapter(me, RouteDirection::Right).unwrap();
+            let left = g.ring_adapter(me, RouteDirection::Left).unwrap();
+            assert_ne!(right, left, "host {me}: left and right are different cables");
+            assert_eq!(g.adapters(me)[right].slot, 1);
+            assert_eq!(g.adapters(me)[left].slot, 0);
+        }
+        // Fault-free data keeps to link 0 both ways.
+        assert_eq!(g.adapters(0)[g.next_adapter(0, 1)].link, 0);
+        assert_eq!(g.adapters(1)[g.next_adapter(1, 0)].link, 0);
     }
 
     #[test]
     fn route_prefers_shortest() {
         // Ring of 5: from 0, dest 1,2 go right; 3,4 go left.
-        assert_eq!(route(0, 1, 5), RouteDirection::Right);
-        assert_eq!(route(0, 2, 5), RouteDirection::Right);
-        assert_eq!(route(0, 3, 5), RouteDirection::Left);
-        assert_eq!(route(0, 4, 5), RouteDirection::Left);
+        let g = TopoGraph::new(Shape::Ring, 5);
+        assert_eq!([1, 2, 3, 4].map(|d| g.next_hop(0, d)), [1, 1, 4, 4]);
     }
 
     #[test]
     fn route_tie_goes_right() {
         // Ring of 4: dest exactly opposite.
-        assert_eq!(route(0, 2, 4), RouteDirection::Right);
-        assert_eq!(route(1, 3, 4), RouteDirection::Right);
+        let g = TopoGraph::new(Shape::Ring, 4);
+        assert_eq!(g.next_hop(0, 2), 1);
+        assert_eq!(g.next_hop(1, 3), 2);
     }
 
     #[test]
     fn hop_counts() {
-        assert_eq!(hop_count(0, 1, 3), 1);
-        assert_eq!(hop_count(0, 2, 3), 1);
-        assert_eq!(hop_count(0, 2, 4), 2);
-        assert_eq!(hop_count(0, 3, 6), 3);
-        assert_eq!(hop_count(0, 4, 6), 2);
-        assert_eq!(hop_count(2, 2, 5), 0);
-    }
-
-    #[test]
-    fn next_hop_walks_towards_dest() {
-        let t = RingTopology::new(0, 6);
-        assert_eq!(t.next_hop(2), 1);
-        assert_eq!(t.next_hop(5), 5);
-        assert_eq!(t.next_hop(4), 5);
+        assert_eq!(TopoGraph::new(Shape::Ring, 3).hops(0, 2), 1);
+        assert_eq!(TopoGraph::new(Shape::Ring, 4).hops(0, 2), 2);
+        let six = TopoGraph::new(Shape::Ring, 6);
+        assert_eq!([six.hops(0, 3), six.hops(0, 4), six.hops(2, 2)], [3, 2, 0]);
     }
 
     #[test]
     #[should_panic(expected = "no route")]
     fn route_to_self_panics() {
-        route(2, 2, 4);
-    }
-
-    #[test]
-    fn walking_next_hops_reaches_destination_within_hop_count() {
-        let n = 7;
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let mut cur = src;
-                let mut steps = 0;
-                while cur != dst {
-                    cur = RingTopology::new(cur, n).next_hop(dst);
-                    steps += 1;
-                    assert!(steps <= n, "route loop from {src} to {dst}");
-                }
-                assert_eq!(steps, hop_count(src, dst, n), "{src}->{dst}");
-            }
-        }
-    }
-
-    #[test]
-    fn direction_opposite() {
-        assert_eq!(RouteDirection::Right.opposite(), RouteDirection::Left);
-        assert_eq!(RouteDirection::Left.opposite(), RouteDirection::Right);
+        TopoGraph::new(Shape::Ring, 4).next_adapter(2, 2);
     }
 
     // -----------------------------------------------------------------
@@ -609,24 +566,94 @@ mod tests {
     }
 
     #[test]
-    fn ring_graph_matches_legacy_ring_math() {
+    fn ring_graph_matches_closed_form_ring_rule() {
         for n in 2..=9 {
             let g = TopoGraph::new(Shape::Ring, n);
             for me in 0..n {
-                for dest in 0..n {
-                    assert_eq!(g.hops(me, dest), hop_count(me, dest, n), "hops {me}->{dest} n={n}");
-                    if me != dest {
-                        // The graph tie-break must reproduce the legacy
-                        // ties-go-right rule at every hop, not just the
-                        // origin — forwarders and origins use the same
-                        // table.
-                        assert_eq!(
-                            g.next_hop(me, dest),
-                            RingTopology::new(me, n).next_hop(dest),
-                            "next hop {me}->{dest} n={n}"
-                        );
-                    }
+                for dest in (0..n).filter(|&d| d != me) {
+                    // The graph tie-break must reproduce ties-go-right at
+                    // every hop, not just the origin — forwarders and
+                    // origins use the same table.
+                    let (next, hops) = ring_oracle(me, dest, n);
+                    assert_eq!(g.hops(me, dest), hops, "hops {me}->{dest} n={n}");
+                    assert_eq!(g.next_hop(me, dest), next, "next hop {me}->{dest} n={n}");
                 }
+            }
+        }
+    }
+
+    /// Golden routes: on every shape, a fault-free route leaves on the
+    /// physical link it left on when routes named a host — the next host
+    /// by the ties-go-right rule, then the lowest link index to it.
+    #[test]
+    fn fault_free_routes_keep_their_physical_links() {
+        for (shape, n) in shapes_under_test() {
+            let g = TopoGraph::new(shape, n);
+            for src in 0..n {
+                for dst in (0..n).filter(|&d| d != src) {
+                    assert_eq!(
+                        g.adapters(src)[g.next_adapter(src, dst)].link,
+                        parent_link(shape, n, src, dst),
+                        "{src}->{dst} on {shape:?}/{n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hops_match_the_closed_form_on_every_shape() {
+        for (shape, n) in shapes_under_test() {
+            let g = TopoGraph::new(shape, n);
+            for a in 0..n {
+                for b in 0..n {
+                    assert_eq!(g.hops(a, b), oracle_hops(shape, n, a, b), "{a}->{b} {shape:?}/{n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_adapters_pair_up_across_one_cable() {
+        for (shape, n) in shapes_under_test() {
+            let g = TopoGraph::new(shape, n);
+            let cabled = n >= 2 && (0..n).all(|i| neighbors(&g, i).contains(&((i + 1) % n)));
+            for me in 0..n {
+                let right = g.ring_adapter(me, RouteDirection::Right);
+                assert_eq!(right.is_some(), cabled, "{shape:?}/{n}");
+                let Some(right) = right else { continue };
+                let next = (me + 1) % n;
+                let left_of_next = g.ring_adapter(next, RouteDirection::Left).unwrap();
+                let (mine, theirs) = (g.adapters(me)[right], g.adapters(next)[left_of_next]);
+                assert_eq!(mine.neighbor, next, "{shape:?}/{n}");
+                assert_eq!(mine.link, theirs.link, "{me}->{next} on {shape:?}/{n}");
+            }
+        }
+        // A torus cannot sweep: host 1 of a 2x2 torus is not cabled to 2.
+        let torus = TopoGraph::new(Shape::Torus { rows: 2, cols: 2 }, 4);
+        assert_eq!(torus.ring_adapter(0, RouteDirection::Right), None);
+    }
+
+    #[test]
+    fn adapters_list_every_cable_end_in_cabling_order() {
+        for (shape, n) in shapes_under_test() {
+            let g = TopoGraph::new(shape, n);
+            for me in 0..n {
+                let links: Vec<usize> = g.adapters(me).iter().map(|a| a.link).collect();
+                assert!(links.windows(2).all(|w| w[0] < w[1]), "{shape:?}/{n} host {me}");
+                for a in g.adapters(me) {
+                    let (i, j) = g.links()[a.link];
+                    assert!((i, j) == (me, a.neighbor) || (j, i) == (me, a.neighbor));
+                }
+            }
+        }
+        // The clique's historical numbering: the slot towards j is j, or
+        // j-1 past self.
+        let clique = TopoGraph::new(Shape::Clique, 5);
+        for me in 0..5 {
+            for a in clique.adapters(me) {
+                let want = if a.neighbor < me { a.neighbor } else { a.neighbor - 1 };
+                assert_eq!(a.slot, want, "host {me}");
             }
         }
     }
@@ -635,12 +662,12 @@ mod tests {
     fn torus_adjacency_has_constant_degree_four() {
         let g = TopoGraph::new(Shape::Torus { rows: 4, cols: 4 }, 16);
         for me in 0..16 {
-            assert_eq!(g.neighbors(me).len(), 4, "host {me}");
+            assert_eq!(neighbors(&g, me).len(), 4, "host {me}");
         }
         // Host 5 = (row 1, col 1): neighbours 4, 6 (row) and 1, 9 (col).
-        assert_eq!(g.neighbors(5), &[1, 4, 6, 9]);
+        assert_eq!(neighbors(&g, 5), &[1, 4, 6, 9]);
         // Corner wraparound: host 0 reaches 3 (row wrap) and 12 (col wrap).
-        assert_eq!(g.neighbors(0), &[1, 3, 4, 12]);
+        assert_eq!(neighbors(&g, 0), &[1, 3, 4, 12]);
     }
 
     #[test]
@@ -648,28 +675,28 @@ mod tests {
         // 2-wide dimensions would cable the same neighbour twice; the
         // adjacency must deduplicate.
         let g = TopoGraph::new(Shape::Torus { rows: 2, cols: 2 }, 4);
-        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(neighbors(&g, 0), &[1, 2]);
         // A 1-row torus degenerates to a ring.
         let line = TopoGraph::new(Shape::Torus { rows: 1, cols: 5 }, 5);
         for me in 0..5 {
             for dest in 0..5 {
-                assert_eq!(line.hops(me, dest), hop_count(me, dest, 5));
+                assert_eq!(line.hops(me, dest), ring_oracle(me, dest, 5).1);
             }
         }
     }
 
     #[test]
     fn torus_diameter_is_sum_of_half_dims() {
-        assert_eq!(TopoGraph::new(Shape::Torus { rows: 4, cols: 4 }, 16).diameter(), 4);
-        assert_eq!(TopoGraph::new(Shape::Torus { rows: 8, cols: 8 }, 64).diameter(), 8);
-        assert_eq!(TopoGraph::new(Shape::Ring, 64).diameter(), 32);
-        assert_eq!(TopoGraph::new(Shape::Clique, 16).diameter(), 1);
+        assert_eq!(diameter(&TopoGraph::new(Shape::Torus { rows: 4, cols: 4 }, 16)), 4);
+        assert_eq!(diameter(&TopoGraph::new(Shape::Torus { rows: 8, cols: 8 }, 64)), 8);
+        assert_eq!(diameter(&TopoGraph::new(Shape::Ring, 64)), 32);
+        assert_eq!(diameter(&TopoGraph::new(Shape::Clique, 16)), 1);
     }
 
-    /// Satellite audit: no shape can produce a routing loop or a
-    /// ping-pong between two hops. Because every hop strictly shrinks the
-    /// BFS distance, walking `next_hop` must reach the destination in
-    /// exactly `hops` steps without revisiting any host.
+    /// No shape can produce a routing loop or a ping-pong between two
+    /// hops. Because every hop strictly shrinks the BFS distance, walking
+    /// `next_hop` must reach the destination in exactly `hops` steps
+    /// without revisiting any host.
     #[test]
     fn no_shape_produces_routing_loops_or_ping_pong() {
         for (shape, n) in shapes_under_test() {
@@ -704,13 +731,16 @@ mod tests {
         // 4x4 torus, kill host 1; 0 -> 2 must route around it.
         let g = TopoGraph::new(Shape::Torus { rows: 4, cols: 4 }, 16);
         assert_eq!(g.next_hop(0, 2), 1);
-        let hop = g.next_hop_live(0, 2, |_| true, |pe| pe != 1).expect("alternate path");
-        assert_ne!(hop, 1);
+        let live_hop = |me: usize| {
+            let idx = g.next_adapter_live(me, 2, |_| true, |pe| pe != 1).expect("live chain");
+            g.adapters(me)[idx].neighbor
+        };
+        let mut cur = live_hop(0);
+        assert_ne!(cur, 1);
         // Walk the live route to completion.
-        let mut cur = hop;
         let mut steps = 1;
         while cur != 2 {
-            cur = g.next_hop_live(cur, 2, |_| true, |pe| pe != 1).expect("live chain");
+            cur = live_hop(cur);
             steps += 1;
             assert!(steps <= 16, "live route loop");
         }
@@ -718,7 +748,16 @@ mod tests {
 
         // Excluding the only remaining first hop yields None on a ring.
         let ring = TopoGraph::new(Shape::Ring, 5);
-        assert_eq!(ring.next_hop_live(0, 2, |h| h != 1, |pe| pe != 4), None);
+        let to_1 = ring.next_adapter(0, 1);
+        assert_eq!(ring.next_adapter_live(0, 2, |a| a != to_1, |pe| pe != 4), None);
+    }
+
+    #[test]
+    fn excluded_adapter_falls_back_to_a_parallel_cable_first() {
+        let g = TopoGraph::new(Shape::Ring, 2);
+        let link0 = g.next_adapter(0, 1);
+        let other = g.next_adapter_live(0, 1, |a| a != link0, |_| true).expect("second cable");
+        assert_eq!(g.adapters(0)[other], Adapter { neighbor: 1, slot: 0, link: 1 });
     }
 
     #[test]
@@ -738,14 +777,14 @@ mod tests {
             let links = g.links();
             if matches!(shape, Shape::Ring) && n == 2 {
                 // The paper's 2-host ring keeps both parallel cables.
-                assert_eq!(links, vec![(0, 1), (1, 0)]);
+                assert_eq!(links, &[(0, 1), (1, 0)]);
                 continue;
             }
-            let expected: usize = (0..n).map(|i| g.neighbors(i).len()).sum::<usize>() / 2;
+            let expected: usize = (0..n).map(|i| neighbors(&g, i).len()).sum::<usize>() / 2;
             assert_eq!(links.len(), expected, "{shape:?}/{n}");
             let mut seen = std::collections::HashSet::new();
-            for &(i, j) in &links {
-                assert!(g.neighbors(i).contains(&j), "uncabled pair ({i},{j}) {shape:?}/{n}");
+            for &(i, j) in links {
+                assert!(neighbors(&g, i).contains(&j), "uncabled pair ({i},{j}) {shape:?}/{n}");
                 assert!(seen.insert((i.min(j), i.max(j))), "duplicate cable {shape:?}/{n}");
             }
         }
@@ -754,6 +793,6 @@ mod tests {
     #[test]
     fn ring_links_keep_paper_order() {
         let g = TopoGraph::new(Shape::Ring, 5);
-        assert_eq!(g.links(), vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+        assert_eq!(g.links(), &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
     }
 }

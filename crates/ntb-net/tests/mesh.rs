@@ -4,10 +4,12 @@
 //! no forwarding — the comparison baseline to the paper's switchless
 //! ring.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use ntb_net::{AmoOp, DeliveryTarget, NetConfig, RingNetwork, Topology};
-use ntb_sim::{Region, Result, TransferMode};
+use ntb_sim::{FaultPlan, Region, Result, TransferMode};
 use parking_lot::Mutex;
 
 struct TestHeap {
@@ -48,8 +50,12 @@ impl DeliveryTarget for TestHeap {
 }
 
 fn build(hosts: usize) -> (RingNetwork, Vec<Arc<TestHeap>>) {
-    let net =
-        RingNetwork::build(NetConfig::fast(hosts).with_topology(Topology::clique(hosts))).unwrap();
+    build_with(hosts, FaultPlan::none())
+}
+
+fn build_with(hosts: usize, faults: FaultPlan) -> (RingNetwork, Vec<Arc<TestHeap>>) {
+    let cfg = NetConfig::fast(hosts).with_topology(Topology::clique(hosts)).with_faults(faults);
+    let net = RingNetwork::build(cfg).unwrap();
     let heaps: Vec<Arc<TestHeap>> = (0..hosts).map(|_| TestHeap::new()).collect();
     for (i, heap) in heaps.iter().enumerate() {
         net.node(i).set_delivery(Arc::clone(heap) as Arc<dyn DeliveryTarget>);
@@ -104,6 +110,13 @@ fn mesh_amo_linearizable() {
     assert_eq!(heaps[0].region.read_u64(0).unwrap(), 180);
 }
 
+/// Bytes host `me` has sent on its adapter cabled to `peer`.
+fn bytes_sent(net: &RingNetwork, me: usize, peer: usize) -> u64 {
+    let node = net.node(me);
+    let idx = node.graph().adapters(me).iter().position(|a| a.neighbor == peer).unwrap();
+    node.port_stats_at(idx).bytes_tx
+}
+
 #[test]
 fn mesh_has_dedicated_links_per_pair() {
     let (net, _heaps) = build(4);
@@ -111,8 +124,8 @@ fn mesh_has_dedicated_links_per_pair() {
     // touches the 0-1 link.
     net.node(0).put_bytes(3, 0, &[9u8; 4096], TransferMode::Dma).unwrap();
     net.node(0).quiet().expect("quiet");
-    let to_1 = net.node(0).endpoint_to(1).port().stats().bytes_tx();
-    let to_3 = net.node(0).endpoint_to(3).port().stats().bytes_tx();
+    let to_1 = bytes_sent(&net, 0, 1);
+    let to_3 = bytes_sent(&net, 0, 3);
     assert_eq!(to_1, 0, "0-1 link must stay idle");
     assert!(to_3 >= 4096, "0-3 link carried the payload");
 }
@@ -132,4 +145,21 @@ fn two_host_mesh_is_a_single_link() {
 #[should_panic(expected = "clique adapter slots")]
 fn mesh_host_cap_enforced() {
     let _ = RingNetwork::build(NetConfig::fast(17).with_topology(Topology::clique(17)));
+}
+
+#[test]
+fn down_direct_link_detours_through_another_host() {
+    // The 0-3 cable (link 2 in cabling order) stays dark far longer than
+    // the retry budget. The clique routes like every other shape: the
+    // put takes a two-hop detour through host 1 or 2, and so does its ack.
+    let plan = FaultPlan::none().with_link_down(2, 0, Duration::from_secs(5));
+    let (net, heaps) = build_with(4, plan);
+    let payload: Vec<u8> = (0..1024u32).map(|i| (i * 13 % 251) as u8).collect();
+    net.node(0).put_bytes(3, 0, &payload, TransferMode::Dma).unwrap();
+    net.node(0).quiet().expect("put must detour around the dark cable");
+    assert_eq!(heaps[3].region.read_vec(0, 1024).unwrap(), payload);
+    assert!(net.node(0).stats().reroutes.load(Ordering::Relaxed) >= 1, "origin must reroute");
+    let forwarded: u64 =
+        [1, 2].iter().map(|&h| net.node(h).stats().forwards.load(Ordering::Relaxed)).sum();
+    assert!(forwarded >= 1, "the detour forwards through a third host");
 }

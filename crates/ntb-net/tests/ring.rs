@@ -213,6 +213,36 @@ fn two_host_ring_uses_both_links() {
 }
 
 #[test]
+fn two_host_ring_left_and_right_are_the_two_cables() {
+    let (net, _heaps) = build(2);
+    let link = |host: usize, dir| net.node(host).endpoint(dir).link_idx();
+    for host in 0..2 {
+        assert_ne!(link(host, RouteDirection::Left), link(host, RouteDirection::Right));
+    }
+    // Host i's right adapter and host i+1's left adapter share a cable,
+    // so the barrier sweep's doorbells reach the adapter that waits.
+    assert_eq!(link(0, RouteDirection::Right), link(1, RouteDirection::Left));
+    assert_eq!(link(1, RouteDirection::Right), link(0, RouteDirection::Left));
+}
+
+#[test]
+fn two_host_ring_put_survives_link_zero_down() {
+    // Link 0 stays dark far longer than the retry budget while link 1
+    // stays up: the put and its ack reroute over the parallel cable.
+    let plan = FaultPlan::none().with_link_down(0, 0, Duration::from_secs(5));
+    let (net, heaps) = build_with(NetConfig::fast(2).with_faults(plan));
+    let payload: Vec<u8> = (0..1024u32).map(|i| (i * 7 % 251) as u8).collect();
+    net.node(0).put_bytes(1, 0, &payload, TransferMode::Dma).unwrap();
+    net.node(0).quiet().expect("put must reroute over link 1");
+    assert_eq!(heaps[1].region.read_vec(0, 1024).unwrap(), payload);
+    let reroutes = net.node(0).stats().reroutes.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(reroutes >= 1, "origin must reroute onto link 1");
+    let link1 = net.node(0).endpoint(RouteDirection::Left);
+    assert_eq!(link1.link_idx(), 1);
+    assert!(link1.port().stats().bytes_tx() >= 1024, "link 1 carried the payload");
+}
+
+#[test]
 fn amo_fetch_add_accumulates_from_all_hosts() {
     let (net, heaps) = build(4);
     // Hosts 1..4 all fetch-add into host 0's counter at offset 0.

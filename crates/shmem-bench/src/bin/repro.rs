@@ -1,11 +1,13 @@
 //! `repro` — regenerate every figure of the paper's evaluation section.
 //!
 //! ```text
-//! repro [all|fig8|fig9|fig10|compare|trace|transport|overload|scale] [--scale F] [--reps N] [--quick] [--csv DIR]
+//! repro [all|fig8|fig9|fig10|compare|ablate|trace|transport|overload|scale] [--scale F] [--reps N] [--quick] [--csv DIR]
 //! ```
 //!
 //! `compare` runs the beyond-paper topology comparison: the switchless
-//! ring against the switch-emulating full mesh. `trace` runs a small
+//! ring against the switch-emulating full mesh. `ablate` measures the
+//! barrier algorithm, get response chunk and service wake delay
+//! ablations. `trace` runs a small
 //! traced workload and prints the event trace, the per-PE metrics report
 //! and the protocol-invariant checker's verdict. `transport` benchmarks
 //! the batched/coalesced transport hot path against one doorbell per
@@ -49,8 +51,8 @@ fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "all" | "fig8" | "fig9" | "fig10" | "compare" | "scaling" | "trace" | "transport"
-            | "overload" | "scale" => opts.what = a,
+            "all" | "fig8" | "fig9" | "fig10" | "compare" | "ablate" | "scaling" | "trace"
+            | "transport" | "overload" | "scale" => opts.what = a,
             "--scale" => {
                 opts.scale = args
                     .next()
@@ -72,7 +74,7 @@ fn parse_args() -> Options {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [all|fig8|fig9|fig10|compare|scaling|trace|transport|overload|scale] [--scale F] [--reps N] [--quick] [--csv DIR]"
+                    "usage: repro [all|fig8|fig9|fig10|compare|ablate|scaling|trace|transport|overload|scale] [--scale F] [--reps N] [--quick] [--csv DIR]"
                 );
                 std::process::exit(0);
             }
@@ -305,6 +307,13 @@ fn main() {
                 Series::new("mesh get", r.mesh_get_us.clone()),
             ],
         );
+    }
+
+    if opts.what == "ablate" {
+        let t0 = std::time::Instant::now();
+        let r = shmem_bench::ablate::run_ablate(&model, opts.reps.unwrap_or(20));
+        println!("{}", r.render());
+        println!("(ablate ran in {:.1?})\n", t0.elapsed());
     }
 
     if opts.what == "all" || opts.what == "fig10" {

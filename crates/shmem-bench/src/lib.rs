@@ -16,13 +16,16 @@
 //! under the flow-control/deadline/shedding machinery
 //! (`BENCH_overload.json`).
 //!
-//! The `repro` binary drives all of them and prints paper-style series;
-//! the criterion benches under `benches/` run scaled-down versions for
-//! regression tracking. Absolute numbers depend on the calibrated
+//! [`ablate`] measures the design choices DESIGN.md §6 flags (barrier
+//! algorithm, get response chunk, service wake delay).
+//!
+//! The `repro` binary drives all of them and prints paper-style series.
+//! Absolute numbers depend on the calibrated
 //! [`TimeModel`](ntb_sim::TimeModel) — the claim reproduced is the
 //! *shape*: who wins, by what factor, and where the curves bend (see
 //! `EXPERIMENTS.md`).
 
+pub mod ablate;
 pub mod compare;
 pub mod fig10;
 pub mod fig8;

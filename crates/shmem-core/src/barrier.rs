@@ -94,15 +94,12 @@ impl ShmemCtx {
 
     /// `barrier_all` with an explicit timeout.
     pub fn barrier_all_with_timeout(&self, timeout: Duration) -> Result<()> {
-        // The ring sweep addresses neighbours by ring direction, which
-        // only exist on shapes where host i±1 is cabled (ring, clique); a
+        // The ring sweep rings the ring-neighbour adapters, which only
+        // exist where host i is cabled to hosts i±1 (ring, clique); a
         // torus upgrades to the shape-agnostic dissemination barrier.
-        let ring_capable = matches!(
-            self.node.topology_kind().shape(),
-            ntb_net::Shape::Ring | ntb_net::Shape::Clique
-        );
+        let sweeps = self.node.graph().ring_adapter(self.my_pe(), RouteDirection::Right).is_some();
         match self.cfg.barrier_algorithm {
-            BarrierAlgorithm::RingSweep if ring_capable => self.barrier_ring_sweep(timeout),
+            BarrierAlgorithm::RingSweep if sweeps => self.barrier_ring_sweep(timeout),
             BarrierAlgorithm::RingSweep | BarrierAlgorithm::Dissemination => {
                 self.barrier_dissemination(timeout)
             }

@@ -721,7 +721,7 @@ pub struct PeStats {
     pub retransmits: u64,
     /// Inbound frames dropped on a payload CRC mismatch.
     pub checksum_rejects: u64,
-    /// Sends steered away from a `Down` link (the long way around).
+    /// Sends steered away from a `Down` link onto a detour.
     pub reroutes: u64,
     /// Duplicate deliveries suppressed (retransmission idempotency).
     pub duplicates_suppressed: u64,

@@ -14,7 +14,7 @@
 
 use rand::prelude::*;
 
-use shmem_ntb::net::{hop_count, Frame, FrameKind, RingTopology};
+use shmem_ntb::net::{Frame, FrameKind, Shape, TopoGraph};
 use shmem_ntb::shmem::{OpOptions, ShmemConfig, ShmemWorld, SymmetricHeap, TransferMode};
 use shmem_ntb::sim::HostMemory;
 
@@ -187,11 +187,11 @@ fn amo_frame_roundtrip() {
 }
 
 // ---------------------------------------------------------------------
-// Ring routing
+// Routing
 // ---------------------------------------------------------------------
 
-/// Walking next_hop reaches the destination in exactly hop_count steps,
-/// and hop_count never exceeds half the ring.
+/// On the ring, walking the graph's next hops reaches the destination in
+/// exactly `hops` steps, and `hops` never exceeds half the ring.
 #[test]
 fn routing_reaches_destination() {
     for case in 0..256u64 {
@@ -202,11 +202,12 @@ fn routing_reaches_destination() {
         if src == dst {
             continue;
         }
-        let hops = hop_count(src, dst, n);
+        let graph = TopoGraph::new(Shape::Ring, n);
+        let hops = graph.hops(src, dst);
         assert!(hops <= n / 2, "case {case}");
         let mut cur = src;
         for _ in 0..hops {
-            cur = RingTopology::new(cur, n).next_hop(dst);
+            cur = graph.next_hop(cur, dst);
         }
         assert_eq!(cur, dst, "case {case}");
     }
@@ -218,7 +219,6 @@ fn routing_reaches_destination() {
 /// so it can never loop or ping-pong.
 #[test]
 fn next_hop_chains_reach_dest_within_hops_on_all_shapes() {
-    use shmem_ntb::net::{Shape, TopoGraph};
     for case in 0..192u64 {
         let mut rng = case_rng(13, case);
         let (shape, n) = match case % 3 {
@@ -243,7 +243,7 @@ fn next_hop_chains_reach_dest_within_hops_on_all_shapes() {
     }
 }
 
-/// Hop count is symmetric.
+/// Hop count is symmetric on the ring.
 #[test]
 fn hop_count_symmetric() {
     for case in 0..256u64 {
@@ -251,7 +251,8 @@ fn hop_count_symmetric() {
         let n = rng.random_range(1usize..=16);
         let a = rng.random_range(0usize..16) % n;
         let b = rng.random_range(0usize..16) % n;
-        assert_eq!(hop_count(a, b, n), hop_count(b, a, n), "case {case}");
+        let graph = TopoGraph::new(Shape::Ring, n);
+        assert_eq!(graph.hops(a, b), graph.hops(b, a), "case {case}");
     }
 }
 
