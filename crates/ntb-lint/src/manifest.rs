@@ -368,7 +368,6 @@ pub const CALL_PAIRS: &[CallPair] = &[
         event: "pending.register",
         resolutions: &[
             "wait",
-            "wait_with_retry",
             "wait_with_retry_until",
             "abandon",
             "fail_dest",
@@ -481,7 +480,6 @@ pub const RESOLVER_CALLS: &[&str] = &[
     "ack_with",
     "quiet",
     "wait_with_retry_until",
-    "wait_with_retry",
     "drain",
     "take",
     "remove",

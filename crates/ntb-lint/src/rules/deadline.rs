@@ -2,7 +2,7 @@
 //! code must derive their timeout from a deadline-clipped expression.
 //!
 //! The defect class (fixed by hand in PRs 6 and 7): a wait uses a policy
-//! constant (`ack_timeout`, a 50 ms poll tick) instead of clipping to the
+//! constant (the retry timeout, a 50 ms poll tick) instead of clipping to the
 //! op deadline, so a typed `DeadlineExceeded` degrades into `LinkFailed`
 //! after the full retry ladder. The rule requires every call to a
 //! [`manifest::WAIT_PRIMITIVES`] name to mention a deadline-derived

@@ -4,69 +4,51 @@ use std::time::Duration;
 
 use ntb_sim::{FaultPlan, TimeModel};
 
-/// Retry/recovery knobs for the lossy-link protocol: how long to wait for
-/// a positive acknowledgement, how many retransmissions to attempt, and
-/// how the backoff between them grows. The defaults are deliberately
-/// generous relative to simulated wire latencies (microseconds) so a
-/// fault-free run never trips a spurious retransmit, yet bound every
-/// blocking call: with the default policy an unreachable peer surfaces
-/// `LinkFailed` in well under ten seconds instead of hanging.
+/// Retry/recovery knobs for the lossy-link protocol: the floor and the
+/// ceiling of the retransmission timeout, how many retransmissions to
+/// attempt, and link recovery. The timeout itself is measured, not set:
+/// [`crate::rto`] learns it per destination from the acknowledgements
+/// (RFC 6298) and doubles it per attempt. The defaults keep a fault-free
+/// run free of spurious retransmits, yet bound every blocking call: with
+/// the default policy an unreachable peer surfaces `LinkFailed` within
+/// [`RetryPolicy::worst_case`] instead of hanging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// How long an unacknowledged put (or outstanding Get/AMO response)
-    /// may age before it is retransmitted.
-    pub ack_timeout: Duration,
+    /// The retransmission timeout before any round trip was measured, and
+    /// its floor afterwards.
+    pub min_rto: Duration,
+    /// The retransmission timeout's ceiling, however often it doubles.
+    pub max_rto: Duration,
     /// Retransmissions to attempt after the initial send before the
-    /// operation is declared failed.
+    /// operation is declared failed. Also bounds the link-local waits
+    /// (doorbell and slot-wait re-rings, forwarder re-dispatch).
     pub max_retries: u32,
-    /// Backoff added to `ack_timeout` after the first retransmission;
-    /// doubles per attempt.
-    pub backoff_base: Duration,
-    /// Cap on the exponential backoff.
-    pub backoff_max: Duration,
     /// How often a `Down` link endpoint is probed for recovery.
     pub probe_interval: Duration,
-    /// How long a sender waits on an occupied transmit-ring slot (or
-    /// payload area) before re-ringing the drain doorbell, which recovers
-    /// a dropped interrupt; after `max_retries` re-rings the publish
-    /// fails with `LinkFailed`.
-    pub slot_wait_timeout: Duration,
     /// Consecutive transient failures before a link endpoint is marked
     /// `Down` and traffic reroutes around it.
     pub failure_threshold: u32,
 }
 
 impl RetryPolicy {
-    /// Backoff for the given retransmission attempt (0-based):
-    /// `backoff_base * 2^attempt`, capped at `backoff_max`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let shifted = self
-            .backoff_base
-            .checked_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
-            .unwrap_or(self.backoff_max);
-        shifted.min(self.backoff_max)
-    }
-
-    /// Rough upper bound on how long an operation can stay pending before
-    /// `LinkFailed` surfaces: every attempt's timeout plus every backoff.
+    /// How long an operation can stay pending before `LinkFailed`
+    /// surfaces when its destination's timeout sits at the floor and
+    /// nothing returns: every attempt of the doubling schedule from
+    /// `min_rto` (see [`crate::rto::schedule`]).
     pub fn worst_case(&self) -> Duration {
-        let mut total = Duration::ZERO;
-        for attempt in 0..=self.max_retries {
-            total += self.ack_timeout + self.backoff(attempt);
-        }
-        total
+        (0..=self.max_retries)
+            .map(|attempt| crate::rto::schedule(self, self.min_rto, attempt))
+            .sum()
     }
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            ack_timeout: Duration::from_millis(200),
+            min_rto: Duration::from_millis(200),
+            max_rto: Duration::from_millis(1600),
             max_retries: 5,
-            backoff_base: Duration::from_millis(25),
-            backoff_max: Duration::from_millis(400),
             probe_interval: Duration::from_millis(50),
-            slot_wait_timeout: Duration::from_millis(100),
             failure_threshold: 3,
         }
     }
@@ -303,6 +285,10 @@ impl NetConfig {
         assert!(self.get_req_chunk >= 1, "get request chunk must be at least one byte");
         assert!(self.get_window >= 1, "get pipeline window must be at least 1");
         assert!(self.dma_channels >= 1, "need at least one DMA channel");
+        assert!(
+            !self.retry.min_rto.is_zero() && self.retry.min_rto <= self.retry.max_rto,
+            "retransmission timeout needs 0 < min_rto <= max_rto"
+        );
         self.overload.validate();
         if self.heartbeat.enabled {
             assert!(
@@ -418,24 +404,18 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_and_caps() {
+    fn worst_case_sums_the_doubling_schedule() {
         let p = RetryPolicy {
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(35),
+            min_rto: Duration::from_millis(10),
+            max_rto: Duration::from_millis(35),
+            max_retries: 3,
             ..RetryPolicy::default()
         };
-        assert_eq!(p.backoff(0), Duration::from_millis(10));
-        assert_eq!(p.backoff(1), Duration::from_millis(20));
-        assert_eq!(p.backoff(2), Duration::from_millis(35));
-        assert_eq!(p.backoff(31), Duration::from_millis(35));
-    }
-
-    #[test]
-    fn worst_case_bounds_all_attempts() {
-        let p = RetryPolicy::default();
-        // One initial attempt + max_retries retransmissions, each bounded.
-        assert!(p.worst_case() >= p.ack_timeout * (p.max_retries + 1));
-        assert!(p.worst_case() < Duration::from_secs(30));
+        // 10 + 20 + 35 + 35: doubled per attempt, capped at the ceiling.
+        assert_eq!(p.worst_case(), Duration::from_millis(100));
+        let d = RetryPolicy::default();
+        assert!(d.worst_case() >= d.min_rto * (d.max_retries + 1));
+        assert!(d.worst_case() < Duration::from_secs(30));
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!
 //! * [`CreditGate`] — the receiver advertises a **cumulative** credit
 //!   grant (one credit = one staged frame) through the control slot's
-//!   credit word and piggybacked on put-acks; the sender consumes one
-//!   credit per staged frame and stops staging when none remain. Both
+//!   credit word; the sender consumes one credit per staged frame and
+//!   stops staging when none remain. Both
 //!   counters only grow, so a re-read of a stale grant is harmless and
 //!   conservation is checkable: `granted == consumed + available`.
 //!   The receiver grants back only frames that consumed a credit, so a
 //!   grant above `consumed + window` is corrupt (a flipped byte in the
-//!   credit word or in an ack's grant field); the gate caps it, and at
+//!   credit word); the gate caps it, and at
 //!   most one window of credits is ever available.
 //!   The credit word is one aligned 32-bit cell, written with one atomic
 //!   store through the window ([`write_credit_word`]) and read with one
@@ -76,10 +76,12 @@ impl CreditGate {
     /// reordered values (≤ the current grant) are ignored, and a value
     /// above `consumed + window`, which no receiver can have granted, is
     /// capped there: a corrupted word cannot switch flow control off.
-    pub fn advertise(&self, cumulative: u64) {
+    /// Returns the cap when it clipped the grant.
+    pub fn advertise(&self, cumulative: u64) -> Option<u64> {
         let bound = self.consumed_total() + self.window;
         // lint: relaxed-ok(monotonic max over a cumulative counter; the fetch_max resolves races)
         self.granted.fetch_max(cumulative.min(bound), Ordering::Relaxed);
+        (cumulative > bound).then_some(bound)
     }
 
     /// Credits currently available to spend.
@@ -261,14 +263,14 @@ mod tests {
             assert!(gate.try_consume());
         }
         let wire = ledger.grant(4);
-        gate.advertise(wire);
+        assert_eq!(gate.advertise(wire), None, "an honest grant is never clipped");
         assert_eq!(gate.available(), 8);
         assert_eq!(ledger.total(), 12);
         assert_eq!(gate.granted_total(), 12);
     }
 
-    /// A flipped byte in the credit word (or in an ack's piggybacked
-    /// grant) reads as a huge cumulative grant. The gate caps it at
+    /// A flipped byte in the credit word reads as a huge cumulative
+    /// grant. The gate caps it at
     /// `consumed + window`, so flow control stays on.
     #[test]
     fn forged_credit_word_cannot_exceed_the_window() {
@@ -284,13 +286,15 @@ mod tests {
         // The receiver absorbed three of the five frames and granted them.
         let total = ledger.grant(3);
         region.write(OFF, &u32::try_from(total).unwrap().to_le_bytes()).unwrap();
-        gate.advertise(read_credit_word(&region, OFF).unwrap());
+        assert_eq!(gate.advertise(read_credit_word(&region, OFF).unwrap()), None);
         assert_eq!(gate.available(), 6);
         for flipped in 0..4u64 {
             let mut bytes = u32::try_from(total).unwrap().to_le_bytes();
             bytes[flipped as usize] ^= 0xFF;
             region.write(OFF, &bytes).unwrap();
-            gate.advertise(read_credit_word(&region, OFF).unwrap());
+            let forged = read_credit_word(&region, OFF).unwrap();
+            let clipped = gate.advertise(forged);
+            assert_eq!(clipped.is_some(), forged > 5 + WINDOW, "byte {flipped}: clip reported");
             assert!(gate.available() <= WINDOW, "byte {flipped}: {} credits", gate.available());
         }
         assert_eq!(gate.granted_total(), gate.consumed_total() + gate.available());

@@ -41,6 +41,7 @@ pub mod membership;
 pub mod network;
 pub mod node;
 pub mod pending;
+pub mod rto;
 pub mod service;
 pub mod slots;
 pub mod topology;
@@ -56,7 +57,7 @@ pub use handshake::{exchange_link_info, PeerInfo};
 pub use layout::WindowLayout;
 pub use membership::{BeatMonitor, BeatVerdict, HeartbeatConfig, Membership, MembershipView};
 pub use network::RingNetwork;
-pub use node::{NodeStats, NtbNode};
+pub use node::NtbNode;
 pub use pending::FillOutcome;
 pub use topology::{Adapter, RouteDirection, Shape, TopoGraph, Topology, MAX_TOPO_NODES};
 

@@ -3,8 +3,9 @@
 //!
 //! Lossy-link recovery lives here too: every put chunk is tracked in
 //! [`UnackedPuts`] until its positive acknowledgement returns, a per-node
-//! retry sweeper retransmits overdue chunks with exponential backoff and
-//! probes `Down` links back to life, per-endpoint
+//! retry sweeper retransmits the chunks whose destination's learned
+//! retransmission timer ([`RtoTable`]) expired and probes `Down` links
+//! back to life, per-endpoint
 //! [`LinkHealthTracker`]s steer traffic onto a detour while a link is
 //! down (another cable to the same host first, else the long way
 //! around), and receivers suppress the duplicate deliveries
@@ -23,7 +24,7 @@ use ntb_sim::{
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::config::NetConfig;
-use crate::credit::{CreditGate, CreditLedger, RetryBudget};
+use crate::credit::{CreditLedger, RetryBudget};
 use crate::delivery::{AmoOp, DeliveryTarget};
 use crate::doorbells::{DB_BARRIER_END, DB_BARRIER_START, DB_GOSSIP, DB_SHUTDOWN};
 use crate::forwarder::{ForwardQueue, PushOutcome};
@@ -31,15 +32,9 @@ use crate::frame::Frame;
 use crate::layout::WindowLayout;
 use crate::membership::{self, rejoin_signature, Membership, MembershipView, REJOIN_FLAG};
 use crate::pending::{PendingOps, UnackedPuts};
+use crate::rto::{self, RtoTable};
 use crate::slots::TxSlotRing;
 use crate::topology::{Adapter, RouteDirection, TopoGraph};
-
-/// A snapshot of one node's protocol counters: the sum of every block of
-/// its [`MetricsRegistry`] (see [`NtbNode::stats`]). It is a
-/// [`LinkMetrics`] value, so its fields are atomics only so that readers
-/// written against the former node-wide counters keep compiling; nothing
-/// updates a snapshot.
-pub type NodeStats = LinkMetrics;
 
 /// How many recently-seen put ids (per node, across all origins) are
 /// remembered for duplicate suppression. Retransmission timeouts bound
@@ -131,14 +126,11 @@ pub struct LinkEndpoint {
     /// Store-and-forward queue consumed by this endpoint's forwarder.
     pub(crate) fwd: Arc<ForwardQueue>,
     /// The transmit slot ring every frame toward the neighbour rides (PE
-    /// thread, forwarder and sweeper contend through its internal lock).
+    /// thread, forwarder and sweeper contend through its internal lock),
+    /// with the credit gate for the puts staged into it.
     pub(crate) txring: TxSlotRing,
     /// Observed link health (drives rerouting and recovery probes).
     pub(crate) health: LinkHealthTracker,
-    /// Sender-side credit gate for puts staged toward this neighbour:
-    /// one credit per staged chunk, granted back by the peer as it
-    /// absorbs them (DESIGN.md §14).
-    pub(crate) credit: CreditGate,
     /// Receiver-side ledger of the credits this endpoint has granted its
     /// peer sender — its cumulative total is what goes on the wire.
     pub(crate) ledger: CreditLedger,
@@ -185,6 +177,9 @@ pub struct NtbNode {
     pub(crate) delivery: RwLock<Option<Arc<dyn DeliveryTarget>>>,
     pub(crate) pending: PendingOps,
     pub(crate) unacked: UnackedPuts,
+    /// Retransmission timers per destination, learned from the acks and
+    /// responses; every end-to-end retry waits on them.
+    pub(crate) rto: RtoTable,
     pub(crate) seen_puts: Mutex<SeenPuts>,
     pub(crate) amo_cache: Mutex<AmoCache>,
     /// Epoch-stamped live bitmap maintained by the heartbeat failure
@@ -272,6 +267,7 @@ impl NtbNode {
                     Obs::new(Arc::clone(&event_log), Arc::clone(&metrics), me, link_idx as u16);
                 let mut txring = TxSlotRing::new(
                     Arc::clone(&port),
+                    me,
                     neighbor,
                     layout,
                     &config,
@@ -279,7 +275,6 @@ impl NtbNode {
                     link_obs.clone(),
                 );
                 txring.set_abort(Arc::clone(&shutdown));
-                txring.set_retry(config.retry.slot_wait_timeout, config.retry.max_retries);
                 LinkEndpoint {
                     neighbor,
                     link_idx,
@@ -292,7 +287,6 @@ impl NtbNode {
                     )),
                     txring,
                     health: LinkHealthTracker::new(config.retry.failure_threshold),
-                    credit: CreditGate::new(config.overload.credit_window),
                     ledger: CreditLedger::new(config.overload.credit_window),
                     retry_budget: RetryBudget::new(
                         config.overload.retry_budget_rate,
@@ -310,6 +304,7 @@ impl NtbNode {
             delivery: RwLock::new(None),
             pending: PendingOps::new(),
             unacked: UnackedPuts::new(),
+            rto: RtoTable::new(config.retry, config.hosts),
             seen_puts: Mutex::new(SeenPuts::default()),
             amo_cache: Mutex::new(AmoCache::default()),
             membership: Membership::new(me, config.hosts),
@@ -463,8 +458,8 @@ impl NtbNode {
     }
 
     /// This node's protocol counters, summed over every block of its
-    /// metrics registry. An owned snapshot (see [`NodeStats`]).
-    pub fn stats(&self) -> NodeStats {
+    /// metrics registry. An owned snapshot: nothing updates it.
+    pub fn stats(&self) -> LinkMetrics {
         self.metrics.total()
     }
 
@@ -531,8 +526,12 @@ impl NtbNode {
     /// Flush one endpoint's transmit ring (no-op with nothing staged). A
     /// flush failure drops the staged batch, which is safe: every staged
     /// put chunk stays registered in the unacked ledger and the sweeper
-    /// retransmits it.
+    /// retransmits it. An empty flush touches no link, so it says nothing
+    /// about the link's health: a `Down` endpoint stays down.
     pub(crate) fn flush_ring(&self, ep: &LinkEndpoint) {
+        if ep.txring.staged() == 0 {
+            return;
+        }
         let result = ep.txring.flush();
         self.note_send_result(ep, &result);
     }
@@ -596,12 +595,15 @@ impl NtbNode {
     /// Refresh the sender-side credit gate from the credit word the peer
     /// last wrote into our incoming control slot. Zero means "never
     /// written" (bring-up) and is skipped; real totals start at the
-    /// configured window and only grow.
+    /// configured window and only grow. A grant the gate had to cap is
+    /// counted: the two credit ledgers disagree, or the word was forged.
     pub(crate) fn refresh_credits(&self, ep: &LinkEndpoint) {
-        if let Some(total) =
-            crate::credit::read_credit_word(ep.port.incoming().region(), self.layout.credit_off())
-        {
-            ep.credit.advertise(total);
+        let region = ep.port.incoming().region();
+        let Some(total) = crate::credit::read_credit_word(region, self.layout.credit_off()) else {
+            return;
+        };
+        if let Some(cap) = ep.txring.credit.advertise(total) {
+            ep.obs.emit(EventKind::CreditClip, 0, [total, cap]);
         }
     }
 
@@ -633,19 +635,20 @@ impl NtbNode {
     /// Consume one transmit credit toward `ep`'s neighbour, polling the
     /// peer's advertisement when none are available. Bounded and typed:
     /// [`NtbError::DeadlineExceeded`] when the op's own deadline expires
-    /// first, [`NtbError::Overloaded`] after an ack-timeout's worth of
-    /// waiting without a grant.
+    /// first, [`NtbError::Overloaded`] after the first wait of the
+    /// link-local retry schedule (`min_rto`) passes without a grant.
     pub(crate) fn acquire_credit(
         &self,
         ep: &LinkEndpoint,
         put_id: u32,
         deadline_us: u32,
     ) -> Result<()> {
-        if !ep.credit.try_consume() {
+        let credit = &ep.txring.credit;
+        if !credit.try_consume() {
             let wait_start = Instant::now();
             loop {
                 self.refresh_credits(ep);
-                if ep.credit.try_consume() {
+                if credit.try_consume() {
                     break;
                 }
                 let now = self.now_us();
@@ -659,7 +662,7 @@ impl NtbNode {
                     // the shed happens before CreditConsume is emitted.
                     return Err(NtbError::DeadlineExceeded);
                 }
-                if wait_start.elapsed() > self.config.retry.ack_timeout {
+                if wait_start.elapsed() > rto::local_wait(&self.config.retry, 0) {
                     ep.obs.emit(EventKind::OverloadShed, u64::from(put_id), [0, 0]);
                     // RESOLVES(none): ditto — nothing to refund before consume.
                     return Err(NtbError::Overloaded { queue: "link credit window" });
@@ -672,13 +675,13 @@ impl NtbNode {
         // if another thread consumes between the two reads.
         ep.obs.emit(
             // RESOLVES(CreditConsume): resolved out-of-function — the peer's
-            // next CreditGrant re-extends the window, and `transmit_put`
-            // refunds a frame that failed before any of its header was
-            // written (checker invariant 9 audits the consumed/granted
-            // conservation pair end-to-end).
+            // next CreditGrant re-extends the window, and the transmit
+            // ring refunds a frame whose header never lands (checker
+            // invariant 9 audits the consumed/granted conservation pair
+            // end-to-end).
             EventKind::CreditConsume,
             u64::from(put_id),
-            [ep.credit.consumed_total(), ep.credit.granted_total()],
+            [credit.consumed_total(), credit.granted_total()],
         );
         Ok(())
     }
@@ -710,6 +713,7 @@ impl NtbNode {
         crate::lockdep_track!(&crate::lockdep::NET_MEMBERSHIP);
         let view = self.membership.pin();
         if !view.is_live(dest) {
+            // RESOLVES(none): the caller owns the put's unacked entry.
             return Err(NtbError::PeFailed { pe: dest, epoch: view.epoch });
         }
         let ep = self.egress(dest, None, &view);
@@ -723,19 +727,13 @@ impl NtbNode {
                 u64::from(put_id),
                 [u64::from(deadline_us), u64::from(now)],
             );
+            // RESOLVES(none): the caller owns the put's unacked entry.
             return Err(NtbError::DeadlineExceeded);
         }
         self.acquire_credit(ep, put_id, deadline_us)?;
         let frame = Frame::put(self.me, dest, chunk.len() as u32, heap_offset, put_id, mode)
             .with_deadline_us(deadline_us);
-        let result = ep.txring.send(frame, Some(chunk), !defer_flush).map_err(|f| {
-            if !f.landed {
-                // No header was written: the peer never sees (or re-grants)
-                // the credit. A landed frame is granted back by the peer.
-                ep.credit.refund();
-            }
-            f.error
-        });
+        let result = ep.txring.send(frame, Some(chunk), !defer_flush);
         self.note_send_result(ep, &result);
         // `PutChunkTx` is emitted only on success and only *after* the
         // health tracker saw the result: a send that succeeds on a
@@ -769,9 +767,8 @@ impl NtbNode {
     ) -> Result<()> {
         let offset = offset32(heap_offset)?;
         self.wait_put_window(deadline_us)?;
-        let deadline = Instant::now() + self.config.retry.ack_timeout;
         let put_id =
-            self.unacked.register(dest, offset, chunk.to_vec(), mode, deadline, deadline_us);
+            self.unacked.register(dest, offset, chunk.to_vec(), mode, Instant::now(), deadline_us);
         self.obs.emit(EventKind::PutIssue, u64::from(put_id), [dest as u64, chunk.len() as u64]);
         // Always staged-deferred on the ring path: `put_bytes` flushes
         // once per call (or leaves the batch for quiet / the batch cap).
@@ -780,7 +777,10 @@ impl NtbNode {
             // A transiently failed first transmission stays registered:
             // the retry sweeper owns it from here (retransmission,
             // rerouting, and eventually abandonment into `quiet`).
-            Err(e) if e.is_transient() || matches!(e, NtbError::LinkFailed { .. }) => Ok(()),
+            Err(e) if e.is_transient() || matches!(e, NtbError::LinkFailed { .. }) => {
+                self.unacked.note_unsent(put_id);
+                Ok(())
+            }
             Err(e) => {
                 // Retire the entry without a failure record: the error is
                 // reported synchronously to the caller, and a record would
@@ -1024,7 +1024,7 @@ impl NtbNode {
             let waited = self.pending.wait_with_retry_until(
                 req_id,
                 &self.model,
-                &self.config.retry,
+                &self.rto,
                 op_deadline,
                 |attempt| {
                     self.obs.emit(
@@ -1127,7 +1127,7 @@ impl NtbNode {
         let frame =
             Frame::get_req(self.me, src, len31(sub_len)?, offset32(abs_offset)?, req_id, mode)
                 .with_deadline_us(deadline_us);
-        let result = ep.txring.send(frame, None, !defer_flush).map_err(|f| f.error);
+        let result = ep.txring.send(frame, None, !defer_flush);
         self.note_send_result(ep, &result);
         if result.is_ok() && deadline_us != 0 {
             ep.obs.emit(
@@ -1241,7 +1241,7 @@ impl NtbNode {
             }
             self.check_alive(target)?;
             let ep = self.egress(target, None, &self.membership.view());
-            let result = ep.txring.send(frame, Some(&payload), true).map_err(|f| f.error);
+            let result = ep.txring.send(frame, Some(&payload), true);
             self.note_send_result(ep, &result);
             if result.is_ok() && deadline_us != 0 {
                 ep.obs.emit(
@@ -1266,7 +1266,7 @@ impl NtbNode {
         let waited = self.pending.wait_with_retry_until(
             req_id,
             &self.model,
-            &self.config.retry,
+            &self.rto,
             op_deadline,
             |attempt| {
                 self.obs.emit(EventKind::Retransmit, u64::from(req_id), [u64::from(attempt), 0]);
@@ -1319,8 +1319,9 @@ impl NtbNode {
     ///
     /// The barrier sweep is structural — it must travel this exact link —
     /// so a down link cannot be routed around; instead the ring is
-    /// retried with backoff until the link recovers or the retry budget
-    /// is spent (down windows are timed, so recovery is the common case).
+    /// retried on the link-local retry schedule until the link recovers or
+    /// the retry budget is spent (down windows are timed, so recovery is
+    /// the common case).
     pub fn send_barrier(&self, dir: RouteDirection, start: bool) -> Result<()> {
         let bit = if start { DB_BARRIER_START } else { DB_BARRIER_END };
         let ep = self.endpoint(dir);
@@ -1333,8 +1334,8 @@ impl NtbNode {
                     attempt += 1;
                     ep.obs.emit(EventKind::Retransmit, u64::from(bit), [u64::from(attempt), 0]);
                     // DEADLINE-CLIPPED: barrier doorbells carry no op deadline;
-                    // the backoff is bounded by the retry budget above.
-                    std::thread::sleep(policy.backoff(attempt - 1).max(Duration::from_millis(1)));
+                    // the schedule is bounded by the retry budget above.
+                    std::thread::sleep(rto::local_wait(policy, attempt - 1));
                 }
                 Err(e) if e.is_transient() => {
                     // RESOLVES(none): doorbell rings are untracked — no
@@ -1711,7 +1712,7 @@ mod tests {
         let tx = &a.endpoints[a.graph.next_adapter(0, 1)];
         let rx = &b.endpoints[b.graph.next_adapter(1, 0)];
         assert_eq!(tx.link_idx, rx.link_idx);
-        let window = tx.credit.granted_total();
+        let window = tx.txring.credit.granted_total();
         let slot0 = b.layout.ring_slot_off(0);
         let sent = std::thread::scope(|s| {
             let sender =
@@ -1738,12 +1739,51 @@ mod tests {
         }
         // The credit word carries the grant back; a refunded credit would
         // leave the cap (`consumed + window`) below it.
-        while tx.credit.granted_total() < rx.ledger.total() && Instant::now() < deadline {
+        while tx.txring.credit.granted_total() < rx.ledger.total() && Instant::now() < deadline {
             a.refresh_credits(tx);
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(tx.credit.consumed_total(), 1, "a landed frame keeps its credit");
-        assert_eq!(tx.credit.granted_total(), rx.ledger.total(), "the cap clipped the grant");
+        assert_eq!(tx.txring.credit.consumed_total(), 1, "a landed frame keeps its credit");
+        assert_eq!(
+            tx.txring.credit.granted_total(),
+            rx.ledger.total(),
+            "the cap clipped the grant"
+        );
+        net.shutdown();
+    }
+
+    /// A put staged behind a deferred doorbell has consumed a credit. When
+    /// the flush that would publish it fails before its header is
+    /// written, the ring rolls the frame back, and the credit must come
+    /// back with it: the peer never sees the frame, so it never grants
+    /// the credit back, and the sweeper's retransmission consumes another.
+    /// Without the refund each such rollback shrinks the window for good.
+    #[test]
+    fn rolled_back_put_refunds_its_credit() {
+        let cfg = NetConfig::fast(2).with_heartbeat(crate::membership::HeartbeatConfig::disabled());
+        let net = RingNetwork::build(cfg).unwrap();
+        let (a, b) = (net.node(0), net.node(1));
+        b.set_delivery(Arc::new(Sink));
+        let tx = &a.endpoints[a.graph.next_adapter(0, 1)];
+        let window = tx.txring.credit.granted_total();
+        a.put_bytes_coalesced(1, 0, &[0x5A; 64], TransferMode::Memcpy, true).unwrap();
+        assert_eq!(tx.txring.credit.consumed_total(), 1, "the staged put holds a credit");
+        // The peer's LUT refuses host 0's header write: the flush fails
+        // with the frame's header unwritten, and the frame is rolled back.
+        let lut = b.endpoints[b.graph.next_adapter(1, 0)].port.lut();
+        let host0 = |slot| ntb_sim::PortConfig::new(0, slot).requester_id;
+        (0..2).for_each(|slot| lut.disable(host0(slot)));
+        a.flush_ring(tx);
+        assert_eq!(tx.txring.staged(), 0, "the failed flush dropped the staged frame");
+        (0..2).for_each(|slot| lut.insert(host0(slot)));
+        // The sweeper retransmits the put; its ack carries the grant back.
+        a.quiet().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while tx.txring.credit.available() < window && Instant::now() < deadline {
+            a.refresh_credits(tx);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(tx.txring.credit.available(), window, "the rollback leaked a credit");
         net.shutdown();
     }
 }

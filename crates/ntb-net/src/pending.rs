@@ -9,10 +9,11 @@
 //! term of its Fig. 9(b) Get latencies.
 //!
 //! On a lossy link the response (or the request itself) can vanish, so the
-//! wait is *bounded*: [`PendingOps::wait_with_retry`] re-issues the request
-//! after each acknowledgement timeout (same request id, so a duplicated
-//! response is filtered by the per-entry chunk-offset set) and surfaces
-//! [`NtbError::LinkFailed`] once the [`RetryPolicy`] is exhausted — the
+//! wait is *bounded*: [`PendingOps::wait_with_retry_until`] re-issues the
+//! request each time its destination's retransmission timer
+//! ([`RtoTable`]) expires (same request id, so a duplicated response is
+//! filtered by the per-entry chunk-offset set) and surfaces
+//! [`NtbError::LinkFailed`] once the retry policy is exhausted — the
 //! caller gets a typed error in bounded time instead of a hang.
 //!
 //! [`UnackedPuts`] tracks put chunks that have left this host but whose
@@ -27,7 +28,7 @@ use std::time::{Duration, Instant};
 use ntb_sim::{spin_for, NtbError, Result, TimeModel, TransferMode};
 use parking_lot::{Condvar, Mutex};
 
-use crate::config::RetryPolicy;
+use crate::rto::RtoTable;
 
 #[derive(Debug)]
 struct Entry {
@@ -43,6 +44,8 @@ struct Entry {
     /// Set when the target PE died: the waiter returns this error instead
     /// of burning its whole retry budget against a corpse.
     failed: Option<NtbError>,
+    /// When the request was registered (its round-trip sample starts).
+    issued: Instant,
 }
 
 /// What became of a response chunk handed to [`PendingOps::fill_with`].
@@ -122,6 +125,7 @@ impl PendingOps {
             filled: HashSet::new(),
             dest,
             failed: None,
+            issued: Instant::now(),
         };
         crate::lockdep_track!(&crate::lockdep::NET_PENDING_SHARD);
         self.shard(id).inner.lock().insert(id, entry);
@@ -184,81 +188,65 @@ impl PendingOps {
     }
 
     /// Requester side: block until the operation completes and take its
-    /// buffer. With an enabled time model the wait polls at the model's
-    /// get-poll interval (no wake-up notification — reproducing the
-    /// prototype's sleep loop); otherwise it waits on the condvar.
-    ///
-    /// Unbounded: on a lossy link use [`Self::wait_with_retry`].
-    pub fn wait(&self, req_id: u32, model: &TimeModel) -> Result<Vec<u8>> {
-        // DEADLINE-CLIPPED: unbounded by contract (see doc above); callers
-        // on lossy links use `wait_with_retry*`, which derives a deadline.
-        match self.wait_until(req_id, model, None)? {
-            Some(buf) => Ok(buf),
-            None => unreachable!("deadline-free wait cannot time out"),
-        }
-    }
-
-    /// Bounded requester wait with retransmission: waits up to the
-    /// policy's ack timeout per attempt, calling `resend` (which should
-    /// re-issue the request under the *same* request id) between
-    /// attempts, and failing with [`NtbError::LinkFailed`] once
-    /// `max_retries` retransmissions did not complete the operation.
-    /// Transient resend errors (link down) do not abort early — the link
-    /// may recover within the retry budget; non-transient ones do.
-    pub fn wait_with_retry<F>(
-        &self,
-        req_id: u32,
-        model: &TimeModel,
-        policy: &RetryPolicy,
-        resend: F,
-    ) -> Result<Vec<u8>>
-    where
-        F: FnMut(u32) -> Result<()>,
-    {
-        self.wait_with_retry_until(req_id, model, policy, None, resend)
-    }
-
-    /// [`Self::wait_with_retry`] additionally bounded by the operation's
-    /// absolute deadline: each per-attempt wait window is clipped to
-    /// `op_deadline`, and once the deadline passes the entry is abandoned
-    /// and [`NtbError::DeadlineExceeded`] surfaces *promptly* — the
-    /// caller set a time budget, so it must not sit out the rest of the
-    /// link-failure retry schedule first.
+    /// buffer. Each attempt waits out the destination's retransmission
+    /// timer, then `resend` re-issues the request under the *same* id;
+    /// [`NtbError::LinkFailed`] surfaces once `max_retries` resends did
+    /// not complete it. Transient resend errors (link down) do not abort
+    /// early; non-transient ones do. Every wait is clipped to
+    /// `op_deadline`, past which [`NtbError::DeadlineExceeded`] surfaces
+    /// *promptly* instead of after the rest of the retry schedule.
     pub fn wait_with_retry_until<F>(
         &self,
         req_id: u32,
         model: &TimeModel,
-        policy: &RetryPolicy,
+        rto: &RtoTable,
         op_deadline: Option<Instant>,
         mut resend: F,
     ) -> Result<Vec<u8>>
     where
         F: FnMut(u32) -> Result<()>,
     {
+        let (dest, issued) = {
+            crate::lockdep_track!(&crate::lockdep::NET_PENDING_SHARD);
+            let map = self.shard(req_id).inner.lock();
+            map.get(&req_id)
+                .map(|e| (e.dest, e.issued))
+                .ok_or(NtbError::BadDescriptor { reason: "unknown request id" })?
+        };
         let mut attempt: u32 = 0;
+        let (mut sent, mut doublings, mut on_wire) = (issued, 0, true);
         loop {
-            let window = policy.ack_timeout
-                + if attempt == 0 { Duration::ZERO } else { policy.backoff(attempt - 1) };
-            let mut until = Instant::now() + window;
+            let mut until = rto.deadline(dest, sent, doublings);
             if let Some(d) = op_deadline {
                 until = until.min(d);
             }
-            if let Some(buf) = self.wait_until(req_id, model, Some(until))? {
+            if let Some(buf) = self.wait_until(req_id, model, until)? {
+                if attempt == 0 {
+                    rto.sample(dest, issued.elapsed());
+                }
                 return Ok(buf);
             }
             if op_deadline.is_some_and(|d| Instant::now() >= d) {
                 return self.abandon_unless_done(req_id, NtbError::DeadlineExceeded);
             }
-            if attempt >= policy.max_retries {
+            if rto.deadline(dest, sent, doublings) > Instant::now() {
+                continue; // an ack or a response restarted the timer meanwhile
+            }
+            if attempt >= rto.policy().max_retries {
                 return self
                     .abandon_unless_done(req_id, NtbError::LinkFailed { attempts: attempt + 1 });
             }
-            attempt += 1;
-            if let Err(e) = resend(attempt) {
-                if !e.is_transient() {
-                    return self.abandon_unless_done(req_id, e);
-                }
+            if on_wire {
+                doublings += 1;
+                rto.back_off(dest, doublings);
             }
+            attempt += 1;
+            sent = Instant::now();
+            on_wire = match resend(attempt) {
+                Ok(()) => true,
+                Err(e) if e.is_transient() => false,
+                Err(e) => return self.abandon_unless_done(req_id, e),
+            };
         }
     }
 
@@ -275,12 +263,15 @@ impl PendingOps {
     }
 
     /// Wait until done or `deadline`; `Ok(None)` means timed out with the
-    /// entry still pending.
+    /// entry still pending. With an enabled time model the wait polls at
+    /// the model's get-poll interval (no wake-up notification —
+    /// reproducing the prototype's sleep loop); otherwise it waits on the
+    /// condvar.
     fn wait_until(
         &self,
         req_id: u32,
         model: &TimeModel,
-        deadline: Option<Instant>,
+        deadline: Instant,
     ) -> Result<Option<Vec<u8>>> {
         let shard = self.shard(req_id);
         if model.enabled() {
@@ -309,7 +300,7 @@ impl PendingOps {
                         Some(_) => {}
                     }
                 }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
+                if Instant::now() >= deadline {
                     return Ok(None);
                 }
                 // DEADLINE-CLIPPED: `interval` is the model's get-poll
@@ -334,23 +325,19 @@ impl PendingOps {
                         })?;
                         return Err(entry.failed.unwrap_or(NtbError::LinkDown));
                     }
-                    Some(_) => match deadline {
-                        Some(wake_deadline) => {
-                            if shard.cond.wait_until(&mut map, wake_deadline).timed_out() {
-                                // Re-check once: completion may have raced
-                                // the timeout.
-                                if map.get(&req_id).is_some_and(|e| e.done) {
-                                    let entry =
-                                        map.remove(&req_id).ok_or(NtbError::BadDescriptor {
-                                            reason: "completion entry vanished under its lock",
-                                        })?;
-                                    return Ok(Some(entry.buf));
-                                }
-                                return Ok(None);
+                    Some(_) => {
+                        if shard.cond.wait_until(&mut map, deadline).timed_out() {
+                            // Re-check once: completion may have raced the
+                            // timeout.
+                            if map.get(&req_id).is_some_and(|e| e.done) {
+                                let entry = map.remove(&req_id).ok_or(NtbError::BadDescriptor {
+                                    reason: "completion entry vanished under its lock",
+                                })?;
+                                return Ok(Some(entry.buf));
                             }
+                            return Ok(None);
                         }
-                        None => shard.cond.wait(&mut map),
-                    },
+                    }
                 }
             }
         }
@@ -409,11 +396,17 @@ pub struct UnackedPut {
     pub mode: TransferMode,
     /// Transmissions so far (1 after the initial send).
     pub attempts: u32,
-    /// When the chunk becomes overdue for retransmission.
-    pub deadline: Instant,
+    /// When the chunk was last (re)transmitted: its retransmission timer
+    /// runs from here (see [`RtoTable::deadline`]).
+    pub sent: Instant,
+    /// Times the chunk's own timer has doubled: once per timeout of a
+    /// transmission that left this host.
+    pub doublings: u32,
+    /// Whether the last transmission left this host (a send the link
+    /// refused did not, and its timeout doubles nothing).
+    pub on_wire: bool,
     /// The *operation's* absolute deadline in microseconds since the
-    /// network epoch (0 = none). Distinct from the retransmission
-    /// `deadline` above: once this expires the sweeper stops
+    /// network epoch (0 = none): once this expires the sweeper stops
     /// retransmitting entirely and fails the put as
     /// [`NtbError::DeadlineExceeded`].
     pub deadline_us: u32,
@@ -482,19 +475,29 @@ impl UnackedPuts {
         &self.shards[id as usize % SHARD_COUNT]
     }
 
-    /// Record a chunk leaving this host; returns its put id.
+    /// Record a chunk leaving this host at `sent`; returns its put id.
     pub fn register(
         &self,
         dest: usize,
         heap_offset: u32,
         data: Vec<u8>,
         mode: TransferMode,
-        deadline: Instant,
+        sent: Instant,
         deadline_us: u32,
     ) -> u32 {
         // lint: relaxed-ok(unique id allocation; uniqueness needs atomicity, not ordering)
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let put = UnackedPut { dest, heap_offset, data, mode, attempts: 1, deadline, deadline_us };
+        let put = UnackedPut {
+            dest,
+            heap_offset,
+            data,
+            mode,
+            attempts: 1,
+            sent,
+            doublings: 0,
+            on_wire: true,
+            deadline_us,
+        };
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         self.shard(id).state.lock().map.insert(id, put);
         self.outstanding.fetch_add(1, Ordering::SeqCst);
@@ -506,31 +509,33 @@ impl UnackedPuts {
         self.outstanding.fetch_sub(n, Ordering::SeqCst);
     }
 
-    /// Retire a chunk on acknowledgement; `false` if the id was unknown
-    /// (a duplicated ack from a retransmission — harmless). `observe` is
+    /// Retire a chunk on acknowledgement and return it; `None` if the id
+    /// was unknown (a duplicated ack from a retransmission — harmless).
+    /// `observe` is
     /// invoked with the outcome *before* the retirement becomes visible
     /// to a waiting `quiet` (the shard lock is still held), like
     /// [`PendingOps::fill_with`]. Trace
     /// emission must go through this hook: emitting after `ack` returns
     /// races the woken `quiet`, whose caller can snapshot the trace
     /// before the resolution that released it is logged.
-    pub fn ack_with(&self, id: u32, observe: impl FnOnce(bool)) -> bool {
+    pub fn ack_with(&self, id: u32, observe: impl FnOnce(bool)) -> Option<UnackedPut> {
         let shard = self.shard(id);
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
-        let known = st.map.remove(&id).is_some();
-        if known {
+        let put = st.map.remove(&id);
+        if put.is_some() {
             self.retired(1);
         }
-        observe(known);
+        observe(put.is_some());
         if st.map.is_empty() {
             shard.cond.notify_all();
         }
-        known
+        put
     }
 
-    /// Snapshot the entries whose deadline has passed (for the sweeper).
-    pub fn overdue(&self, now: Instant) -> Vec<(u32, UnackedPut)> {
+    /// Snapshot the entries whose retransmission timer has expired by
+    /// `now` (for the sweeper).
+    pub fn overdue(&self, rto: &RtoTable, now: Instant) -> Vec<(u32, UnackedPut)> {
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         self.shards
             .iter()
@@ -540,23 +545,35 @@ impl UnackedPuts {
                     .lock()
                     .map
                     .iter()
-                    .filter(|(_, p)| p.deadline <= now)
+                    .filter(|(_, p)| rto.deadline(p.dest, p.sent, p.doublings) <= now)
                     .map(|(&id, p)| (id, p.clone()))
                     .collect::<Vec<_>>()
             })
             .collect()
     }
 
-    /// Record a retransmission attempt; returns the new attempt count
-    /// (`None` if the entry was acked in the meantime).
-    pub fn note_attempt(&self, id: u32, new_deadline: Instant) -> Option<u32> {
+    /// Record a retransmission attempt at `sent`, its timer doubled
+    /// `doublings` times; returns the new attempt count (`None` if the
+    /// entry was acked in the meantime).
+    pub fn note_attempt(&self, id: u32, sent: Instant, doublings: u32) -> Option<u32> {
         let shard = self.shard(id);
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
         let put = st.map.get_mut(&id)?;
         put.attempts += 1;
-        put.deadline = new_deadline;
+        put.sent = sent;
+        put.doublings = doublings;
+        put.on_wire = true;
         Some(put.attempts)
+    }
+
+    /// The last transmission of `id` never left this host (the link
+    /// refused it): its timeout will not double the timer.
+    pub fn note_unsent(&self, id: u32) {
+        crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
+        if let Some(put) = self.shard(id).state.lock().map.get_mut(&id) {
+            put.on_wire = false;
+        }
     }
 
     /// Abandon a chunk whose retry budget is spent. The failure is
@@ -708,6 +725,7 @@ impl UnackedPuts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RetryPolicy;
     use std::sync::Arc;
 
     #[test]
@@ -716,7 +734,7 @@ mod tests {
         let id = p.register(8, 1);
         assert_eq!(p.fill_with(id, 0, &[1, 2, 3, 4], |_| {}).unwrap(), FillOutcome::Filled);
         assert_eq!(p.fill_with(id, 4, &[5, 6, 7, 8], |_| {}).unwrap(), FillOutcome::Filled);
-        let buf = p.wait(id, &TimeModel::zero()).unwrap();
+        let buf = wait(&p, id, &TimeModel::zero()).unwrap();
         assert_eq!(buf, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(p.in_flight(), 0);
     }
@@ -725,14 +743,14 @@ mod tests {
     fn zero_length_completes_immediately() {
         let p = PendingOps::new();
         let id = p.register(0, 1);
-        assert_eq!(p.wait(id, &TimeModel::zero()).unwrap(), Vec::<u8>::new());
+        assert_eq!(wait(&p, id, &TimeModel::zero()).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn stale_fill_ignored_unknown_wait_errors() {
         let p = PendingOps::new();
         assert_eq!(p.fill_with(99, 0, &[1], |_| {}).unwrap(), FillOutcome::Stale);
-        assert!(p.wait(99, &TimeModel::zero()).is_err());
+        assert!(wait(&p, 99, &TimeModel::zero()).is_err());
     }
 
     #[test]
@@ -746,7 +764,7 @@ mod tests {
         assert_eq!(p.fill_with(id, 0, &[9, 9, 9, 9], |_| {}).unwrap(), FillOutcome::Duplicate);
         assert_eq!(p.in_flight(), 1);
         assert_eq!(p.fill_with(id, 4, &[5, 6, 7, 8], |_| {}).unwrap(), FillOutcome::Filled);
-        let buf = p.wait(id, &TimeModel::zero()).unwrap();
+        let buf = wait(&p, id, &TimeModel::zero()).unwrap();
         assert_eq!(buf, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
@@ -766,7 +784,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             p2.fill_with(id, 0, b"abc", |_| {}).unwrap();
         });
-        let buf = p.wait(id, &TimeModel::zero()).unwrap();
+        let buf = wait(&p, id, &TimeModel::zero()).unwrap();
         assert_eq!(buf, b"abc");
         h.join().unwrap();
     }
@@ -786,7 +804,7 @@ mod tests {
             p2.fill_with(id, 0, &[9], |_| {}).unwrap();
         });
         let t0 = std::time::Instant::now();
-        let buf = p.wait(id, &model).unwrap();
+        let buf = wait(&p, id, &model).unwrap();
         assert_eq!(buf, vec![9]);
         assert!(t0.elapsed() >= Duration::from_millis(5), "quantized to poll interval");
         h.join().unwrap();
@@ -800,14 +818,23 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// Wait for `id` under the default policy; the tests complete (or
+    /// fail) the entry themselves.
+    fn wait(p: &PendingOps, id: u32, model: &TimeModel) -> Result<Vec<u8>> {
+        p.wait_with_retry_until(id, model, &timers(RetryPolicy::default()), None, |_| Ok(()))
+    }
+
     fn tight_policy() -> RetryPolicy {
         RetryPolicy {
-            ack_timeout: Duration::from_millis(10),
+            min_rto: Duration::from_millis(10),
+            max_rto: Duration::from_millis(14),
             max_retries: 2,
-            backoff_base: Duration::from_millis(1),
-            backoff_max: Duration::from_millis(4),
             ..RetryPolicy::default()
         }
+    }
+
+    fn timers(policy: RetryPolicy) -> RtoTable {
+        RtoTable::new(policy, 4)
     }
 
     #[test]
@@ -818,7 +845,8 @@ mod tests {
         let (p2, r2) = (Arc::clone(&p), Arc::clone(&resent));
         // "Network": completes the operation only after the first
         // retransmission arrives.
-        let buf = p.wait_with_retry(id, &TimeModel::zero(), &tight_policy(), |attempt| {
+        let rto = timers(tight_policy());
+        let buf = p.wait_with_retry_until(id, &TimeModel::zero(), &rto, None, |attempt| {
             r2.fetch_add(1, Ordering::Relaxed);
             assert!(attempt >= 1);
             p2.fill_with(id, 0, b"ok", |_| {}).map(|_| ())
@@ -833,7 +861,9 @@ mod tests {
         let id = p.register(4, 1);
         let policy = tight_policy();
         let t0 = std::time::Instant::now();
-        let err = p.wait_with_retry(id, &TimeModel::zero(), &policy, |_| Ok(())).unwrap_err();
+        let rto = timers(policy);
+        let err =
+            p.wait_with_retry_until(id, &TimeModel::zero(), &rto, None, |_| Ok(())).unwrap_err();
         assert_eq!(err, NtbError::LinkFailed { attempts: 3 });
         assert!(t0.elapsed() <= policy.worst_case() + Duration::from_secs(1));
         // The entry is gone; stragglers become stale.
@@ -846,7 +876,8 @@ mod tests {
         let p = Arc::new(PendingOps::new());
         let id = p.register(1, 1);
         let p2 = Arc::clone(&p);
-        let buf = p.wait_with_retry(id, &TimeModel::zero(), &tight_policy(), |attempt| {
+        let rto = timers(tight_policy());
+        let buf = p.wait_with_retry_until(id, &TimeModel::zero(), &rto, None, |attempt| {
             if attempt == 1 {
                 Err(NtbError::LinkDown)
             } else {
@@ -863,24 +894,20 @@ mod tests {
         // deadline, not after burning the full link-retry budget.
         let p = PendingOps::new();
         let id = p.register(4, 1);
-        let policy = RetryPolicy {
-            ack_timeout: Duration::from_millis(200),
-            max_retries: 5,
-            ..RetryPolicy::default()
-        };
+        let policy = RetryPolicy::default();
         let t0 = std::time::Instant::now();
         let err = p
             .wait_with_retry_until(
                 id,
                 &TimeModel::zero(),
-                &policy,
+                &timers(policy),
                 Some(std::time::Instant::now() + Duration::from_millis(20)),
                 |_| Ok(()),
             )
             .unwrap_err();
         assert_eq!(err, NtbError::DeadlineExceeded);
         assert!(
-            t0.elapsed() < policy.ack_timeout,
+            t0.elapsed() < policy.min_rto,
             "deadline must clip the first retry window, got {:?}",
             t0.elapsed()
         );
@@ -901,7 +928,7 @@ mod tests {
         let buf = p.wait_with_retry_until(
             id,
             &TimeModel::zero(),
-            &tight_policy(),
+            &timers(tight_policy()),
             Some(std::time::Instant::now() + Duration::from_secs(5)),
             |_| Ok(()),
         );
@@ -916,7 +943,8 @@ mod tests {
     fn completion_landing_before_abandon_is_returned() {
         let p = PendingOps::new();
         let id = p.register(2, 1);
-        let buf = p.wait_with_retry_until(id, &TimeModel::zero(), &tight_policy(), None, |_| {
+        let rto = timers(tight_policy());
+        let buf = p.wait_with_retry_until(id, &TimeModel::zero(), &rto, None, |_| {
             p.fill_with(id, 0, b"ok", |_| {}).unwrap();
             Err(NtbError::BadDescriptor { reason: "resend failed after the response landed" })
         });
@@ -935,8 +963,8 @@ mod tests {
         assert_eq!(p.fill_with(a, 0, &[1], |_| {}).unwrap(), FillOutcome::Stale);
     }
 
-    fn put_entry(u: &UnackedPuts, deadline: Instant) -> u32 {
-        u.register(1, 0, vec![1, 2, 3], TransferMode::Dma, deadline, 0)
+    fn put_entry(u: &UnackedPuts, sent: Instant) -> u32 {
+        u.register(1, 0, vec![1, 2, 3], TransferMode::Dma, sent, 0)
     }
 
     #[test]
@@ -947,9 +975,9 @@ mod tests {
         let b = put_entry(&u, far);
         assert_ne!(a, b);
         assert_eq!(u.current(), 2);
-        assert!(u.ack_with(a, |_| {}));
-        assert!(!u.ack_with(a, |_| {}), "duplicate ack is harmless");
-        assert!(u.ack_with(b, |_| {}));
+        assert!(u.ack_with(a, |_| {}).is_some());
+        assert!(u.ack_with(a, |_| {}).is_none(), "duplicate ack is harmless");
+        assert!(u.ack_with(b, |_| {}).is_some());
         assert_eq!(u.current(), 0);
         u.quiet().unwrap();
     }
@@ -971,23 +999,25 @@ mod tests {
     #[test]
     fn overdue_and_attempts() {
         let u = UnackedPuts::new();
+        let ms = Duration::from_millis;
+        let rto = timers(RetryPolicy { min_rto: ms(50), max_rto: ms(50), ..Default::default() });
         let now = Instant::now();
-        let late = put_entry(&u, now - Duration::from_millis(1));
-        let _fresh = put_entry(&u, now + Duration::from_secs(60));
-        let overdue = u.overdue(now);
+        let late = put_entry(&u, now - ms(60));
+        let _fresh = put_entry(&u, now);
+        let overdue = u.overdue(&rto, now);
         assert_eq!(overdue.len(), 1);
         assert_eq!(overdue[0].0, late);
         assert_eq!(overdue[0].1.attempts, 1);
-        assert_eq!(u.note_attempt(late, now + Duration::from_secs(60)), Some(2));
-        assert!(u.overdue(Instant::now()).is_empty());
-        assert_eq!(u.note_attempt(9999, now), None);
+        assert_eq!(u.note_attempt(late, now, 1), Some(2));
+        assert!(u.overdue(&rto, now).is_empty(), "the retransmission restarted its timer");
+        assert_eq!(u.note_attempt(9999, now, 1), None);
     }
 
     #[test]
     fn failed_put_reported_by_quiet_then_cleared() {
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
-        u.note_attempt(id, Instant::now());
+        u.note_attempt(id, Instant::now(), 1);
         assert!(u.fail(id, || {}));
         assert!(u.has_failures());
         assert_eq!(u.quiet().unwrap_err(), NtbError::LinkFailed { attempts: 2 });
@@ -1026,7 +1056,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             assert_eq!(p2.fail_dest(2, NtbError::PeFailed { pe: 2, epoch: 3 }), 1);
         });
-        let err = p.wait(id, &TimeModel::zero()).unwrap_err();
+        let err = wait(&p, id, &TimeModel::zero()).unwrap_err();
         assert_eq!(err, NtbError::PeFailed { pe: 2, epoch: 3 });
         h.join().unwrap();
         assert_eq!(p.in_flight(), 0, "failed entry removed on observation");
@@ -1034,7 +1064,7 @@ mod tests {
         let live = p.register(1, 3);
         assert_eq!(p.fail_dest(2, NtbError::PeFailed { pe: 2, epoch: 3 }), 0);
         p.fill_with(live, 0, &[1], |_| {}).unwrap();
-        assert_eq!(p.wait(live, &TimeModel::zero()).unwrap(), vec![1]);
+        assert_eq!(wait(&p, live, &TimeModel::zero()).unwrap(), vec![1]);
     }
 
     #[test]
@@ -1076,7 +1106,7 @@ mod tests {
         // record, no LinkFailed from a quiet of puts that all completed.
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
-        assert!(u.ack_with(id, |_| {}));
+        assert!(u.ack_with(id, |_| {}).is_some());
         assert!(!u.fail(id, || {}), "acked put must not be failable");
         assert!(!u.has_failures());
         u.quiet().expect("all puts acked; no stale failure record");

@@ -16,9 +16,10 @@
 //! blocks on an outbound slot ring.
 //!
 //! A third per-*node* thread, the **retry sweeper**, owns end-to-end
-//! recovery: it retransmits put chunks whose acknowledgement is overdue
-//! (exponential backoff, abandonment into `quiet` once the budget is
-//! spent) and probes `Down` endpoints back into service.
+//! recovery: it retransmits put chunks whose destination's retransmission
+//! timer expired ([`crate::rto`]: learned from the acks, doubled per
+//! attempt, abandonment into `quiet` once the budget is spent) and probes
+//! `Down` endpoints back into service.
 //!
 //! Lossy-link hardening in the receive path: the idle tick also drains the
 //! ring (a dropped doorbell otherwise strands a batch in its slots), every
@@ -38,6 +39,7 @@ use crate::frame::{Frame, FrameKind};
 use crate::membership::{self, rejoin_signature, BeatMonitor, BeatVerdict, REJOIN_FLAG};
 use crate::node::NtbNode;
 use crate::pending::FillOutcome;
+use crate::rto;
 use crate::slots::{self, Drained, DrainedSlot};
 
 /// How long the service loop sleeps between shutdown-flag checks when the
@@ -317,13 +319,9 @@ fn dispatch_slot(node: &Arc<NtbNode>, idx: usize, drained: DrainedSlot) {
     ep.obs.emit(EventKind::FrameRx, u64::from(frame.aux), [frame.kind as u64, frame.src as u64]);
     // First-hop credit bookkeeping (DESIGN.md §14): one arrived put from
     // the direct neighbour is exactly one credit its gate consumed — grant
-    // it back. Acks from the direct neighbour may carry a piggybacked
-    // cumulative grant total in their (otherwise unused) offset field.
+    // it back.
     if frame.kind == FrameKind::Put && frame.src == ep.neighbor() {
         node.grant_credits(ep, 1);
-    }
-    if frame.kind == FrameKind::PutAck && frame.src == ep.neighbor() && frame.offset != 0 {
-        ep.credit.advertise(u64::from(frame.offset));
     }
     // Deadline propagation: every hop sheds expired work — a frame whose
     // deadline passed is dead weight whether it terminates here or has
@@ -389,16 +387,8 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             if !out.port().outgoing().faults().should_drop_ack(out.port().outgoing().direction()) {
                 // The ack inherits the put's deadline: an op that missed
                 // its time budget must not look complete at the origin.
-                let mut ack =
+                let ack =
                     Frame::put_ack(me, frame.src, 1, frame.aux).with_deadline_us(frame.deadline_us);
-                // Single-hop credit piggyback: when the ack's first hop
-                // *is* the origin, carry this side's cumulative grant
-                // total in the (otherwise unused) offset field — grants
-                // then ride the ack stream instead of waiting for the
-                // next heartbeat advertisement.
-                if out.neighbor() == frame.src && !out.fwd.congested() {
-                    ack.offset = u32::try_from(out.ledger.total()).unwrap_or(u32::MAX);
-                }
                 let now = node.now_us();
                 let outcome = out.fwd.push(
                     ForwardJob { frame: ack, payload: None, think: Duration::ZERO, attempts: 0 },
@@ -412,12 +402,18 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             // The resolution is logged and counted under the table lock,
             // before the woken `quiet` can return (or its caller take the
             // trace or a stats snapshot).
-            let known = node.unacked.ack_with(frame.aux, |known| {
+            let acked = node.unacked.ack_with(frame.aux, |known| {
                 if known {
                     node.obs.emit(EventKind::PutAcked, u64::from(frame.aux), [frame.src as u64, 0]);
                 }
             });
-            if !known {
+            // Karn's rule: only a put transmitted once is a clean round
+            // trip; any ack still restarts the timers.
+            match &acked {
+                Some(put) if put.attempts == 1 => node.rto.sample(frame.src, put.sent.elapsed()),
+                _ => node.rto.progress(),
+            }
+            if acked.is_none() {
                 // The put was already retired by an earlier copy of this
                 // ack (retransmission raced the acknowledgement).
                 node.obs.emit(
@@ -460,6 +456,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             }
         }
         FrameKind::GetResp => {
+            node.rto.progress();
             let data = payload.unwrap_or_default();
             // Emission goes through the fill observer so the chunk event
             // is logged before the woken requester can log completion.
@@ -527,6 +524,7 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
             enqueue(node, resp, Some(old.to_le_bytes().to_vec()), Duration::ZERO, None);
         }
         FrameKind::AmoResp => {
+            node.rto.progress();
             let data = payload.unwrap_or_default();
             if data.len() < 8 {
                 return Err(ntb_sim::NtbError::BadDescriptor { reason: "short AMO response" });
@@ -586,7 +584,7 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
         // Every job rides the ring: back-to-back jobs batch behind one
         // doorbell, so a round of routed frames crossing the same link
         // shares one interrupt.
-        let result = ep.txring.send(job.frame, job.payload.as_deref(), false).map_err(|f| f.error);
+        let result = ep.txring.send(job.frame, job.payload.as_deref(), false);
         node.note_send_result(ep, &result);
         if result.is_ok() && job.frame.deadline_us != 0 {
             ep.obs.emit(
@@ -623,7 +621,7 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
                     continue;
                 }
                 job.attempts += 1;
-                job.think = policy.backoff(job.attempts - 1).max(Duration::from_millis(1));
+                job.think = rto::local_wait(&policy, job.attempts - 1);
                 ep.obs.emit(
                     EventKind::Retransmit,
                     u64::from(job.frame.aux),
@@ -644,20 +642,21 @@ pub(crate) fn forwarder_loop(node: &Arc<NtbNode>, idx: usize) {
     }
 }
 
-/// Per-node recovery thread: retransmits overdue put chunks (bounded by
-/// the retry policy, with exponential backoff) and probes `Down`
-/// endpoints at the configured interval so rerouted traffic can return
-/// to the short path once a link recovers.
+/// Per-node recovery thread: retransmits the put chunks whose
+/// destination's retransmission timer expired (bounded by the retry
+/// policy; each expiry backs the destination's timer off) and probes
+/// `Down` endpoints at the configured interval so rerouted traffic can
+/// return to the short path once a link recovers.
 pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
     let policy = node.config().retry;
-    let tick = (policy.ack_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
+    let tick = (policy.min_rto / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
     let mut last_probe = Instant::now();
     loop {
         {
             crate::lockdep_track!(&crate::lockdep::NET_ADMIN);
             let mut guard = node.sweeper_lock.lock();
             if !node.is_shutdown() {
-                // DEADLINE-CLIPPED: sweeper cadence (ack_timeout / 4);
+                // DEADLINE-CLIPPED: sweeper cadence (min_rto / 4);
                 // `NtbNode::stop` notifies the condvar, so teardown ends
                 // the wait at once instead of after the tick.
                 node.sweeper_wake.wait_for(&mut guard, tick);
@@ -672,7 +671,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             continue;
         }
         let now = Instant::now();
-        for (id, put) in node.unacked.overdue(now) {
+        for (id, put) in node.unacked.overdue(&node.rto, now) {
             // Operation deadline expired: abandon typed. The next quiet
             // reports `DeadlineExceeded` instead of `LinkFailed` — the
             // caller set a time budget and it was missed.
@@ -711,8 +710,13 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                 });
                 continue;
             }
-            let next = Instant::now() + policy.ack_timeout + policy.backoff(put.attempts - 1);
-            if node.unacked.note_attempt(id, next).is_none() {
+            // The timeout doubles the timer only if the transmission it
+            // timed left this host.
+            let doublings = put.doublings + u32::from(put.on_wire);
+            if put.on_wire {
+                node.rto.back_off(put.dest, doublings);
+            }
+            if node.unacked.note_attempt(id, Instant::now(), doublings).is_none() {
                 continue; // acked while we looked
             }
             // Retry budget: when the link's bucket is dry the wire
@@ -722,13 +726,14 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             let ep = node.egress(put.dest, None, &node.membership().view());
             if !ep.retry_budget.try_spend() {
                 ep.obs.emit(EventKind::RetryShed, u64::from(id), [u64::from(put.attempts), 0]);
+                node.unacked.note_unsent(id);
                 continue;
             }
             node.obs.emit(EventKind::Retransmit, u64::from(id), [u64::from(put.attempts), 0]);
             // Retransmissions flush immediately: the chunk is already
             // overdue, so trading the doorbell batching for latency is
             // the right call.
-            let _ = node.transmit_put(
+            let sent = node.transmit_put(
                 id,
                 put.dest,
                 put.heap_offset,
@@ -737,6 +742,9 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
                 false,
                 put.deadline_us,
             );
+            if sent.is_err() {
+                node.unacked.note_unsent(id);
+            }
         }
         if now.duration_since(last_probe) >= policy.probe_interval {
             last_probe = now;

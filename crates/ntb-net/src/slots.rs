@@ -87,11 +87,13 @@ use ntb_sim::{
 };
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::config::NetConfig;
+use crate::config::{NetConfig, RetryPolicy};
 use crate::crc::crc32;
+use crate::credit::CreditGate;
 use crate::doorbells::DB_DMAPUT;
-use crate::frame::Frame;
+use crate::frame::{Frame, FrameKind};
 use crate::layout::WindowLayout;
+use crate::rto;
 
 /// Byte offset of the record body (everything after the header word).
 const BODY_OFF: u64 = 4;
@@ -107,6 +109,8 @@ struct StagedSlot {
     header: u32,
     seq: u32,
     len: u32,
+    /// The frame consumed a link credit: refunded if it is rolled back.
+    credited: bool,
 }
 
 #[derive(Debug, Default)]
@@ -126,18 +130,11 @@ struct TxState {
     areas: [Option<u32>; 2],
 }
 
-/// A failed [`TxSlotRing::send`]: the error, and whether the frame's
-/// header still landed in the peer's ring (the error came after it, such
-/// as a refused doorbell ring), so the receiver consumes the frame anyway.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SendFailure {
-    pub error: NtbError,
-    pub landed: bool,
-}
-
 /// The transmit side of one link direction's slot ring.
 pub struct TxSlotRing {
     port: Arc<NtbPort>,
+    /// This host: a put it originates consumed a link credit.
+    me: usize,
     /// The host on the other side: frames addressed to it stage oversized
     /// payloads in the direct area, all others in the bypass area.
     neighbor: usize,
@@ -147,15 +144,20 @@ pub struct TxSlotRing {
     pio_crossover: u64,
     batch_cap: u32,
     abort: Option<Arc<AtomicBool>>,
-    retry: Option<(Duration, u32)>,
+    /// Bounds the slot-free wait (see [`Self::wait_slot_free`]).
+    retry: RetryPolicy,
+    /// Credit gate for the puts this host stages toward the neighbour
+    /// (DESIGN.md §14); a credited frame that never lands is refunded.
+    pub(crate) credit: CreditGate,
     state: Mutex<TxState>,
 }
 
 impl TxSlotRing {
-    /// Transmit ring of `port` toward host `neighbor`, publishing into
-    /// the peer's window described by `layout`.
+    /// Transmit ring of host `me`'s `port` toward host `neighbor`,
+    /// publishing into the peer's window described by `layout`.
     pub fn new(
         port: Arc<NtbPort>,
+        me: usize,
         neighbor: usize,
         layout: WindowLayout,
         cfg: &NetConfig,
@@ -164,6 +166,7 @@ impl TxSlotRing {
     ) -> Self {
         TxSlotRing {
             port,
+            me,
             neighbor,
             layout,
             obs,
@@ -171,7 +174,8 @@ impl TxSlotRing {
             pio_crossover: cfg.pio_crossover,
             batch_cap: cfg.batch_cap(),
             abort: None,
-            retry: None,
+            retry: cfg.retry,
+            credit: CreditGate::new(cfg.overload.credit_window),
             state: Mutex::new(TxState::default()),
         }
     }
@@ -180,13 +184,6 @@ impl TxSlotRing {
     /// with `DmaShutdown` once the flag is raised (network teardown).
     pub fn set_abort(&mut self, flag: Arc<AtomicBool>) {
         self.abort = Some(flag);
-    }
-
-    /// Bound the slot-free wait: after `timeout` the drain doorbell is
-    /// re-rung (recovering a dropped interrupt), and after `max_rerings`
-    /// such rounds the publish fails with [`NtbError::LinkFailed`].
-    pub fn set_retry(&mut self, timeout: Duration, max_rerings: u32) {
-        self.retry = Some((timeout, max_rerings));
     }
 
     /// Whether a payload of `len` bytes fits a slot's payload lane.
@@ -201,7 +198,10 @@ impl TxSlotRing {
 
     /// Wait until slot `idx`'s header reads back zero (the receiver
     /// consumed its previous occupant). One atomic non-posted read per
-    /// poll; bounded by the retry policy. Returns how long it waited when
+    /// poll. Each round of the link-local retry schedule re-rings the
+    /// drain doorbell (recovering a dropped interrupt); after
+    /// `max_retries` re-rings it fails with [`NtbError::LinkFailed`].
+    /// Returns how long it waited when
     /// the first read found the slot occupied.
     ///
     /// A full-ring wait escalates instead of busy-spinning forever: a
@@ -228,21 +228,19 @@ impl TxSlotRing {
                 {
                     return Err(NtbError::DmaShutdown);
                 }
-                if let Some((timeout, max_rerings)) = self.retry {
-                    if round_start.elapsed() >= timeout {
-                        if rounds >= max_rerings {
-                            // RESOLVES(none): slot acquisition failed before
-                            // the frame was staged — nothing was registered.
-                            return Err(NtbError::LinkFailed { attempts: rounds + 1 });
-                        }
-                        rounds += 1;
-                        round_start = Instant::now();
-                        // The peer likely missed the interrupt for the
-                        // batch occupying this slot; ring again. A down
-                        // link rejects the ring — keep waiting, the
-                        // retry budget bounds us.
-                        let _ = self.port.ring_peer(DB_DMAPUT);
+                if round_start.elapsed() >= rto::local_wait(&self.retry, rounds) {
+                    if rounds >= self.retry.max_retries {
+                        // RESOLVES(none): slot acquisition failed before
+                        // the frame was staged — nothing was registered.
+                        return Err(NtbError::LinkFailed { attempts: rounds + 1 });
                     }
+                    rounds += 1;
+                    round_start = Instant::now();
+                    // The peer likely missed the interrupt for the batch
+                    // occupying this slot; ring again. A down link
+                    // rejects the ring — keep waiting, the retry budget
+                    // bounds us.
+                    let _ = self.port.ring_peer(DB_DMAPUT);
                 }
             }
             if spins < 64 {
@@ -302,16 +300,19 @@ impl TxSlotRing {
     /// big for the lane is staged in the direct or bypass area, once
     /// the area's previous payload is consumed, and flushed at once. The
     /// slot's sequence number is committed only once every write
-    /// succeeded, so a failed publish leaves no gap in the sequence. The
-    /// ring lock is held through the flush, so a failure knows whether
-    /// this frame's header landed.
-    pub fn send(
-        &self,
-        mut frame: Frame,
-        payload: Option<&[u8]>,
-        flush: bool,
-    ) -> std::result::Result<(), SendFailure> {
-        let unsent = |error| SendFailure { error, landed: false };
+    /// succeeded, so a failed publish leaves no gap in the sequence. A
+    /// put this host originates has consumed a link credit: if it fails
+    /// before it is staged, or a flush rolls it back, the credit is
+    /// refunded; a frame whose header landed keeps it (the receiver grants
+    /// it back), even when the error came after the header.
+    pub fn send(&self, mut frame: Frame, payload: Option<&[u8]>, flush: bool) -> Result<()> {
+        let credited = frame.kind == FrameKind::Put && frame.src == self.me;
+        let unsent = |error| {
+            if credited {
+                self.credit.refund();
+            }
+            error
+        };
         let data = payload.unwrap_or(&[]);
         crate::lockdep_track!(&crate::lockdep::NET_TXRING);
         let mut st = self.state.lock();
@@ -378,19 +379,14 @@ impl TxSlotRing {
         // Commit: from here on the slot belongs to the batch.
         st.dma_reqs.extend(dma);
         st.slot_seq = seq.wrapping_add(1);
-        st.staged.push(StagedSlot { idx, header: words[0], seq, len: data.len() as u32 });
+        st.staged.push(StagedSlot { idx, header: words[0], seq, len: data.len() as u32, credited });
         if let Some(area) = area {
             // An area holds one payload, so nothing can batch behind this
             // one: publish it at once.
             st.areas[area] = Some(seq);
         }
         if flush || area.is_some() {
-            // A failed flush rolls the sequence back to its first unwritten
-            // header: this one landed iff the sequence still runs past it.
-            self.flush_locked(&mut st).map_err(|error| SendFailure {
-                error,
-                landed: st.slot_seq.wrapping_sub(seq).wrapping_sub(1) < self.layout.ring_slots,
-            })?;
+            self.flush_locked(&mut st)?;
         }
         Ok(())
     }
@@ -400,8 +396,9 @@ impl TxSlotRing {
     /// in sequence order, then ring ONE doorbell. A header that could not
     /// be written stays zero, and it and every later staged slot are
     /// rolled back: their frames are dropped (end-to-end retransmission
-    /// recovers them) and the next publish reuses their sequence numbers,
-    /// so the receiver never waits on a slot that will not be published.
+    /// recovers them), their credits are refunded, and the next publish
+    /// reuses their sequence numbers, so the receiver never waits on a
+    /// slot that will not be published.
     pub fn flush(&self) -> Result<()> {
         crate::lockdep_track!(&crate::lockdep::NET_TXRING);
         let mut st = self.state.lock();
@@ -419,7 +416,7 @@ impl TxSlotRing {
             if let Err(e) = self.port.dma_transfer_chain(reqs) {
                 // No header was written: every staged slot still reads
                 // zero at the receiver and is reused by the next publish.
-                st.slot_seq = st.slot_seq.wrapping_sub(staged.len() as u32);
+                self.roll_back(st, &staged);
                 return Err(e);
             }
         }
@@ -445,7 +442,7 @@ impl TxSlotRing {
                 Err(e) => {
                     // Roll the unwritten tail back; the already-published
                     // prefix still needs its doorbell below.
-                    st.slot_seq = st.slot_seq.wrapping_sub(staged.len() as u32 - written);
+                    self.roll_back(st, &staged[written as usize..]);
                     err = Some(e);
                     break;
                 }
@@ -465,6 +462,15 @@ impl TxSlotRing {
         match err {
             Some(e) => Err(e),
             None => Ok(()),
+        }
+    }
+
+    /// Drop the staged `tail` whose headers were never written: the next
+    /// publish reuses its sequence numbers, and its credits come back.
+    fn roll_back(&self, st: &mut TxState, tail: &[StagedSlot]) {
+        st.slot_seq = st.slot_seq.wrapping_sub(tail.len() as u32);
+        for _ in tail.iter().filter(|s| s.credited) {
+            self.credit.refund();
         }
     }
 }
@@ -821,6 +827,9 @@ mod tests {
 
     fn small_cfg() -> NetConfig {
         let mut cfg = NetConfig::fast(2);
+        // A slot wait re-rings every 5 ms and fails after two re-rings.
+        let ms = Duration::from_millis(5);
+        cfg.retry = RetryPolicy { min_rto: ms, max_rto: ms, max_retries: 2, ..cfg.retry };
         cfg.direct_buf = 64 << 10;
         cfg.bypass_buf = 64 << 10;
         cfg.tx_slots = 4;
@@ -831,7 +840,7 @@ mod tests {
 
     fn tx_ring(port: &Arc<NtbPort>, layout: WindowLayout, cfg: &NetConfig) -> TxSlotRing {
         let obs = Obs::new(EventLog::new(1, 16), MetricsRegistry::new(1), 0, 0);
-        TxSlotRing::new(Arc::clone(port), 1, layout, cfg, Arc::new(TimeModel::zero()), obs)
+        TxSlotRing::new(Arc::clone(port), 0, 1, layout, cfg, Arc::new(TimeModel::zero()), obs)
     }
 
     #[test]
@@ -908,8 +917,7 @@ mod tests {
     fn occupied_slot_blocks_with_bounded_wait() {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
-        let mut tx = tx_ring(&a, layout, &cfg);
-        tx.set_retry(Duration::from_millis(5), 2);
+        let tx = tx_ring(&a, layout, &cfg);
         let region = b.incoming().region();
         // Fill every slot without consuming any.
         for i in 0..4u32 {
@@ -920,7 +928,7 @@ mod tests {
         // bounded time, not hang.
         let err =
             tx.send(Frame::put(0, 1, 0, 0, 9, TransferMode::Memcpy), None, false).unwrap_err();
-        assert_eq!(err.error, NtbError::LinkFailed { attempts: 3 });
+        assert_eq!(err, NtbError::LinkFailed { attempts: 3 });
         // Consume one slot; the publish now succeeds into it.
         let SlotRead::Frame(s) = read_slot(region, &layout, 1, 0, false).unwrap() else {
             panic!("expected slot 0 occupied");
@@ -960,8 +968,7 @@ mod tests {
     fn oversized_payloads_take_their_area_one_at_a_time() {
         let cfg = small_cfg();
         let (a, b, layout) = ring_pair(&cfg);
-        let mut tx = tx_ring(&a, layout, &cfg);
-        tx.set_retry(Duration::from_millis(5), 2);
+        let tx = tx_ring(&a, layout, &cfg);
         let region = b.incoming().region();
         let big = vec![0x5A; 2000];
         let put = |dest, aux| Frame::put(0, dest, 2000, 0, aux, TransferMode::Memcpy);
@@ -984,7 +991,7 @@ mod tests {
         // The direct area still holds slot 0's payload: the next one waits,
         // bounded, until that slot is released.
         assert_eq!(
-            tx.send(put(1, 3), Some(&big), false).unwrap_err().error,
+            tx.send(put(1, 3), Some(&big), false).unwrap_err(),
             NtbError::LinkFailed { attempts: 3 }
         );
         assert!(release_slot(region, &layout, 0, first.header).unwrap());
@@ -1269,11 +1276,13 @@ mod tests {
         };
         let mut next = RxCursor::default();
         for aux in 1..=2 {
+            assert!(tx.credit.try_consume());
             tx.send(Frame::put(0, 1, 64, 0, aux, TransferMode::Dma), Some(&[7; 64]), false)
                 .unwrap();
         }
         assert!(tx.flush().is_err(), "the scripted DMA failure fails the flush");
         assert!(drain(&src, &mut next).is_empty(), "no header of the failed batch landed");
+        assert_eq!(tx.credit.consumed_total(), 0, "the rolled-back puts refund their credits");
         // The next publish reuses seq 0, so the receiver never waits on
         // a sequence number that will not be published.
         tx.send(Frame::put(0, 1, 64, 0, 3, TransferMode::Dma), Some(&[7; 64]), false).unwrap();

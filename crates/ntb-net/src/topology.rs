@@ -49,7 +49,7 @@ pub enum Shape {
 ///
 /// Build one with [`Topology::ring`], [`Topology::torus`] or
 /// [`Topology::clique`] and hand it to `NetConfig::with_topology` or
-/// `ShmemConfig::builder().topology(..)`.
+/// `ShmemConfig::with_topology`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     shape: Shape,

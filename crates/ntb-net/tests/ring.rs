@@ -565,7 +565,7 @@ fn rejected_puts_return_their_credits() {
     // A scripted fault that never fires arms the per-slot CRC on every
     // link; the test corrupts the records itself.
     let faults = FaultPlan::none().with_scripted(0, FaultAction::CorruptPayload, u64::MAX);
-    let retry = RetryPolicy { ack_timeout: Duration::from_millis(5), ..RetryPolicy::default() };
+    let retry = RetryPolicy { min_rto: Duration::from_millis(5), ..RetryPolicy::default() };
     let cfg = NetConfig::fast(3).with_faults(faults).with_retry(retry);
     let layout =
         WindowLayout::new(cfg.direct_buf, cfg.bypass_buf, cfg.tx_slots, cfg.coalesce_payload_max);
@@ -594,6 +594,43 @@ fn rejected_puts_return_their_credits() {
     }
     let rejects = net.node(1).stats().crc_rejects.load(std::sync::atomic::Ordering::SeqCst);
     assert_eq!(rejects, rounds);
+    assert_no_errors(&net);
+    net.shutdown();
+}
+
+/// A lossless path whose put round trip is several times `min_rto`: the
+/// retransmission timer must learn it. The first puts may time out
+/// before any round trip is measured (each timeout doubles the
+/// destination's timer), but once a clean sample arrives the timer sits
+/// above the round trip: sequential put+quiet completes with no
+/// `LinkFailed`, and the retransmits stay a small constant instead of
+/// one or more per put.
+#[test]
+fn slow_lossless_path_stops_retransmitting_once_sampled() {
+    const PUTS: u8 = 30;
+    // Paper timing stretched 150×: each put+quiet pays a ~23 ms wake, a
+    // round trip of about five times the 5 ms floor.
+    let mut model = ntb_sim::TimeModel::scaled(150.0);
+    model.coarse_waits = true;
+    let min_rto = Duration::from_millis(5);
+    let retry = RetryPolicy { min_rto, ..RetryPolicy::default() };
+    let cfg = NetConfig::paper(2)
+        .with_model(model)
+        .with_retry(retry)
+        .with_heartbeat(ntb_net::HeartbeatConfig::disabled());
+    let (net, heaps) = build_with(cfg);
+    let node = net.node(0);
+    let t0 = std::time::Instant::now();
+    for i in 0..PUTS {
+        let data = [i; 64];
+        node.put_bytes(1, 0, &data, TransferMode::Memcpy).unwrap();
+        node.quiet().unwrap_or_else(|e| panic!("put {i}: {e}"));
+        assert_eq!(heaps[1].region.read_vec(0, 64).unwrap(), data);
+    }
+    let per_put = t0.elapsed() / u32::from(PUTS);
+    assert!(per_put > 3 * min_rto, "the path is not slow: {per_put:?} per put");
+    let retransmits = node.stats().retransmits.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(retransmits <= 6, "{retransmits} retransmits over {PUTS} puts on a lossless path");
     assert_no_errors(&net);
     net.shutdown();
 }

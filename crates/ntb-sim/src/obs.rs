@@ -222,6 +222,10 @@ pub enum EventKind {
     /// [consumed total, granted total at consume time]). Invariant 9's
     /// conservation half: consumed must never exceed granted.
     CreditConsume,
+    /// A credit advertisement above `consumed + window`, which no
+    /// receiver can have granted, was capped there (`payload` =
+    /// [advertised total, cap]). Zero while both ledgers agree.
+    CreditClip,
 
     // --- shmem-core: API-level events -------------------------------
     /// `shmem_put` entered (`op_id` = per-PE op counter, `payload` =
@@ -317,6 +321,7 @@ impl EventKind {
             EventKind::RetryShed => "retry_shed",
             EventKind::CreditGrant => "credit_grant",
             EventKind::CreditConsume => "credit_consume",
+            EventKind::CreditClip => "credit_clip",
             EventKind::ApiPutIssue => "api_put_issue",
             EventKind::ApiPutComplete => "api_put_complete",
             EventKind::ApiGetIssue => "api_get_issue",
@@ -849,6 +854,9 @@ link_metrics!(
     /// Transmit-ring headers that changed between the receiver's read
     /// and its clear (`SlotReleaseMiss`); zero on a fault-free link.
     slot_release_misses,
+    /// Credit advertisements capped at `consumed + window`
+    /// (`CreditClip`); zero while sender and receiver ledgers agree.
+    credit_clips,
 );
 
 impl LinkMetrics {
@@ -876,6 +884,7 @@ impl LinkMetrics {
             EventKind::LinkDown => &self.link_down_events,
             EventKind::SlotSkip => &self.slot_skips,
             EventKind::SlotReleaseMiss => &self.slot_release_misses,
+            EventKind::CreditClip => &self.credit_clips,
             _ => return None,
         })
     }

@@ -215,27 +215,14 @@ fn world_cfg(
     // Uniform wait strategy across the whole series (the network would
     // only auto-switch worlds beyond 8 hosts).
     model.coarse_waits = true;
-    // The amplified model stretches every end-to-end latency by the
-    // total scale factor, so the protocol's wall-clock timers must
-    // stretch with it: an un-stretched 200 ms ack timeout fires while a
-    // routed put's amplified RTT is still in flight, and the bench would
-    // measure the retransmission storm instead of the algorithm.
-    let s = model.scale.max(1.0);
-    let base = ntb_net::RetryPolicy::default();
-    let retry = ntb_net::RetryPolicy {
-        ack_timeout: base.ack_timeout.mul_f64(s),
-        backoff_base: base.backoff_base.mul_f64(s),
-        backoff_max: base.backoff_max.mul_f64(s),
-        probe_interval: base.probe_interval.mul_f64(s),
-        slot_wait_timeout: base.slot_wait_timeout.mul_f64(s),
-        ..base
-    };
+    // The amplified model stretches every end-to-end latency by the total
+    // scale factor; the default retry policy copes, because each PE's
+    // retransmission timers learn the amplified round trips from the acks.
     let mut cfg = ShmemConfig::fast_sim()
         .with_hosts(hosts)
         .with_model(model)
         .with_topology(topology)
         .with_barrier_algorithm(algorithm)
-        .with_retry(retry)
         // Static all-live membership on every cell. The detector's beats
         // share the service threads, whose amplified sleeps would delay
         // them into false evictions mid-measurement — and beyond 32

@@ -64,18 +64,6 @@ pub struct ShmemConfig {
 }
 
 impl ShmemConfig {
-    /// Start a [`ShmemConfigBuilder`] from the fast-simulation preset —
-    /// the one-stop construction path for examples and applications:
-    ///
-    /// ```
-    /// use shmem_core::prelude::*;
-    /// let cfg = ShmemConfig::builder().hosts(3).tx_ring(64, 8).build();
-    /// assert_eq!(cfg.hosts(), 3);
-    /// ```
-    pub fn builder() -> ShmemConfigBuilder {
-        ShmemConfigBuilder::new()
-    }
-
     /// Paper-scale timing (latencies comparable to the PEX testbed).
     pub fn paper() -> Self {
         ShmemConfig {
@@ -223,143 +211,6 @@ impl Default for ShmemConfig {
     }
 }
 
-/// Step-by-step construction of a [`ShmemConfig`], replacing positional
-/// struct literals. Starts from [`ShmemConfig::fast_sim`] (no injected
-/// delays); select [`paper_timing`](Self::paper_timing) for
-/// testbed-scale latencies. `build()` validates the result.
-#[derive(Debug, Clone)]
-pub struct ShmemConfigBuilder {
-    cfg: ShmemConfig,
-}
-
-impl ShmemConfigBuilder {
-    /// A builder seeded with the fast-simulation preset.
-    pub fn new() -> Self {
-        ShmemConfigBuilder { cfg: ShmemConfig::fast_sim() }
-    }
-
-    /// Number of PEs (one per host in the switchless ring).
-    pub fn hosts(mut self, hosts: usize) -> Self {
-        self.cfg.net.hosts = hosts;
-        self
-    }
-
-    /// Swap the timing preset to paper scale (PEX-testbed latencies).
-    pub fn paper_timing(mut self) -> Self {
-        self.cfg.net.model = TimeModel::paper();
-        self
-    }
-
-    /// Scale all injected delays (1.0 = paper scale, 0.0 = none).
-    pub fn time_scale(mut self, scale: f64) -> Self {
-        self.cfg.net.model = TimeModel::scaled(scale);
-        self
-    }
-
-    /// Default data path for puts/gets.
-    pub fn default_mode(mut self, mode: TransferMode) -> Self {
-        self.cfg.default_mode = mode;
-        self
-    }
-
-    /// Symmetric heap chunk size (power of two ≥ 4096).
-    pub fn heap_chunk(mut self, chunk: u64) -> Self {
-        self.cfg.heap_chunk = chunk;
-        self
-    }
-
-    /// Barrier algorithm (ring sweep or dissemination).
-    pub fn barrier_algorithm(mut self, alg: BarrierAlgorithm) -> Self {
-        self.cfg.barrier_algorithm = alg;
-        self
-    }
-
-    /// Degraded-membership collective policy (fail fast or continue over
-    /// the live PEs).
-    pub fn degraded_policy(mut self, policy: DegradedPolicy) -> Self {
-        self.cfg.degraded_policy = policy;
-        self
-    }
-
-    /// Heartbeat failure-detector tuning (disabled by default).
-    pub fn heartbeat(mut self, heartbeat: ntb_net::HeartbeatConfig) -> Self {
-        self.cfg.net.heartbeat = heartbeat;
-        self
-    }
-
-    /// `shmem_barrier_all` timeout.
-    pub fn barrier_timeout(mut self, t: Duration) -> Self {
-        self.cfg.barrier_timeout = t;
-        self
-    }
-
-    /// `shmem_wait_until` timeout.
-    pub fn wait_timeout(mut self, t: Duration) -> Self {
-        self.cfg.wait_timeout = t;
-        self
-    }
-
-    /// Interconnect topology: `Topology::ring(n)`, `Topology::torus(rows,
-    /// cols)` or `Topology::clique(n)`. Non-ring shapes always run the
-    /// dissemination barrier (the ring sweep needs ring-direction
-    /// adapters).
-    ///
-    /// ```
-    /// use shmem_core::prelude::*;
-    /// let cfg = ShmemConfig::builder().hosts(16).topology(Topology::torus(4, 4)).build();
-    /// assert_eq!(cfg.hosts(), 16);
-    /// ```
-    pub fn topology(mut self, topology: ntb_net::Topology) -> Self {
-        self.cfg.net.topology = topology;
-        self
-    }
-
-    /// Lossy-link retry/recovery policy.
-    pub fn retry(mut self, retry: ntb_net::RetryPolicy) -> Self {
-        self.cfg.net.retry = retry;
-        self
-    }
-
-    /// Fault-injection plan for every interconnect link.
-    pub fn faults(mut self, faults: ntb_sim::FaultPlan) -> Self {
-        self.cfg.net.faults = faults;
-        self
-    }
-
-    /// Transmit-ring geometry: slots per link and the batch cap that
-    /// forces a flush.
-    pub fn tx_ring(mut self, slots: u32, batch: u32) -> Self {
-        self.cfg.net.tx_slots = slots;
-        self.cfg.net.coalesce_batch = batch;
-        self
-    }
-
-    /// Ring-path DMA/PIO crossover threshold in bytes.
-    pub fn pio_crossover(mut self, bytes: u64) -> Self {
-        self.cfg.net.pio_crossover = bytes;
-        self
-    }
-
-    /// Pipelined get tuning: sub-request tile size in bytes and the
-    /// in-flight window per get (`1` = stop-and-wait).
-    pub fn get_pipeline(mut self, req_chunk: u64, window: usize) -> Self {
-        self.cfg.net = self.cfg.net.with_get_pipeline(req_chunk, window);
-        self
-    }
-
-    /// Finish: validate and return the configuration.
-    pub fn build(self) -> ShmemConfig {
-        self.cfg.validate();
-        self.cfg
-    }
-}
-
-impl Default for ShmemConfigBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,60 +236,45 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let c = ShmemConfig::fast_sim().with_hosts(5).with_heap_chunk(8192);
+        let c = ShmemConfig::fast_sim()
+            .with_hosts(5)
+            .with_mode(TransferMode::Memcpy)
+            .with_heap_chunk(8192)
+            .with_tx_ring(4, 2)
+            .with_pio_crossover(512);
+        c.validate();
         assert_eq!(c.hosts(), 5);
         assert_eq!(c.heap_chunk, 8192);
-    }
-
-    #[test]
-    fn builder_covers_batching_knobs() {
-        let c = ShmemConfig::builder()
-            .hosts(5)
-            .default_mode(TransferMode::Memcpy)
-            .heap_chunk(8192)
-            .tx_ring(4, 2)
-            .pio_crossover(512)
-            .build();
-        assert_eq!(c.hosts(), 5);
         assert_eq!(c.default_mode, TransferMode::Memcpy);
         assert_eq!(c.net.tx_slots, 4);
         assert_eq!(c.net.batch_cap(), 2);
         assert_eq!(c.net.pio_crossover, 512);
+        // One doorbell per frame.
+        let c = ShmemConfig::fast_sim().with_hosts(2).with_tx_ring(64, 1);
+        c.validate();
+        assert_eq!(c.net.batch_cap(), 1);
     }
 
     #[test]
-    fn builder_covers_failure_knobs() {
-        let c = ShmemConfig::builder()
-            .hosts(5)
-            .heartbeat(ntb_net::HeartbeatConfig::fast())
-            .degraded_policy(DegradedPolicy::Degrade)
-            .build();
+    fn failure_knobs_chain() {
+        let c = ShmemConfig::fast_sim()
+            .with_hosts(5)
+            .with_heartbeat(ntb_net::HeartbeatConfig::fast())
+            .with_degraded_policy(DegradedPolicy::Degrade);
+        c.validate();
         assert!(c.net.heartbeat.enabled);
         assert_eq!(c.degraded_policy, DegradedPolicy::Degrade);
         assert_eq!(ShmemConfig::fast_sim().degraded_policy, DegradedPolicy::Fail);
     }
 
     #[test]
-    fn builder_covers_get_pipeline_knobs() {
-        let c = ShmemConfig::builder().hosts(2).get_pipeline(64 << 10, 8).build();
+    fn get_pipeline_knobs_chain() {
+        let c = ShmemConfig::fast_sim().with_hosts(2).with_get_pipeline(64 << 10, 8);
         assert_eq!(c.net.get_req_chunk, 64 << 10);
         assert_eq!(c.net.get_window, 8);
         let c = ShmemConfig::fast_sim().with_get_pipeline(32 << 10, 1);
         assert_eq!(c.net.get_req_chunk, 32 << 10);
         assert_eq!(c.net.get_window, 1);
         c.validate();
-    }
-
-    #[test]
-    fn builder_can_ring_one_doorbell_per_frame() {
-        let c = ShmemConfig::builder().hosts(2).tx_ring(64, 1).build();
-        assert_eq!(c.net.batch_cap(), 1);
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "heap chunk")]
-    fn builder_validates_on_build() {
-        ShmemConfig::builder().heap_chunk(1000).build();
     }
 }

@@ -51,7 +51,7 @@ pub mod types;
 pub use barrier::BarrierPhase;
 pub use capi::CApi;
 pub use collectives::{ReduceOp, ShmemReduce};
-pub use config::{BarrierAlgorithm, DegradedPolicy, ShmemConfig, ShmemConfigBuilder};
+pub use config::{BarrierAlgorithm, DegradedPolicy, ShmemConfig};
 pub use ctx::{OpOptions, ShmemCtx};
 pub use error::{Result, ShmemError};
 pub use heap::SymmetricHeap;
@@ -68,11 +68,11 @@ pub use ntb_sim::{TimeModel, TransferMode};
 
 /// The curated import surface for applications and examples:
 /// `use shmem_core::prelude::*;` brings in the world, the context, the
-/// config builder, per-op options and the common value types.
+/// config, per-op options and the common value types.
 pub mod prelude {
     pub use crate::barrier::BarrierPhase;
     pub use crate::collectives::{ReduceOp, ShmemReduce};
-    pub use crate::config::{BarrierAlgorithm, DegradedPolicy, ShmemConfig, ShmemConfigBuilder};
+    pub use crate::config::{BarrierAlgorithm, DegradedPolicy, ShmemConfig};
     pub use crate::ctx::{OpOptions, PeStats, ShmemCtx};
     pub use crate::error::{Result, ShmemError};
     pub use crate::runtime::ShmemWorld;

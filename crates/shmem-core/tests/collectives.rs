@@ -349,12 +349,10 @@ fn back_to_back_allreduces_never_mix_rounds() {
 #[test]
 fn allreduce_is_exact_when_blocks_are_lost_and_retransmitted() {
     let retry = ntb_net::RetryPolicy {
-        ack_timeout: Duration::from_millis(40),
+        min_rto: Duration::from_millis(40),
+        max_rto: Duration::from_millis(80),
         max_retries: 8,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 3,
     };
     let cfg = torus(TimeModel::zero())

@@ -488,8 +488,8 @@ fn short_wait_timeout_is_honored_without_tick_overshoot() {
     // before the deadline was noticed. The tick is now clipped to the
     // remaining deadline — a 20 ms timeout must report WaitTimeout well
     // before the old 50 ms tick would have woken the waiter.
-    let cfg =
-        ShmemConfig::builder().hosts(1).wait_timeout(std::time::Duration::from_millis(20)).build();
+    let mut cfg = ShmemConfig::fast_sim().with_hosts(1);
+    cfg.wait_timeout = std::time::Duration::from_millis(20);
     ShmemWorld::run(cfg, |ctx| {
         let sym = ctx.malloc_array::<u64>(4).unwrap();
 

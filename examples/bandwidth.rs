@@ -24,12 +24,11 @@ fn main() {
     assert!((1..PES).contains(&partner), "partner must be 1..{PES}");
 
     // The paper's testbed shape: hop counts below are ring distances.
-    let mut builder = ShmemConfig::builder()
-        .hosts(PES)
-        .topology(Topology::ring(PES))
-        .barrier_timeout(std::time::Duration::from_secs(600));
-    builder = if scale == 1.0 { builder.paper_timing() } else { builder.time_scale(scale) };
-    let cfg = builder.build();
+    let mut cfg = ShmemConfig::fast_sim()
+        .with_hosts(PES)
+        .with_topology(Topology::ring(PES))
+        .with_time_scale(scale);
+    cfg.barrier_timeout = std::time::Duration::from_secs(600);
 
     println!("point-to-point PE0 <-> PE{partner} (time scale {scale})");
     println!(

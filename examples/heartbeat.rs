@@ -24,7 +24,7 @@ const SUSPECT_AFTER: Duration = Duration::from_millis(40);
 const RUN_FOR: Duration = Duration::from_millis(300);
 
 fn main() {
-    let cfg = ShmemConfig::builder().hosts(PES).topology(Topology::ring(PES)).build();
+    let cfg = ShmemConfig::fast_sim().with_hosts(PES).with_topology(Topology::ring(PES));
 
     let verdicts = ShmemWorld::run(cfg, |ctx| {
         let me = ctx.my_pe();

@@ -20,7 +20,7 @@ const PES: usize = 4;
 fn main() {
     // Bin increments are all-to-all: every PE fires AMOs at every bin
     // owner, so the clique (one hop to everyone) is the matching fabric.
-    let cfg = ShmemConfig::builder().hosts(PES).topology(Topology::clique(PES)).build();
+    let cfg = ShmemConfig::fast_sim().with_hosts(PES).with_topology(Topology::clique(PES));
 
     let local_views = ShmemWorld::run(cfg, |ctx| {
         let me = ctx.my_pe();
@@ -74,7 +74,7 @@ fn main() {
     }
 
     // Bonus: a reduction sanity check — allreduce of per-PE sample counts.
-    let reduce_cfg = ShmemConfig::builder().hosts(PES).topology(Topology::clique(PES)).build();
+    let reduce_cfg = ShmemConfig::fast_sim().with_hosts(PES).with_topology(Topology::clique(PES));
     let sums = ShmemWorld::run(reduce_cfg, |ctx| {
         ctx.allreduce(ReduceOp::Sum, &[SAMPLES_PER_PE as u64]).expect("allreduce")[0]
     })

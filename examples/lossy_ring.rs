@@ -34,12 +34,10 @@ fn lossy_plan(seed: u64) -> FaultPlan {
 
 fn snappy_retry() -> RetryPolicy {
     RetryPolicy {
-        ack_timeout: Duration::from_millis(50),
+        min_rto: Duration::from_millis(50),
+        max_rto: Duration::from_millis(130),
         max_retries: 8,
-        backoff_base: Duration::from_millis(10),
-        backoff_max: Duration::from_millis(80),
         probe_interval: Duration::from_millis(25),
-        slot_wait_timeout: Duration::from_millis(25),
         failure_threshold: 2,
     }
 }
@@ -47,12 +45,11 @@ fn snappy_retry() -> RetryPolicy {
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(0xBAD11);
 
-    let cfg = ShmemConfig::builder()
-        .hosts(PES)
-        .topology(Topology::ring(PES))
-        .retry(snappy_retry())
-        .faults(lossy_plan(seed))
-        .build();
+    let cfg = ShmemConfig::fast_sim()
+        .with_hosts(PES)
+        .with_topology(Topology::ring(PES))
+        .with_retry(snappy_retry())
+        .with_faults(lossy_plan(seed));
 
     println!("lossy ring: {PES} PEs, {CELLS} cells/PE, {ITERS} iterations, seed {seed:#x}");
 

@@ -32,22 +32,19 @@ const DEADLINE: Duration = Duration::from_secs(10);
 
 fn main() {
     let retry = RetryPolicy {
-        ack_timeout: Duration::from_millis(40),
+        min_rto: Duration::from_millis(40),
+        max_rto: Duration::from_millis(80),
         max_retries: 8,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 3,
     };
-    let cfg = ShmemConfig::builder()
-        .hosts(PES)
-        .topology(Topology::ring(PES))
-        .heartbeat(HeartbeatConfig::fast())
-        .degraded_policy(DegradedPolicy::Degrade)
-        .barrier_timeout(Duration::from_secs(20))
-        .retry(retry)
-        .build();
+    let mut cfg = ShmemConfig::fast_sim()
+        .with_hosts(PES)
+        .with_topology(Topology::ring(PES))
+        .with_heartbeat(HeartbeatConfig::fast())
+        .with_degraded_policy(DegradedPolicy::Degrade)
+        .with_retry(retry);
+    cfg.barrier_timeout = Duration::from_secs(20);
 
     ShmemWorld::run(cfg, |ctx| {
         let me = ctx.my_pe();

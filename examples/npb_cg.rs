@@ -74,7 +74,7 @@ fn main() {
     // CG is dominated by allreduce dot products; on a 2x2 torus the
     // barrier runs in log-depth dissemination rounds instead of ring
     // sweeps, and the allreduce needs no barrier at all.
-    let cfg = ShmemConfig::builder().hosts(PES).topology(Topology::torus(2, 2)).build();
+    let cfg = ShmemConfig::fast_sim().with_hosts(PES).with_topology(Topology::torus(2, 2));
 
     let (pieces, iters): (Vec<Vec<f64>>, Vec<usize>) = {
         let results = ShmemWorld::run(cfg, |ctx| {

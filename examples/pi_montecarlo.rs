@@ -16,7 +16,7 @@ use shmem_ntb::prelude::*;
 const PES: usize = 5;
 
 fn main() {
-    let cfg = ShmemConfig::builder().hosts(PES).topology(Topology::ring(PES)).build();
+    let cfg = ShmemConfig::fast_sim().with_hosts(PES).with_topology(Topology::ring(PES));
 
     let estimates = ShmemWorld::run(cfg, |ctx| {
         let me = ctx.my_pe();

@@ -15,7 +15,7 @@ fn main() {
     // `ShmemConfig::paper()` to feel the calibrated testbed timing, or
     // `Topology::torus(r, c)` / `Topology::clique(n)` to re-cable the
     // fabric — the SHMEM API is identical on every shape.
-    let cfg = ShmemConfig::builder().hosts(3).topology(Topology::ring(3)).build();
+    let cfg = ShmemConfig::fast_sim().with_hosts(3).with_topology(Topology::ring(3));
 
     let reports = ShmemWorld::run(cfg, |ctx| {
         let me = ctx.my_pe();

@@ -39,7 +39,7 @@ fn initial_temp(i: usize) -> f64 {
 fn main() {
     // A 1-D halo exchange only ever talks to ring neighbours, so the
     // ring is the matching fabric (a torus would waste its extra links).
-    let cfg = ShmemConfig::builder().hosts(PES).topology(Topology::ring(PES)).build();
+    let cfg = ShmemConfig::fast_sim().with_hosts(PES).with_topology(Topology::ring(PES));
     let total = CELLS_PER_PE * PES;
 
     let pieces = ShmemWorld::run(cfg, |ctx| {

@@ -18,7 +18,7 @@
 //! ```
 //! use shmem_ntb::prelude::*;
 //!
-//! let cfg = ShmemConfig::builder().hosts(3).build();
+//! let cfg = ShmemConfig::fast_sim().with_hosts(3);
 //! ShmemWorld::run(cfg, |ctx| {
 //!     let sym = ctx.malloc_array::<u64>(8).unwrap();
 //!     let right = (ctx.my_pe() + 1) % ctx.num_pes();

@@ -136,6 +136,11 @@ impl Family {
         }
     }
 
+    /// Whether the plan corrupts payload writes (the credit word too).
+    fn corrupts_payloads(self) -> bool {
+        matches!(self, Family::Mixed | Family::Corruption)
+    }
+
     /// Scripted outage windows the plan must fire (deterministic).
     fn expected_windows(self) -> u64 {
         match self {
@@ -148,12 +153,10 @@ impl Family {
 
 fn chaos_retry() -> RetryPolicy {
     RetryPolicy {
-        ack_timeout: Duration::from_millis(40),
+        min_rto: Duration::from_millis(40),
+        max_rto: Duration::from_millis(80),
         max_retries: 8,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 3,
     }
 }
@@ -341,6 +344,18 @@ fn assert_chaos_checked_mode(family: Family, seed: u64, coalesced: bool) {
         "{}/{seed:#x}: scripted outage windows",
         family.label(),
     );
+    // The credit cap binds only when the sender's and the receiver's
+    // ledgers disagree (a leaked credit), or when a corrupted write forges
+    // the unchecked credit word, which only the corrupting families do.
+    if !family.corrupts_payloads() {
+        let clips = outcome.counters.iter().find(|(name, _)| *name == "credit_clips");
+        assert_eq!(
+            clips.map(|c| c.1),
+            Some(0),
+            "{}/{seed:#x}: credit grants were clipped",
+            family.label()
+        );
+    }
     let tag = if coalesced { "-coalesced" } else { "" };
     certify_trace(&format!("chaos-{}{tag}-{seed:#x}", family.label()), &outcome);
     eprintln!(

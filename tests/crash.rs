@@ -58,12 +58,10 @@ const PROMPT: Duration = Duration::from_secs(8);
 
 fn retry() -> RetryPolicy {
     RetryPolicy {
-        ack_timeout: Duration::from_millis(40),
+        min_rto: Duration::from_millis(40),
+        max_rto: Duration::from_millis(80),
         max_retries: 8,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 3,
     }
 }
@@ -75,14 +73,14 @@ fn noise(seed: u64) -> FaultPlan {
 }
 
 fn crash_cfg(seed: u64, policy: DegradedPolicy) -> ShmemConfig {
-    ShmemConfig::builder()
-        .hosts(HOSTS)
-        .heartbeat(HeartbeatConfig::fast())
-        .degraded_policy(policy)
-        .barrier_timeout(BARRIER_TIMEOUT)
-        .retry(retry())
-        .faults(noise(seed))
-        .build()
+    let mut cfg = ShmemConfig::fast_sim()
+        .with_hosts(HOSTS)
+        .with_heartbeat(HeartbeatConfig::fast())
+        .with_degraded_policy(policy)
+        .with_retry(retry())
+        .with_faults(noise(seed));
+    cfg.barrier_timeout = BARRIER_TIMEOUT;
+    cfg
 }
 
 /// Run the trace through the invariant checker; on violation, dump the
@@ -489,16 +487,16 @@ const TORUS_VICTIM: usize = 5;
 const TORUS_PROMPT: Duration = Duration::from_secs(10);
 
 fn torus_crash_cfg(seed: u64) -> ShmemConfig {
-    ShmemConfig::builder()
-        .hosts(TORUS_PES)
-        .topology(Topology::torus(4, 4))
-        .barrier_algorithm(BarrierAlgorithm::Dissemination)
-        .heartbeat(HeartbeatConfig::fast())
-        .degraded_policy(DegradedPolicy::Degrade)
-        .barrier_timeout(BARRIER_TIMEOUT)
-        .retry(retry())
-        .faults(noise(seed))
-        .build()
+    let mut cfg = ShmemConfig::fast_sim()
+        .with_hosts(TORUS_PES)
+        .with_topology(Topology::torus(4, 4))
+        .with_barrier_algorithm(BarrierAlgorithm::Dissemination)
+        .with_heartbeat(HeartbeatConfig::fast())
+        .with_degraded_policy(DegradedPolicy::Degrade)
+        .with_retry(retry())
+        .with_faults(noise(seed));
+    cfg.barrier_timeout = BARRIER_TIMEOUT;
+    cfg
 }
 
 /// Cell: crash during a dissemination barrier at 16 PEs on the torus.

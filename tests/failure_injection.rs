@@ -249,12 +249,10 @@ impl DeliveryTarget for LossyHeap {
 /// Tight timeouts so recovery rounds complete in milliseconds.
 fn lossy_retry() -> RetryPolicy {
     RetryPolicy {
-        ack_timeout: Duration::from_millis(40),
+        min_rto: Duration::from_millis(40),
+        max_rto: Duration::from_millis(80),
         max_retries: 4,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 2,
     }
 }
@@ -383,7 +381,7 @@ fn deadlined_get_fails_typed_and_fast_on_a_dark_link() {
     // retry budget: a windowed get must surface the *typed*
     // DeadlineExceeded at its ~30ms budget — not LinkFailed after the
     // policy's full retry budget, and never a hang. The 30ms budget is
-    // deliberately shorter than one ack_timeout, so the deadline clip in
+    // deliberately shorter than one `min_rto`, so the deadline clip in
     // the bounded wait is what fires, not a retransmission attempt.
     let outage = Duration::from_secs(30);
     let plan = FaultPlan::none().with_link_down(0, 0, outage).with_link_down(1, 0, outage);
@@ -453,7 +451,9 @@ fn quiet_after_abandonment_is_clean_for_puts_on_the_restored_link() {
     // and an empty unacked table — generations must not bleed: no stale
     // entry from the abandoned put, no stale failure record, and no
     // late ack of the dead put id resurrecting anything.
-    let outage = Duration::from_millis(700); // > lossy_retry().worst_case()
+    // Twice the retry schedule: the first put is abandoned (with room
+    // for the sweeper's tick) well before the links come back.
+    let outage = lossy_retry().worst_case() * 2;
     let plan = FaultPlan::none().with_link_down(0, 0, outage).with_link_down(1, 0, outage);
     let (net, heaps) = build_lossy(2, plan);
     net.obs_enable();

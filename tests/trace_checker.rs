@@ -72,12 +72,10 @@ fn attach_heaps(net: &RingNetwork, hosts: usize) -> Vec<Arc<TraceHeap>> {
 
 fn lossy_retry() -> RetryPolicy {
     RetryPolicy {
-        ack_timeout: Duration::from_millis(40),
+        min_rto: Duration::from_millis(40),
+        max_rto: Duration::from_millis(80),
         max_retries: 4,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 2,
     }
 }
@@ -194,12 +192,10 @@ fn suppressed_acks_are_caught_by_the_checker() {
     const HOSTS: usize = 2;
     let plan = FaultPlan::none().with_seed(13).with_ack_drop(1.0);
     let patient = RetryPolicy {
-        ack_timeout: Duration::from_secs(30),
+        min_rto: Duration::from_secs(30),
+        max_rto: Duration::from_secs(30),
         max_retries: 1,
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(40),
         probe_interval: Duration::from_millis(20),
-        slot_wait_timeout: Duration::from_millis(20),
         failure_threshold: 1000,
     };
     let cfg = NetConfig::fast(HOSTS).with_retry(patient).with_faults(plan);
