@@ -530,6 +530,7 @@ pub const COUNTER_FIELDS: &[&str] = &[
     "link_down_events",
     "slot_skips",
     "slot_release_misses",
+    "credit_clips",
 ];
 
 /// The one file allowed to write an event counter: `Obs::emit` there

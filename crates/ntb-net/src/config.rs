@@ -46,7 +46,7 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             min_rto: Duration::from_millis(200),
-            max_rto: Duration::from_millis(1600),
+            max_rto: Duration::from_millis(600),
             max_retries: 5,
             probe_interval: Duration::from_millis(50),
             failure_threshold: 3,

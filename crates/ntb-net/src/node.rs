@@ -635,8 +635,9 @@ impl NtbNode {
     /// Consume one transmit credit toward `ep`'s neighbour, polling the
     /// peer's advertisement when none are available. Bounded and typed:
     /// [`NtbError::DeadlineExceeded`] when the op's own deadline expires
-    /// first, [`NtbError::Overloaded`] after the first wait of the
-    /// link-local retry schedule (`min_rto`) passes without a grant.
+    /// first, [`NtbError::Overloaded`] after one retransmission timeout
+    /// toward the neighbour (a grant returns over one round trip) passes
+    /// without a grant.
     pub(crate) fn acquire_credit(
         &self,
         ep: &LinkEndpoint,
@@ -662,7 +663,7 @@ impl NtbNode {
                     // the shed happens before CreditConsume is emitted.
                     return Err(NtbError::DeadlineExceeded);
                 }
-                if wait_start.elapsed() > rto::local_wait(&self.config.retry, 0) {
+                if wait_start.elapsed() > self.rto.rto(ep.neighbor, 0) {
                     ep.obs.emit(EventKind::OverloadShed, u64::from(put_id), [0, 0]);
                     // RESOLVES(none): ditto — nothing to refund before consume.
                     return Err(NtbError::Overloaded { queue: "link credit window" });
@@ -763,12 +764,14 @@ impl NtbNode {
         heap_offset: u64,
         chunk: &[u8],
         mode: TransferMode,
+        defer_doorbell: bool,
         deadline_us: u32,
     ) -> Result<()> {
         let offset = offset32(heap_offset)?;
         self.wait_put_window(deadline_us)?;
-        let put_id =
-            self.unacked.register(dest, offset, chunk.to_vec(), mode, Instant::now(), deadline_us);
+        let now = Instant::now();
+        let (data, timed) = (chunk.to_vec(), !defer_doorbell);
+        let put_id = self.unacked.register(dest, offset, data, mode, now, timed, deadline_us);
         self.obs.emit(EventKind::PutIssue, u64::from(put_id), [dest as u64, chunk.len() as u64]);
         // Always staged-deferred on the ring path: `put_bytes` flushes
         // once per call (or leaves the batch for quiet / the batch cap).
@@ -887,6 +890,7 @@ impl NtbNode {
                 heap_offset + off as u64,
                 &data[off..off + n],
                 mode,
+                defer_doorbell,
                 deadline_us,
             )?;
             off += n;
@@ -1784,6 +1788,25 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(tx.txring.credit.available(), window, "the rollback leaked a credit");
+        net.shutdown();
+    }
+
+    /// A put staged behind a deferred doorbell waits for the caller's
+    /// `quiet`: its ack would time the caller's gap as well as the round
+    /// trip, so it is never sampled.
+    #[test]
+    fn deferred_put_is_not_sampled() {
+        let cfg = NetConfig::fast(2).with_heartbeat(crate::membership::HeartbeatConfig::disabled());
+        let net = RingNetwork::build(cfg).unwrap();
+        let (a, b) = (net.node(0), net.node(1));
+        b.set_delivery(Arc::new(Sink));
+        a.put_bytes_coalesced(1, 0, &[0x5A; 64], TransferMode::Memcpy, true).unwrap();
+        // Shorter than the 200 ms unsampled timer: nothing is retransmitted.
+        std::thread::sleep(Duration::from_millis(120));
+        a.quiet().unwrap();
+        // Sampled, the 120 ms gap would have lifted the timer to 360 ms
+        // (SRTT + 4·RTTVAR = 3 × 120 ms).
+        assert_eq!(a.rto.rto(1, 0), a.config.retry.min_rto);
         net.shutdown();
     }
 }

@@ -405,6 +405,11 @@ pub struct UnackedPut {
     /// Whether the last transmission left this host (a send the link
     /// refused did not, and its timeout doubles nothing).
     pub on_wire: bool,
+    /// Whether the first transmission's doorbell rang with the put, so
+    /// its ack times a round trip. A put staged behind a deferred
+    /// doorbell waits for the batch cap or the next `quiet`, and its ack
+    /// would time the caller too: it is never sampled.
+    pub timed: bool,
     /// The *operation's* absolute deadline in microseconds since the
     /// network epoch (0 = none): once this expires the sweeper stops
     /// retransmitting entirely and fails the put as
@@ -475,7 +480,9 @@ impl UnackedPuts {
         &self.shards[id as usize % SHARD_COUNT]
     }
 
-    /// Record a chunk leaving this host at `sent`; returns its put id.
+    /// Record a chunk leaving this host at `sent` (`timed`: its doorbell
+    /// rings with it, see [`UnackedPut::timed`]); returns its put id.
+    #[allow(clippy::too_many_arguments)] // the entry's fields, one production call site
     pub fn register(
         &self,
         dest: usize,
@@ -483,6 +490,7 @@ impl UnackedPuts {
         data: Vec<u8>,
         mode: TransferMode,
         sent: Instant,
+        timed: bool,
         deadline_us: u32,
     ) -> u32 {
         // lint: relaxed-ok(unique id allocation; uniqueness needs atomicity, not ordering)
@@ -496,6 +504,7 @@ impl UnackedPuts {
             sent,
             doublings: 0,
             on_wire: true,
+            timed,
             deadline_us,
         };
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
@@ -534,8 +543,9 @@ impl UnackedPuts {
     }
 
     /// Snapshot the entries whose retransmission timer has expired by
-    /// `now` (for the sweeper).
-    pub fn overdue(&self, rto: &RtoTable, now: Instant) -> Vec<(u32, UnackedPut)> {
+    /// `now`, or whose operation deadline has by `now_us` (for the
+    /// sweeper).
+    pub fn overdue(&self, rto: &RtoTable, now: Instant, now_us: u32) -> Vec<(u32, UnackedPut)> {
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         self.shards
             .iter()
@@ -545,7 +555,10 @@ impl UnackedPuts {
                     .lock()
                     .map
                     .iter()
-                    .filter(|(_, p)| rto.deadline(p.dest, p.sent, p.doublings) <= now)
+                    .filter(|(_, p)| {
+                        (p.deadline_us != 0 && now_us > p.deadline_us)
+                            || rto.deadline(p.dest, p.sent, p.doublings) <= now
+                    })
                     .map(|(&id, p)| (id, p.clone()))
                     .collect::<Vec<_>>()
             })
@@ -964,7 +977,7 @@ mod tests {
     }
 
     fn put_entry(u: &UnackedPuts, sent: Instant) -> u32 {
-        u.register(1, 0, vec![1, 2, 3], TransferMode::Dma, sent, 0)
+        u.register(1, 0, vec![1, 2, 3], TransferMode::Dma, sent, true, 0)
     }
 
     #[test]
@@ -1004,13 +1017,18 @@ mod tests {
         let now = Instant::now();
         let late = put_entry(&u, now - ms(60));
         let _fresh = put_entry(&u, now);
-        let overdue = u.overdue(&rto, now);
+        let overdue = u.overdue(&rto, now, 0);
         assert_eq!(overdue.len(), 1);
         assert_eq!(overdue[0].0, late);
         assert_eq!(overdue[0].1.attempts, 1);
         assert_eq!(u.note_attempt(late, now, 1), Some(2));
-        assert!(u.overdue(&rto, now).is_empty(), "the retransmission restarted its timer");
+        assert!(u.overdue(&rto, now, 0).is_empty(), "the retransmission restarted its timer");
         assert_eq!(u.note_attempt(9999, now, 1), None);
+        // An expired operation deadline is due whatever its timer says.
+        let expiring = u.register(1, 0, vec![1], TransferMode::Dma, now, true, 100);
+        assert!(u.overdue(&rto, now, 100).is_empty());
+        let due: Vec<u32> = u.overdue(&rto, now, 101).into_iter().map(|(id, _)| id).collect();
+        assert_eq!(due, vec![expiring]);
     }
 
     #[test]
@@ -1071,7 +1089,7 @@ mod tests {
     fn unacked_fail_dest_reports_pe_failed_over_link_failed() {
         let u = UnackedPuts::new();
         let now = Instant::now();
-        let doomed = u.register(2, 0, vec![9], TransferMode::Dma, now, 0);
+        let doomed = u.register(2, 0, vec![9], TransferMode::Dma, now, true, 0);
         let other = put_entry(&u, now); // dest 1
         assert!(u.fail(other, || {}), "plain link-budget abandonment");
         let mut abandoned = Vec::new();

@@ -8,16 +8,25 @@
 //! * RTO = clamp(SRTT + 4·RTTVAR, `min_rto`, `max_rto`), `min_rto` before
 //!   the first sample, doubled per timeout up to `max_rto` ([`schedule`]).
 //!   Only a timeout of a transmission that left this host doubles it.
-//! * The timer restarts on progress: an operation is overdue only once
-//!   this host has received no ack or response for one RTO of its
-//!   destination ([`RtoTable::deadline`]). Like TCP's one timer per
-//!   connection, a single timer covers all of this host's outstanding
-//!   operations: a flat collective sends each destination one put, so a
-//!   destination returns nothing until that put's own ack, while the
-//!   other acks arriving show that the fabric is moving.
+//! * The timer restarts on progress: an operation is overdue once this
+//!   host has received no ack or response for one RTO of its destination
+//!   ([`RtoTable::deadline`]). Like TCP's one timer per connection, a
+//!   single timer covers all of this host's outstanding operations: a
+//!   flat collective sends each destination one put, so a destination
+//!   returns nothing until that put's own ack, while the other acks
+//!   arriving show that the fabric is moving. The restart is bounded to
+//!   `max_rto` past the transmission, so acks from busy destinations
+//!   never hold back the retransmission of a put lost toward a quiet one:
+//!   it is overdue at most one RTO plus `max_rto` after it was sent.
+//!   (The ceiling, not one RTO, because a far destination's first round
+//!   trip on a loaded 64-PE ring exceeds an unsampled RTO several times
+//!   over.)
 //!
-//! Link-local waits have no round trip to sample and follow the same
-//! schedule from the floor ([`local_wait`]).
+//! Link-local waits (a refused doorbell, a missed interrupt, a frame the
+//! next hop's ring did not take) have no round trip to sample and cross
+//! one link, not an end-to-end path and its ack return: they follow the
+//! same doubling schedule from [`LOCAL_FLOOR_DIV`]-th of the floor
+//! ([`local_wait`]).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -30,9 +39,13 @@ pub fn schedule(policy: &RetryPolicy, base: Duration, attempt: u32) -> Duration 
     base.checked_mul(factor).map_or(policy.max_rto, |d| d.min(policy.max_rto))
 }
 
+/// How much shorter than the end-to-end floor the first link-local wait
+/// is: 25 ms at the default 200 ms `min_rto`.
+pub const LOCAL_FLOOR_DIV: u32 = 8;
+
 /// Wait `attempt` (0-based) of a link-local retry loop.
 pub fn local_wait(policy: &RetryPolicy, attempt: u32) -> Duration {
-    schedule(policy, policy.min_rto, attempt)
+    schedule(policy, policy.min_rto / LOCAL_FLOOR_DIV, attempt)
 }
 
 /// One destination's estimator.
@@ -89,13 +102,15 @@ impl RtoTable {
 
     /// When an operation toward `dest`, last transmitted at `sent` with
     /// its timer doubled `doublings` times, is overdue: one RTO after the
-    /// later of that transmission and the last ack or response.
+    /// later of that transmission and the last ack or response, but no
+    /// later than one RTO plus `max_rto` after the transmission.
     pub fn deadline(&self, dest: usize, sent: Instant, doublings: u32) -> Instant {
+        let rto = self.rto(dest, doublings);
         let since = match self.progress_us.load(Ordering::SeqCst) {
             0 => sent,
-            us => sent.max(self.epoch + Duration::from_micros(us)),
+            us => (self.epoch + Duration::from_micros(us)).clamp(sent, sent + self.policy.max_rto),
         };
-        since + self.rto(dest, doublings)
+        since + rto
     }
 
     /// An ack or a response arrived (duplicates included): every
@@ -145,9 +160,11 @@ mod tests {
 
     #[test]
     fn schedule_doubles_and_caps() {
-        let p = policy(10, 35);
+        let p = policy(80, 100);
         let ms = |a| local_wait(&p, a).as_millis();
-        assert_eq!([ms(0), ms(1), ms(2), ms(31), ms(99)], [10, 20, 35, 35, 35]);
+        assert_eq!([ms(0), ms(1), ms(2), ms(3), ms(4), ms(99)], [10, 20, 40, 80, 100, 100]);
+        let ms = |a| schedule(&p, p.min_rto, a).as_millis();
+        assert_eq!([ms(0), ms(1), ms(31)], [80, 100, 100]);
     }
 
     #[test]
@@ -197,5 +214,17 @@ mod tests {
             let restarted = t.deadline(dest, sent, 0);
             assert!(restarted >= sent + Duration::from_millis(80), "one RTO after the progress");
         }
+    }
+
+    #[test]
+    fn progress_holds_a_timer_back_by_the_ceiling_at_most() {
+        // Acks from other destinations keep arriving long after a put
+        // toward dest 1 was lost: it still falls due one RTO plus the
+        // ceiling after it was sent.
+        let t = RtoTable::new(policy(50, 120), 2);
+        let sent = Instant::now() - Duration::from_millis(500);
+        t.progress();
+        assert_eq!(t.deadline(1, sent, 0), sent + Duration::from_millis(170));
+        assert!(t.deadline(1, sent, 0) <= Instant::now(), "overdue despite the progress");
     }
 }

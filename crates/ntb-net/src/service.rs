@@ -407,10 +407,12 @@ fn dispatch_frame(node: &Arc<NtbNode>, frame: Frame, payload: Option<Vec<u8>>) -
                     node.obs.emit(EventKind::PutAcked, u64::from(frame.aux), [frame.src as u64, 0]);
                 }
             });
-            // Karn's rule: only a put transmitted once is a clean round
-            // trip; any ack still restarts the timers.
+            // Karn's rule: only a put transmitted once, with its doorbell,
+            // is a clean round trip; any ack still restarts the timers.
             match &acked {
-                Some(put) if put.attempts == 1 => node.rto.sample(frame.src, put.sent.elapsed()),
+                Some(put) if put.attempts == 1 && put.timed => {
+                    node.rto.sample(frame.src, put.sent.elapsed())
+                }
                 _ => node.rto.progress(),
             }
             if acked.is_none() {
@@ -671,7 +673,7 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
             continue;
         }
         let now = Instant::now();
-        for (id, put) in node.unacked.overdue(&node.rto, now) {
+        for (id, put) in node.unacked.overdue(&node.rto, now, node.now_us()) {
             // Operation deadline expired: abandon typed. The next quiet
             // reports `DeadlineExceeded` instead of `LinkFailed` — the
             // caller set a time budget and it was missed.

@@ -827,8 +827,9 @@ mod tests {
 
     fn small_cfg() -> NetConfig {
         let mut cfg = NetConfig::fast(2);
-        // A slot wait re-rings every 5 ms and fails after two re-rings.
-        let ms = Duration::from_millis(5);
+        // A slot wait re-rings after 5 and 10 ms (the link-local schedule
+        // from 40 ms / 8) and fails 20 ms after the second re-ring.
+        let ms = Duration::from_millis(40);
         cfg.retry = RetryPolicy { min_rto: ms, max_rto: ms, max_retries: 2, ..cfg.retry };
         cfg.direct_buf = 64 << 10;
         cfg.bypass_buf = 64 << 10;

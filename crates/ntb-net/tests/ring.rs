@@ -634,3 +634,36 @@ fn slow_lossless_path_stops_retransmitting_once_sampled() {
     assert_no_errors(&net);
     net.shutdown();
 }
+
+/// Acks from a busy destination restart the retransmission timer, but by
+/// `max_rto` at most: a put toward another destination whose ack was
+/// lost is retransmitted within one RTO plus `max_rto` while the busy
+/// one keeps acking, not only once that traffic stops.
+#[test]
+fn lost_ack_is_retransmitted_while_another_destination_keeps_acking() {
+    let (rto, max_rto) = (Duration::from_millis(20), Duration::from_millis(40));
+    let retry = RetryPolicy { min_rto: rto, max_rto, ..RetryPolicy::default() };
+    // Ring 0-1-2: host 2 acks host 0 over link 2, and its first ack is lost.
+    let cfg = NetConfig::fast(3)
+        .with_retry(retry)
+        .with_faults(FaultPlan::none().with_scripted(2, FaultAction::DropAck, 1))
+        .with_heartbeat(ntb_net::HeartbeatConfig::disabled());
+    let (net, heaps) = build_with(cfg);
+    let node = net.node(0);
+    let retransmits = || node.stats().retransmits.load(std::sync::atomic::Ordering::SeqCst);
+    let t0 = std::time::Instant::now();
+    node.put_bytes(2, 0, &[7; 64], TransferMode::Memcpy).unwrap();
+    // Host 1 acks a put every millisecond, well inside one RTO.
+    while retransmits() == 0 && t0.elapsed() < 25 * rto {
+        node.put_bytes(1, 0, &[1; 64], TransferMode::Memcpy).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let waited = t0.elapsed();
+    node.quiet().unwrap();
+    assert!(retransmits() >= 1, "the put to host 2 was never retransmitted");
+    // Due after 60 ms; the slack covers the sweeper's 5 ms tick.
+    assert!(waited < rto + max_rto + 4 * rto, "retransmitted after {waited:?}");
+    assert_eq!(heaps[2].region.read_vec(0, 64).unwrap(), [7; 64]);
+    assert_no_errors(&net);
+    net.shutdown();
+}
