@@ -300,7 +300,7 @@ pub const EVENT_PAIRS: &[EventPair] = &[
     EventPair {
         acquire_event: "PutIssue",
         resolve_events: &["PutAcked", "PutAbandon"],
-        resolve_calls: &["ack_with", "fail", "fail_expired", "fail_dest", "fail_ops_to"],
+        resolve_calls: &["ack_with", "fail", "fail_dest", "fail_ops_to"],
     },
     EventPair {
         acquire_event: "GetReqTx",
@@ -336,10 +336,7 @@ pub struct PublishedResolution {
 /// waits).
 pub const PUBLISHED_RESOLUTIONS: &[PublishedResolution] = &[
     PublishedResolution { event: "PutAcked", publishers: &["ack_with"] },
-    PublishedResolution {
-        event: "PutAbandon",
-        publishers: &["ack_with", "fail", "fail_expired", "fail_dest"],
-    },
+    PublishedResolution { event: "PutAbandon", publishers: &["ack_with", "fail", "fail_dest"] },
     PublishedResolution { event: "GetChunkRx", publishers: &["fill_with"] },
     PublishedResolution { event: "AmoDone", publishers: &["fill_with"] },
 ];
@@ -379,15 +376,7 @@ pub const CALL_PAIRS: &[CallPair] = &[
         receiver: "unacked",
         method: "register",
         event: "unacked.register",
-        resolutions: &[
-            "ack_with",
-            "fail",
-            "fail_expired",
-            "fail_dest",
-            "fail_ops_to",
-            "quiet",
-            "reset",
-        ],
+        resolutions: &["ack_with", "fail", "fail_dest", "fail_ops_to", "quiet", "reset"],
     },
 ];
 
@@ -474,7 +463,6 @@ pub const RESOLVER_CALLS: &[&str] = &[
     "abandon",
     "abandon_unless_done",
     "fail",
-    "fail_expired",
     "fail_dest",
     "fail_ops_to",
     "ack_with",

@@ -405,10 +405,8 @@ pub struct UnackedPut {
     /// Whether the last transmission left this host (a send the link
     /// refused did not, and its timeout doubles nothing).
     pub on_wire: bool,
-    /// Whether the first transmission's doorbell rang with the put, so
-    /// its ack times a round trip. A put staged behind a deferred
-    /// doorbell waits for the batch cap or the next `quiet`, and its ack
-    /// would time the caller too: it is never sampled.
+    /// Whether the doorbell rang with the put, so its ack times a round
+    /// trip (a deferred doorbell waits for the caller's `quiet`).
     pub timed: bool,
     /// The *operation's* absolute deadline in microseconds since the
     /// network epoch (0 = none): once this expires the sweeper stops
@@ -589,48 +587,32 @@ impl UnackedPuts {
         }
     }
 
-    /// Abandon a chunk whose retry budget is spent. The failure is
-    /// remembered and reported by the next [`Self::quiet`]; `observe`
-    /// runs under the shard lock, before a waiting `quiet` can see the
-    /// retirement (see [`Self::ack_with`]). Returns `false` — recording
-    /// nothing — when the chunk is no longer in the table: an ack can race
-    /// the sweeper between its overdue snapshot and this call, and an
-    /// acked put must not be reported as failed (nor abandoned twice in
-    /// the trace).
-    pub fn fail(&self, id: u32, observe: impl FnOnce()) -> bool {
+    /// Abandon a chunk whose retry budget is spent or, with `expired`,
+    /// whose *operation deadline* passed. The failure is remembered and
+    /// reported by the next [`Self::quiet`] (`DeadlineExceeded` for an
+    /// expiry, else `LinkFailed`); `observe` runs under the shard lock,
+    /// before a waiting `quiet` can see the retirement (see
+    /// [`Self::ack_with`]). Returns `false` — recording nothing — when
+    /// the chunk is no longer in the table: an ack can race the sweeper
+    /// between its overdue snapshot and this call, and an acked put must
+    /// not be reported as failed (nor abandoned twice in the trace).
+    pub fn fail(&self, id: u32, expired: bool, observe: impl FnOnce()) -> bool {
         let shard = self.shard(id);
         crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
         let mut st = shard.state.lock();
         let known = match st.map.remove(&id) {
             Some(put) => {
                 self.retired(1);
-                st.failed.push(put.attempts);
+                if expired {
+                    st.expired = true;
+                } else {
+                    st.failed.push(put.attempts);
+                }
                 observe();
                 true
             }
             None => false,
         };
-        if st.map.is_empty() {
-            shard.cond.notify_all();
-        }
-        known
-    }
-
-    /// Abandon a chunk whose *operation deadline* expired. Like
-    /// [`Self::fail`] but records a deadline failure, so the next
-    /// [`Self::quiet`] reports [`NtbError::DeadlineExceeded`] instead of
-    /// `LinkFailed`. Returns `false` when the put was already retired
-    /// (an ack raced the sweeper).
-    pub fn fail_expired(&self, id: u32, observe: impl FnOnce()) -> bool {
-        let shard = self.shard(id);
-        crate::lockdep_track!(&crate::lockdep::NET_UNACKED_SHARD);
-        let mut st = shard.state.lock();
-        let known = st.map.remove(&id).is_some();
-        if known {
-            self.retired(1);
-            st.expired = true;
-            observe();
-        }
         if st.map.is_empty() {
             shard.cond.notify_all();
         }
@@ -1036,7 +1018,7 @@ mod tests {
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
         u.note_attempt(id, Instant::now(), 1);
-        assert!(u.fail(id, || {}));
+        assert!(u.fail(id, false, || {}));
         assert!(u.has_failures());
         assert_eq!(u.quiet().unwrap_err(), NtbError::LinkFailed { attempts: 2 });
         u.quiet().expect("failure record cleared by the reporting quiet");
@@ -1046,8 +1028,8 @@ mod tests {
     fn expired_put_reported_by_quiet_then_cleared() {
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
-        assert!(u.fail_expired(id, || {}));
-        assert!(!u.fail_expired(id, || {}), "already retired");
+        assert!(u.fail(id, true, || {}));
+        assert!(!u.fail(id, true, || {}), "already retired");
         assert!(u.has_failures());
         assert_eq!(u.quiet().unwrap_err(), NtbError::DeadlineExceeded);
         u.quiet().expect("expiry record cleared by the reporting quiet");
@@ -1058,8 +1040,8 @@ mod tests {
         let u = UnackedPuts::new();
         let linky = put_entry(&u, Instant::now());
         let late = put_entry(&u, Instant::now());
-        assert!(u.fail(linky, || {}));
-        assert!(u.fail_expired(late, || {}));
+        assert!(u.fail(linky, false, || {}));
+        assert!(u.fail(late, true, || {}));
         assert_eq!(u.quiet().unwrap_err(), NtbError::DeadlineExceeded);
         // Failure record is consumed; the next quiet is clean.
         u.quiet().unwrap();
@@ -1091,7 +1073,7 @@ mod tests {
         let now = Instant::now();
         let doomed = u.register(2, 0, vec![9], TransferMode::Dma, now, true, 0);
         let other = put_entry(&u, now); // dest 1
-        assert!(u.fail(other, || {}), "plain link-budget abandonment");
+        assert!(u.fail(other, false, || {}), "plain link-budget abandonment");
         let mut abandoned = Vec::new();
         u.fail_dest(2, 5, |id| abandoned.push(id));
         assert_eq!(abandoned, vec![doomed]);
@@ -1109,7 +1091,7 @@ mod tests {
         assert_eq!(p.in_flight(), 0);
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
-        assert!(u.fail(id, || {}));
+        assert!(u.fail(id, false, || {}));
         u.fail_dest(1, 1, |_| {});
         u.reset();
         assert_eq!(u.current(), 0);
@@ -1125,7 +1107,7 @@ mod tests {
         let u = UnackedPuts::new();
         let id = put_entry(&u, Instant::now());
         assert!(u.ack_with(id, |_| {}).is_some());
-        assert!(!u.fail(id, || {}), "acked put must not be failable");
+        assert!(!u.fail(id, false, || {}), "acked put must not be failable");
         assert!(!u.has_failures());
         u.quiet().expect("all puts acked; no stale failure record");
     }

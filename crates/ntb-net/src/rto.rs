@@ -2,31 +2,22 @@
 //! PE (RFC 6298), and the doubling schedule every retry wait follows
 //! (DESIGN.md §9).
 //!
-//! * SRTT and RTTVAR come from the round trips of put acks and get/AMO
-//!   responses. Karn's rule: a retransmitted operation is never sampled,
-//!   and a backed-off timeout stays in force until the next clean sample.
+//! * SRTT and RTTVAR come from put acks and get/AMO responses. Karn's
+//!   rule: a retransmitted operation is never sampled, and a backed-off
+//!   timeout stays in force until the next clean sample.
 //! * RTO = clamp(SRTT + 4·RTTVAR, `min_rto`, `max_rto`), `min_rto` before
-//!   the first sample, doubled per timeout up to `max_rto` ([`schedule`]).
-//!   Only a timeout of a transmission that left this host doubles it.
-//! * The timer restarts on progress: an operation is overdue once this
-//!   host has received no ack or response for one RTO of its destination
-//!   ([`RtoTable::deadline`]). Like TCP's one timer per connection, a
-//!   single timer covers all of this host's outstanding operations: a
-//!   flat collective sends each destination one put, so a destination
-//!   returns nothing until that put's own ack, while the other acks
-//!   arriving show that the fabric is moving. The restart is bounded to
-//!   `max_rto` past the transmission, so acks from busy destinations
-//!   never hold back the retransmission of a put lost toward a quiet one:
-//!   it is overdue at most one RTO plus `max_rto` after it was sent.
-//!   (The ceiling, not one RTO, because a far destination's first round
-//!   trip on a loaded 64-PE ring exceeds an unsampled RTO several times
-//!   over.)
-//!
-//! Link-local waits (a refused doorbell, a missed interrupt, a frame the
-//! next hop's ring did not take) have no round trip to sample and cross
-//! one link, not an end-to-end path and its ack return: they follow the
-//! same doubling schedule from [`LOCAL_FLOOR_DIV`]-th of the floor
-//! ([`local_wait`]).
+//!   the first sample, doubled per timeout of a transmission that left
+//!   this host, up to `max_rto` ([`schedule`]).
+//! * Like TCP's one timer per connection, any ack or response restarts
+//!   every outstanding operation's timer: a flat collective sends each
+//!   destination one put, so only the other acks show the fabric moving.
+//!   The restart is bounded to `max_rto` past the transmission, so a put
+//!   lost toward a quiet destination is due within one RTO plus
+//!   `max_rto` however busy the others keep the host
+//!   ([`RtoTable::deadline`]).
+//! * Link-local waits (a refused doorbell, a missed interrupt) cross one
+//!   link and have no round trip to sample: the same schedule from an
+//!   eighth of the floor ([`local_wait`]).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -39,13 +30,10 @@ pub fn schedule(policy: &RetryPolicy, base: Duration, attempt: u32) -> Duration 
     base.checked_mul(factor).map_or(policy.max_rto, |d| d.min(policy.max_rto))
 }
 
-/// How much shorter than the end-to-end floor the first link-local wait
-/// is: 25 ms at the default 200 ms `min_rto`.
-pub const LOCAL_FLOOR_DIV: u32 = 8;
-
-/// Wait `attempt` (0-based) of a link-local retry loop.
+/// Wait `attempt` (0-based) of a link-local retry loop: doubling from an
+/// eighth of `min_rto` (25 ms at the default 200 ms).
 pub fn local_wait(policy: &RetryPolicy, attempt: u32) -> Duration {
-    schedule(policy, policy.min_rto / LOCAL_FLOOR_DIV, attempt)
+    schedule(policy, policy.min_rto / 8, attempt)
 }
 
 /// One destination's estimator.

@@ -674,36 +674,26 @@ pub(crate) fn retry_sweeper_loop(node: &Arc<NtbNode>) {
         }
         let now = Instant::now();
         for (id, put) in node.unacked.overdue(&node.rto, now, node.now_us()) {
-            // Operation deadline expired: abandon typed. The next quiet
-            // reports `DeadlineExceeded` instead of `LinkFailed` — the
-            // caller set a time budget and it was missed.
+            // Operation deadline expired (the next quiet reports
+            // `DeadlineExceeded`: the caller's time budget was missed) or
+            // retry budget spent (`LinkFailed`): abandon. An ack may have
+            // landed since the overdue snapshot — then fail() is a no-op
+            // and the put already resolved as acked, so no abandon is
+            // recorded or emitted.
             let now_us = node.now_us();
-            if put.deadline_us != 0 && now_us > put.deadline_us {
-                let ep = node.egress(put.dest, None, &node.membership().view());
-                node.unacked.fail_expired(id, || {
-                    ep.obs.emit(
-                        EventKind::DeadlineShed,
-                        u64::from(id),
-                        [u64::from(put.deadline_us), u64::from(now_us)],
-                    );
-                    // The shed *is* this put's one resolution — record it
-                    // for invariant 1 (put-resolution) like every other
-                    // abandon path.
-                    node.obs.emit(
-                        EventKind::PutAbandon,
-                        u64::from(id),
-                        [u64::from(put.attempts), put.dest as u64],
-                    );
-                });
-                continue;
-            }
-            if put.attempts > policy.max_retries {
-                // Budget spent: abandon. The failure surfaces as
-                // `LinkFailed` from the next `quiet`. An ack may have
-                // landed since the overdue snapshot — then fail() is a
-                // no-op and the put already resolved as acked, so no
-                // abandon is recorded or emitted.
-                node.unacked.fail(id, || {
+            let expired = put.deadline_us != 0 && now_us > put.deadline_us;
+            if expired || put.attempts > policy.max_retries {
+                let shed = expired.then(|| node.egress(put.dest, None, &node.membership().view()));
+                node.unacked.fail(id, expired, || {
+                    if let Some(ep) = shed {
+                        ep.obs.emit(
+                            EventKind::DeadlineShed,
+                            u64::from(id),
+                            [u64::from(put.deadline_us), u64::from(now_us)],
+                        );
+                    }
+                    // The abandon is this put's one resolution (checker
+                    // invariant 1, put-resolution).
                     node.obs.emit(
                         EventKind::PutAbandon,
                         u64::from(id),
